@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import datasets, evaluation, synthetic, training
 from .config import RunConfig, parse_config_file, resolve_config
 from .data import DataError
@@ -128,8 +130,8 @@ def _train_splits(bundle):
         return splits
     valid = bundle.splits["valid"]
     return {"valid": valid,
-            "filter_triples": list(bundle.graph.triples)
-            + [tuple(t) for t in valid]}
+            "filter_triples": np.concatenate(
+                [bundle.graph.triple_array(), valid])}
 
 
 def _progress(stream):
@@ -204,6 +206,23 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_meta(meta):
+    """Reject snapshot metadata that does not describe one RunConfig."""
+    missing = [k for k in ("task", "num_relations", "config") if k not in meta]
+    if missing:
+        raise SnapshotError(f"snapshot meta lacks {', '.join(missing)}")
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise SnapshotError("snapshot config is not a key/value object")
+    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    absent = [name for name in _CONFIG_FIELDS if name not in config]
+    if unknown or absent:
+        raise SnapshotError(
+            f"snapshot config does not match this version's fields "
+            f"(unknown: {', '.join(unknown) or 'none'}; "
+            f"missing: {', '.join(absent) or 'none'})")
+
+
 def _check_shapes(meta, arrays, bundle, task):
     emb = arrays.get("embedding")
     if emb is None:
@@ -237,10 +256,8 @@ def _evaluate_bundle(meta, arrays, regularized, bundle, task, dataset):
             bundle.labels["test"])
         return evaluation.classify_report(accuracy, dataset)
     test = bundle.splits["test"]
-    known = evaluation.FilterIndex(
-        list(bundle.graph.triples)
-        + [tuple(t) for t in bundle.splits["valid"]]
-        + [tuple(t) for t in test])
+    known = evaluation.FilterIndex(np.concatenate(
+        [bundle.graph.triple_array(), bundle.splits["valid"], test]))
     results = training.evaluate_links(bundle.graph, params,
                                       run.encoder_config(),
                                       run.decoder, test, known)
@@ -251,6 +268,7 @@ def cmd_evaluate(args):
     dataset_dir = _resolve(args)
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
     meta, arrays, regularized = load_snapshot(args.snapshot)
+    _check_meta(meta)
     task = args.task or meta["task"]
     if task != meta["task"]:
         raise DataError(f"snapshot was trained for task {meta['task']!r}; "

@@ -116,7 +116,6 @@ class DirectionPlan:
     src: np.ndarray
     dst: np.ndarray
     rel: np.ndarray
-    order: np.ndarray
     rel_starts: np.ndarray
     seg_starts: np.ndarray
 
@@ -136,8 +135,8 @@ def _build_plan(src, dst, rel, num_relations):
         seg_starts = np.flatnonzero(change)
     else:
         seg_starts = np.zeros(0, dtype=np.int64)
-    return DirectionPlan(src=s, dst=d, rel=r, order=order,
-                         rel_starts=rel_starts, seg_starts=seg_starts)
+    return DirectionPlan(src=s, dst=d, rel=r, rel_starts=rel_starts,
+                         seg_starts=seg_starts)
 
 
 class KnowledgeGraph:
@@ -184,6 +183,10 @@ class KnowledgeGraph:
     @property
     def num_triples(self):
         return len(self.triples)
+
+    def triple_array(self):
+        """The triples as an (n, 3) int64 array of (head, rel, tail) rows."""
+        return np.stack([self.heads, self.rels, self.tails], axis=1)
 
     def plan(self, direction):
         """Cached DirectionPlan for 'forward' (in-edges) or 'backward'."""

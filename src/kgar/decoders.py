@@ -1,10 +1,16 @@
 """Task heads: classification softmax, ComplEx and DistMult triple scoring,
-negative sampling, and the two loss functions.
+1-N candidate scoring for ranking, negative sampling, and the two loss
+functions.
 
 Entity features are the encoder output F. For complex-valued scoring a
 feature row splits half/half: the first D/2 columns are the real part, the
 rest the imaginary part. Relation embeddings are decoder-owned parameters,
 independent of the encoder.
+
+Training scores sampled triples on the tape (`score_triples`). Ranking
+scores without the tape: `query_scorer` folds each (fixed entity,
+relation, side) query into one D-vector and scores a block of queries
+against all entities with one GEMM.
 """
 
 from __future__ import annotations
@@ -109,43 +115,36 @@ def score_triples(params, feats, triples, decoder):
 
 
 # ---------------------------------------------------------------------------
-# candidate scoring for ranking (no tape; used by evaluation)
+# 1-N candidate scoring for ranking (no tape; used by evaluation)
 
 
-def complex_all_scores(feats, rel_re, rel_im, triple, side):
-    """Scores of every candidate substitution on one side of a triple."""
-    s, r, o = triple
-    e_re, e_im = _split(feats)
-    w_re, w_im = rel_re[r], rel_im[r]
-    if side == "tail":
-        s_re, s_im = _split(feats[s])
-        return (e_re @ (w_re * s_re - w_im * s_im)
-                + e_im @ (w_re * s_im + w_im * s_re))
-    if side == "head":
-        o_re, o_im = _split(feats[o])
-        return (e_re @ (w_re * o_re + w_im * o_im)
-                + e_im @ (w_re * o_im - w_im * o_re))
-    raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+def query_scorer(feats, params, decoder):
+    """Bind a scorer of (q, 3) query rows to (q, |V|) candidate scores.
 
-
-def distmult_all_scores(feats, rel_diag, triple, side):
-    s, r, o = triple
-    fixed = feats[s] if side == "tail" else feats[o]
-    return feats @ (rel_diag[r] * fixed)
-
-
-def make_all_scorer(feats, params, decoder):
-    """Bind a (triple, side) -> scores-over-all-candidates callable."""
+    A row (fixed, relation, side) asks for the head (side 0) of
+    (?, relation, fixed) or the tail (side 1) of (fixed, relation, ?).
+    Each query folds into one D-vector, so a block of rows is scored
+    against every entity by a single (q x D)(D x |V|) product.
+    """
+    feats_t = feats.T
     if decoder == "complex":
         rel_re, rel_im = params.rel_re.values, params.rel_im.values
 
-        def scorer(triple, side):
-            return complex_all_scores(feats, rel_re, rel_im, triple, side)
+        def scorer(queries):
+            f_re, f_im = _split(feats[queries[:, 0]])
+            w_re, w_im = rel_re[queries[:, 1]], rel_im[queries[:, 1]]
+            # score = Re(<w, s, conj(o)>): a tail query is Re(q conj(o))
+            # with q = w s, a head query Re(s q) with q = w conj(o); the
+            # row is [Re q, Im q] for tails and [Re q, -Im q] for heads
+            sign = np.where(queries[:, 2] == 1, 1.0, -1.0)[:, None]
+            q = np.hstack([w_re * f_re - sign * (w_im * f_im),
+                           w_re * f_im + sign * (w_im * f_re)])
+            return q @ feats_t
     elif decoder == "distmult":
         rel_diag = params.rel_diag.values
 
-        def scorer(triple, side):
-            return distmult_all_scores(feats, rel_diag, triple, side)
+        def scorer(queries):
+            return (feats[queries[:, 0]] * rel_diag[queries[:, 1]]) @ feats_t
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
     return scorer

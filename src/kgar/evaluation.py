@@ -4,17 +4,24 @@ Every test triple is ranked twice, once per corrupted side, against all
 |V| candidate substitutions. Ties receive the average rank. The filtered
 setting removes candidates that would form a different known-true triple;
 the test entity itself is never removed.
+
+Ranking is 1-N: a query row (fixed entity, relation, side) asks for the
+head (side 0) or the tail (side 1), and the scorer turns a chunk of
+`_QUERY_CHUNK` rows into one (rows, |V|) score block. Raw ranks count
+greater and equal scores per row; filtered ranks subtract the known
+candidates looked up in a sorted-key `FilterIndex`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 SETTINGS = ("raw", "filtered")
 SIDES = ("head", "tail")
+_QUERY_CHUNK = 256  # queries per score block (one GEMM)
+_KEY_SHIFT = 32  # key = fixed << 32 | relation; ids stay below 2**31
 
 
 @dataclass
@@ -25,64 +32,100 @@ class RankingResult:
     filtered_rank: float
 
 
+def _as_triples(triples):
+    if not isinstance(triples, np.ndarray):
+        triples = list(triples)
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def _key(fixed, rel):
+    return (fixed << _KEY_SHIFT) | rel
+
+
 class FilterIndex:
-    """Known positives indexed for O(1) per-query candidate filtering."""
+    """Known positives as sorted (fixed entity, relation) keys per side.
+
+    For side 0 (head queries) the fixed entity is the tail and the
+    candidates are heads; for side 1 the reverse. `keys[side]` is sorted
+    and `candidates[side]` holds the matching candidate ids, with
+    duplicate triples stored once.
+    """
 
     def __init__(self, triples):
-        self.tails = defaultdict(list)  # (s, r) -> [o, ...]
-        self.heads = defaultdict(list)  # (o, r) -> [s, ...]
-        for s, r, o in triples:
-            self.tails[(s, r)].append(o)
-            self.heads[(o, r)].append(s)
+        triples = _as_triples(triples)
+        heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+        self.keys, self.candidates = [], []
+        for fixed, cand in ((tails, heads), (heads, tails)):
+            key = _key(fixed, rels)
+            order = np.lexsort((cand, key))
+            key, cand = key[order], cand[order]
+            fresh = np.ones(key.size, dtype=bool)
+            fresh[1:] = (key[1:] != key[:-1]) | (cand[1:] != cand[:-1])
+            self.keys.append(key[fresh])
+            self.candidates.append(cand[fresh])
 
-    def filter_ids(self, triple, side):
-        s, r, o = triple
-        if side == "tail":
-            return self.tails.get((s, r), ())
-        return self.heads.get((o, r), ())
+    def known_others(self, queries, targets):
+        """(row, candidate) pairs: each known candidate of each query row
+        other than that row's target, in no particular order."""
+        rows, cands = [], []
+        for side in (0, 1):
+            idx = np.flatnonzero(queries[:, 2] == side)
+            key = _key(queries[idx, 0], queries[idx, 1])
+            lo = np.searchsorted(self.keys[side], key, "left")
+            count = np.searchsorted(self.keys[side], key, "right") - lo
+            # position j of row i's range: lo[i] + j, for j < count[i]
+            ends = np.cumsum(count)
+            offsets = np.repeat(lo - ends + count, count)
+            rows.append(np.repeat(idx, count))
+            cands.append(self.candidates[side][
+                offsets + np.arange(count.sum())])
+        rows, cands = np.concatenate(rows), np.concatenate(cands)
+        keep = cands != targets[rows]
+        return rows[keep], cands[keep]
 
 
-def _rank_of(scores, target, removed=None):
-    t = scores[target]
-    greater = scores > t
-    equal = scores == t
-    if removed is not None and len(removed):
-        removed = np.asarray(removed)
-        keep = removed != target
-        greater[removed[keep]] = False
-        equal[removed[keep]] = False
-    return 1.0 + greater.sum() + 0.5 * (equal.sum() - 1)
-
-
-def rank_candidates(triple, side, scorer, known):
-    """Raw and filtered rank of one triple's true entity on one side.
-
-    `scorer(triple, side)` returns scores over all candidate entities;
-    `known` is the positive set (any triple iterable or a FilterIndex).
-    """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if not isinstance(known, FilterIndex):
-        known = FilterIndex(known)
-    scores = np.asarray(scorer(triple, side), dtype=np.float64)
-    s, _r, o = triple
-    target = s if side == "head" else o
-    raw = _rank_of(scores, target)
-    filtered = _rank_of(scores, target, known.filter_ids(triple, side))
-    return RankingResult(triple=tuple(triple), side=side,
-                         raw_rank=raw, filtered_rank=filtered)
+def _chunk_ranks(scores, targets, known_rows, known_cands):
+    """Raw and filtered ranks of one score block's rows."""
+    n = len(targets)
+    t = scores[np.arange(n), targets]
+    greater = np.count_nonzero(scores > t[:, None], axis=1)
+    equal = np.count_nonzero(scores == t[:, None], axis=1) - 1
+    raw = 1.0 + greater + 0.5 * equal
+    kept = scores[known_rows, known_cands]
+    t_kept = t[known_rows]
+    greater = greater - np.bincount(known_rows, weights=kept > t_kept,
+                                    minlength=n)
+    equal = equal - np.bincount(known_rows, weights=kept == t_kept,
+                                minlength=n)
+    return raw, 1.0 + greater + 0.5 * equal
 
 
 def evaluate_ranking(test_triples, scorer, known):
-    """Both-sides ranking of every test triple, in input order."""
+    """Both-sides ranking of every test triple, in input order.
+
+    `scorer(queries)` maps an (q, 3) block of query rows to a (q, |V|)
+    block of candidate scores; `known` is the positive set (a FilterIndex
+    or anything FilterIndex accepts).
+    """
     if not isinstance(known, FilterIndex):
         known = FilterIndex(known)
-    results = []
-    for triple in test_triples:
-        triple = (int(triple[0]), int(triple[1]), int(triple[2]))
-        for side in SIDES:
-            results.append(rank_candidates(triple, side, scorer, known))
-    return results
+    test = _as_triples(test_triples)
+    # head then tail query per triple: (fixed, relation, side), target
+    queries = np.stack([test[:, [2, 0]].reshape(-1), np.repeat(test[:, 1], 2),
+                        np.tile([0, 1], len(test))], axis=1)
+    targets = test[:, [0, 2]].reshape(-1)
+    raw = np.empty(len(queries))
+    filtered = np.empty(len(queries))
+    for lo in range(0, len(queries), _QUERY_CHUNK):
+        block = slice(lo, lo + _QUERY_CHUNK)
+        scores = np.asarray(scorer(queries[block]), dtype=np.float64)
+        rows, cands = known.known_others(queries[block], targets[block])
+        raw[block], filtered[block] = _chunk_ranks(scores, targets[block],
+                                                   rows, cands)
+    return [RankingResult(triple=tuple(int(x) for x in test[i // 2]),
+                          side=SIDES[i % 2], raw_rank=float(raw[i]),
+                          filtered_rank=float(filtered[i]))
+            for i in range(len(queries))]
 
 
 def _ranks(results, setting):

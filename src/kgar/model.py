@@ -54,10 +54,6 @@ class ModelParams:
                 out.append(p)
         return out
 
-    def decoder_params(self):
-        return [p for p in (self.rel_re, self.rel_im, self.rel_diag)
-                if p is not None]
-
 
 def _draw(rng, shape, std, init):
     if init == "std-normal":

@@ -36,6 +36,21 @@ def save_snapshot(path, params, meta):
             fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
 
 
+def _check_header(path, header):
+    """Reject a header without the fields `load_snapshot` reads."""
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("params"), list)):
+        raise SnapshotError(
+            f"{path}: header needs a 'meta' object and a 'params' list")
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise SnapshotError(
+                f"{path}: malformed parameter entry {entry!r}: needs a "
+                "'name' string and a 'shape' list of sizes")
+
+
 def load_snapshot(path):
     """Read a snapshot; returns (meta, name->array, name->regularized)."""
     with open(path, "rb") as fh:
@@ -49,6 +64,7 @@ def load_snapshot(path):
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"{path}: bad header ({exc})")
+        _check_header(path, header)
         arrays = {}
         regularized = {}
         for entry in header["params"]:

@@ -76,7 +76,7 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
                 return evaluate_classification(graph, params, enc_cfg,
                                                valid_labels)
     elif task == "linkpred":
-        triples = np.array([list(t) for t in graph.triples], dtype=np.int64)
+        triples = graph.triple_array()
         known = graph.known_triples() if config.filtered_negatives else None
         params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
                              task, rng, decoder=config.decoder,
@@ -88,9 +88,10 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
 
         valid_triples = splits.get("valid")
         if valid_triples is not None and len(valid_triples):
-            filter_index = evaluation.FilterIndex(
-                splits.get("filter_triples", list(graph.triples)
-                           + [tuple(t) for t in valid_triples]))
+            filter_triples = splits.get("filter_triples")
+            if filter_triples is None:
+                filter_triples = np.concatenate([triples, valid_triples])
+            filter_index = evaluation.FilterIndex(filter_triples)
 
             def valid_fn():
                 results = evaluate_links(graph, params, enc_cfg,
@@ -149,5 +150,5 @@ def evaluate_classification(graph, params, enc_cfg, labels):
 def evaluate_links(graph, params, enc_cfg, decoder, test_triples, known):
     """Both-sides RankingResults for the given test triples."""
     feats = encode(graph, params, enc_cfg)
-    scorer = decoders.make_all_scorer(feats.values, params, decoder)
+    scorer = decoders.query_scorer(feats.values, params, decoder)
     return evaluation.evaluate_ranking(test_triples, scorer, known)

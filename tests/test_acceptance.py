@@ -247,7 +247,8 @@ def _brute_mrr(test_triples, scorer, known_set, num_entities, setting):
     for (s, r, o) in test_triples:
         for side in ("head", "tail"):
             target = s if side == "head" else o
-            scores = scorer((s, r, o), side)
+            query = (o, r, 0) if side == "head" else (s, r, 1)
+            scores = scorer(np.array([query]))[0]
             removed = set()
             if setting == "filtered":
                 for c in range(num_entities):
@@ -274,8 +275,8 @@ def test_criterion_6_metric_laws():
         num_rel = int(rng.integers(1, 4))
         table = np.round(rng.normal(size=(num_rel, 2, v)), 1)
 
-        def scorer(triple, side):
-            return table[triple[1], 0 if side == "head" else 1]
+        def scorer(q):
+            return table[q[:, 1], q[:, 2]]
 
         num_test = int(rng.integers(1, 5))
         test = [(int(rng.integers(v)), int(rng.integers(num_rel)),

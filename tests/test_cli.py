@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import pytest
 
@@ -145,6 +146,38 @@ def test_evaluate_shape_mismatch_names_parameter(lp_dir, tmp_path, capsys):
     assert cli.main(["evaluate", "--snapshot", snap,
                      "--dataset", other]) == 2
     assert "embedding" in capsys.readouterr().err
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a snapshot with `edit(header)` applied to its JSON header."""
+    with open(src, "rb") as fh:
+        magic = fh.readline()
+        (length,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(length))
+        data = fh.read()
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    with open(dst, "wb") as fh:
+        fh.write(magic + struct.pack("<I", len(raw)) + raw + data)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda h: h["meta"]["config"].update(surprise=1), "surprise"),
+    (lambda h: h.pop("params"), "params"),
+    (lambda h: h["meta"]["config"].pop("embed_dim"), "embed_dim"),
+], ids=["unknown-config-key", "no-params", "missing-config-key"])
+def test_evaluate_bad_snapshot_header_is_snapshot_error(
+        lp_dir, tmp_path, capsys, edit, named):
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0
+    snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
+    bad = str(tmp_path / "bad.kgar")
+    rewrite_header(snap, bad, edit)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--snapshot", bad,
+                     "--dataset", lp_dir]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot error" in err and named in err
 
 
 def test_classify_train_evaluate_roundtrip(tmp_path, capsys):

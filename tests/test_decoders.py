@@ -200,10 +200,10 @@ def test_all_candidate_scores_match_single(toy_graph):
     for decoder in ("complex", "distmult"):
         params = toy_params(cfg, task="linkpred", decoder=decoder, seed=24)
         feats = E.encode(toy_graph, params, cfg).values
-        scorer = dec.make_all_scorer(feats, params, decoder)
+        scorer = dec.query_scorer(feats, params, decoder)
         triple = (2, 1, 3)
-        for side in ("head", "tail"):
-            all_scores = scorer(triple, side)
+        block = scorer(np.array([[3, 1, 0], [2, 1, 1]]))
+        for side, all_scores in zip(("head", "tail"), block):
             assert all_scores.shape == (6,)
             for c in range(6):
                 s, r, o = triple

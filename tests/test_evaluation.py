@@ -8,7 +8,13 @@ from kgar import evaluation as ev
 
 def static_scorer(scores):
     arr = np.asarray(scores, dtype=np.float64)
-    return lambda triple, side: arr
+    return lambda queries: np.tile(arr, (len(queries), 1))
+
+
+def rank_one(triple, side, scorer, known):
+    """One triple's RankingResult on one side, through the batched path."""
+    head, tail = ev.evaluate_ranking([triple], scorer, known)
+    return head if side == "head" else tail
 
 
 def brute_force_rank(scores, target, removed=()):
@@ -26,19 +32,19 @@ def brute_force_rank(scores, target, removed=()):
 
 
 # ---------------------------------------------------------------------------
-# rank_candidates
+# single-query ranks
 
 
 def test_unique_top_score_rank_one():
     scores = [0.1, 0.9, 0.3]
-    res = ev.rank_candidates((0, 0, 1), "tail", static_scorer(scores), set())
+    res = rank_one((0, 0, 1), "tail", static_scorer(scores), set())
     assert res.raw_rank == 1.0 and res.filtered_rank == 1.0
 
 
 def test_tie_policy_arithmetic():
     # target 0.5 against {0.9, 0.5, 0.1}: 1 + 1 strictly greater + 0.5 tie
     scores = [0.5, 0.9, 0.5, 0.1]
-    res = ev.rank_candidates((0, 0, 1), "head", static_scorer(scores), set())
+    res = rank_one((0, 0, 1), "head", static_scorer(scores), set())
     assert res.raw_rank == 2.5
 
 
@@ -46,17 +52,16 @@ def test_known_competitor_filtered_out():
     # candidate 1 outranks the target 2 but forms a known positive
     scores = [0.0, 0.9, 0.5]
     known = {(0, 0, 1)}
-    res = ev.rank_candidates((0, 0, 2), "tail", static_scorer(scores), known)
+    res = rank_one((0, 0, 2), "tail", static_scorer(scores), known)
     assert res.raw_rank == 2.0
     assert res.filtered_rank == 1.0
 
 
 def test_self_exclusion_guard():
     scores = [0.0, 0.9, 0.5]
-    base = ev.rank_candidates((0, 0, 2), "tail", static_scorer(scores),
-                              {(0, 0, 1)})
-    plus_self = ev.rank_candidates((0, 0, 2), "tail", static_scorer(scores),
-                                   {(0, 0, 1), (0, 0, 2)})
+    base = rank_one((0, 0, 2), "tail", static_scorer(scores), {(0, 0, 1)})
+    plus_self = rank_one((0, 0, 2), "tail", static_scorer(scores),
+                         {(0, 0, 1), (0, 0, 2)})
     assert plus_self.filtered_rank == base.filtered_rank
 
 
@@ -69,8 +74,7 @@ def test_filtered_never_exceeds_raw_random():
                  for _ in range(n)}
         triple = (int(rng.integers(0, n)), 0, int(rng.integers(0, n)))
         for side in ("head", "tail"):
-            res = ev.rank_candidates(triple, side, static_scorer(scores),
-                                     known)
+            res = rank_one(triple, side, static_scorer(scores), known)
             assert res.filtered_rank <= res.raw_rank
 
 
@@ -93,12 +97,45 @@ def test_rank_matches_brute_force_with_filtering():
         scores = rng.integers(0, 5, n).astype(float)
         triple = (int(rng.integers(0, n)), 0, int(rng.integers(0, n)))
         known = {(triple[0], 0, int(rng.integers(0, n))) for _ in range(3)}
-        res = ev.rank_candidates(triple, "tail", static_scorer(scores), known)
+        res = rank_one(triple, "tail", static_scorer(scores), known)
         removed = {o for (s, r, o) in known if (s, r) == (triple[0], 0)
                    and o != triple[2]}
         assert res.raw_rank == brute_force_rank(scores, triple[2])
         assert res.filtered_rank == brute_force_rank(scores, triple[2],
                                                      removed)
+
+
+def test_batched_ranks_match_brute_force():
+    rng = np.random.default_rng(4)
+    v, num_rel, n = 12, 3, 200  # 400 queries cross the 256-query chunk
+    # relation ids num_rel and num_rel + 1 never enter the index
+    test = np.stack([rng.integers(0, v, n), rng.integers(0, num_rel + 2, n),
+                     rng.integers(0, v, n)], axis=1)
+    extra = [(int(rng.integers(v)), int(rng.integers(num_rel)),
+              int(rng.integers(v))) for _ in range(150)]
+    # known holds test triples themselves and duplicate triples
+    known = [tuple(t) for t in test if t[1] < num_rel][:60] + extra \
+        + extra[:20]
+    # integer scores per (relation, fixed entity, side): deliberate ties
+    table = rng.integers(0, 4, (num_rel + 2, v, 2, v)).astype(float)
+
+    def scorer(queries):
+        return table[queries[:, 1], queries[:, 0], queries[:, 2]]
+
+    for known_set in (known, []):
+        results = ev.evaluate_ranking(test, scorer, known_set)
+        assert len(results) == 2 * n
+        for i, res in enumerate(results):
+            s, r, o = (int(x) for x in test[i // 2])
+            side = ("head", "tail")[i % 2]
+            assert res.triple == (s, r, o) and res.side == side
+            fixed, target = (o, s) if side == "head" else (s, o)
+            scores = table[r, fixed, i % 2]
+            removed = {h if side == "head" else t for h, rr, t in known_set
+                       if rr == r and (t if side == "head" else h) == fixed}
+            assert res.raw_rank == brute_force_rank(scores, target)
+            assert res.filtered_rank == brute_force_rank(scores, target,
+                                                         removed)
 
 
 # ---------------------------------------------------------------------------
