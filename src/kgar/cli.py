@@ -207,7 +207,8 @@ def cmd_train(args):
 
 
 def _check_meta(meta):
-    """Reject snapshot metadata that does not describe one RunConfig."""
+    """The snapshot's RunConfig; SnapshotError unless meta describes one
+    valid config."""
     missing = [k for k in ("task", "num_relations", "config") if k not in meta]
     if missing:
         raise SnapshotError(f"snapshot meta lacks {', '.join(missing)}")
@@ -221,6 +222,10 @@ def _check_meta(meta):
             f"snapshot config does not match this version's fields "
             f"(unknown: {', '.join(unknown) or 'none'}; "
             f"missing: {', '.join(absent) or 'none'})")
+    try:
+        return RunConfig(**config).validate()
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"snapshot config is invalid: {exc}")
 
 
 def _check_shapes(meta, arrays, bundle, task):
@@ -246,8 +251,7 @@ def _check_shapes(meta, arrays, bundle, task):
                 f"the dataset has {bundle.manifest['num_classes']}")
 
 
-def _evaluate_bundle(meta, arrays, regularized, bundle, task, dataset):
-    run = RunConfig(**meta["config"])
+def _evaluate_bundle(run, arrays, regularized, bundle, task, dataset):
     params = rebuild_params(arrays, regularized, run.encoder_config(),
                             bundle.num_relations)
     if task == "classify":
@@ -268,7 +272,7 @@ def cmd_evaluate(args):
     dataset_dir = _resolve(args)
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
     meta, arrays, regularized = load_snapshot(args.snapshot)
-    _check_meta(meta)
+    run = _check_meta(meta)
     task = args.task or meta["task"]
     if task != meta["task"]:
         raise DataError(f"snapshot was trained for task {meta['task']!r}; "
@@ -277,7 +281,7 @@ def cmd_evaluate(args):
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot evaluate a {task!r} snapshot on it")
     _check_shapes(meta, arrays, bundle, task)
-    report = _evaluate_bundle(meta, arrays, regularized, bundle, task,
+    report = _evaluate_bundle(run, arrays, regularized, bundle, task,
                               bundle.manifest["dataset"])
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.csv:
@@ -306,10 +310,9 @@ def _repro_train_eval(path, bundle, task, seed, decoder="complex"):
         None, {"dataset_dir": path, "seed": seed, "decoder": decoder})
     result = training.train(bundle.graph, _train_splits(bundle), config, task,
                             seed=seed, progress=_progress(sys.stderr))
-    meta = _snapshot_meta(config, bundle)
     arrays = {p.name: p.values for p in result.params.all_params()}
     regularized = {p.name: p.regularized for p in result.params.all_params()}
-    return _evaluate_bundle(meta, arrays, regularized, bundle, task,
+    return _evaluate_bundle(config, arrays, regularized, bundle, task,
                             bundle.manifest["dataset"])
 
 

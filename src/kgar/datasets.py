@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, KnowledgeGraph, LabelSet, load_triples
+from .data import DataError, KnowledgeGraph, LabelSet, check_ids, load_triples
 
 DATA_DIR_ENV = "KGAR_DATA_DIR"
 BUNDLE_DIR = "bundle"
@@ -266,17 +267,24 @@ def write_bundle(bundle_dir, processed):
     return bundle_dir
 
 
-def _read_id_rows(path, width):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} fields")
-            try:
-                rows.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected integer ids")
+def _read_ids(path, width, count):
+    """An id file as an (n, width) int64 array holding exactly `count` rows."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is a valid empty split
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t",
+                              comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    if rows.shape[1] != width:
+        raise DataError(f"{path}: expected {width} tab-separated ids per "
+                        f"line, got {rows.shape[1]}")
+    if rows.shape[0] != count:
+        raise DataError(f"{path}: {rows.shape[0]} rows, but the manifest "
+                        f"counts {count}")
     return rows
 
 
@@ -285,7 +293,7 @@ def _read_names(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             idx, _, name = line.rstrip("\n").partition("\t")
-            if int(idx) != lineno - 1:
+            if idx != str(lineno - 1):
                 raise DataError(f"{path}:{lineno}: ids must be consecutive")
             names.append(name)
     return names
@@ -298,33 +306,45 @@ def load_bundle(bundle_dir):
         raise DataError(f"{manifest_path}: bundle not found; run `kgar "
                         "preprocess` on the dataset directory first")
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{manifest_path}: {exc}")
+    required = ("task", "num_entities", "num_relations", "counts")
+    if not (isinstance(manifest, dict) and all(k in manifest
+                                               for k in required)):
+        raise DataError(f"{manifest_path}: a manifest needs the keys "
+                        f"{', '.join(required)}")
     task = manifest["task"]
     entities = _read_names(os.path.join(bundle_dir, "entities.tsv"))
     relations = _read_names(os.path.join(bundle_dir, "relations.tsv"))
     bundle = Bundle(task=task, manifest=manifest, entity_names=entities,
                     relation_names=relations)
 
-    train_rows = _read_id_rows(
-        os.path.join(bundle_dir, "triples_train.tsv"), 3)
-    bundle.graph = KnowledgeGraph(
-        train_rows, manifest["num_entities"], manifest["num_relations"],
-        entity_vocab={n: i for i, n in enumerate(entities)},
-        relation_vocab={n: i for i, n in enumerate(relations)})
+    counts = manifest["counts"]
+    limits = (bundle.num_entities, bundle.num_relations, bundle.num_entities)
+    for split in ("train", "valid", "test"):
+        if split in counts:
+            path = os.path.join(bundle_dir, f"triples_{split}.tsv")
+            rows = _read_ids(path, 3, counts[split])
+            check_ids(rows, limits, path)
+            bundle.splits[split] = rows
+    bundle.graph = KnowledgeGraph(bundle.splits.pop("train"),
+                                  bundle.num_entities, bundle.num_relations)
 
-    if task == "linkpred":
-        for split in ("valid", "test"):
-            rows = _read_id_rows(
-                os.path.join(bundle_dir, f"triples_{split}.tsv"), 3)
-            bundle.splits[split] = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    else:
+    if task == "classify":
         bundle.class_names = _read_names(
             os.path.join(bundle_dir, "classes.tsv"))
         class_to_id = {n: i for i, n in enumerate(bundle.class_names)}
         for part in ("train", "valid", "test"):
-            path = os.path.join(bundle_dir, f"labels_{part}.tsv")
-            if os.path.exists(path):
-                pairs = _read_id_rows(path, 2)
-                bundle.labels[part] = LabelSet(pairs=dict(pairs),
-                                               class_to_id=class_to_id)
+            if f"labels_{part}" in counts:
+                path = os.path.join(bundle_dir, f"labels_{part}.tsv")
+                rows = _read_ids(path, 2, counts[f"labels_{part}"])
+                check_ids(rows, (bundle.num_entities, len(class_to_id)), path)
+                # a relabeled entity keeps its first position, last class
+                pairs = dict(rows.tolist())
+                bundle.labels[part] = LabelSet(
+                    entities=np.array(list(pairs), dtype=np.int64),
+                    classes=np.array(list(pairs.values()), dtype=np.int64),
+                    class_to_id=class_to_id)
     return bundle

@@ -43,34 +43,6 @@ def classification_loss(probs, class_ids, params=(), l2_coefficient=0.0):
 
 
 # ---------------------------------------------------------------------------
-# triple scoring (single-triple numpy forms)
-
-
-def _split(vec):
-    half = vec.shape[-1] // 2
-    return vec[..., :half], vec[..., half:]
-
-
-def complex_score(s, r, o, feats, rel_re, rel_im):
-    """Four-term complex score of one triple (plain numbers, no tape)."""
-    s_re, s_im = _split(np.asarray(feats[s], dtype=np.float64))
-    o_re, o_im = _split(np.asarray(feats[o], dtype=np.float64))
-    w_re = np.asarray(rel_re[r], dtype=np.float64)
-    w_im = np.asarray(rel_im[r], dtype=np.float64)
-    return float((w_re * s_re * o_re).sum() + (w_re * s_im * o_im).sum()
-                 + (w_im * s_re * o_im).sum() - (w_im * s_im * o_re).sum())
-
-
-def distmult_score(s, r, o, feats, rel_diag):
-    """Diagonal bilinear score; symmetric in (s, o) by construction.
-
-    The entity features multiply first so the (s, o) swap is bit-exact.
-    """
-    return float((np.asarray(rel_diag[r], dtype=np.float64)
-                  * (feats[s] * feats[o])).sum())
-
-
-# ---------------------------------------------------------------------------
 # triple scoring (batched tape forms for training)
 
 
@@ -116,6 +88,11 @@ def score_triples(params, feats, triples, decoder):
 
 # ---------------------------------------------------------------------------
 # 1-N candidate scoring for ranking (no tape; used by evaluation)
+
+
+def _split(vec):
+    half = vec.shape[-1] // 2
+    return vec[..., :half], vec[..., half:]
 
 
 def query_scorer(feats, params, decoder):

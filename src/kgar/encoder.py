@@ -61,42 +61,6 @@ class EncoderConfig:
 
 
 # ---------------------------------------------------------------------------
-# reference per-node operations (plain numpy, no tape)
-
-
-def attention_coefficients(H, W, node, neighbors, slope=0.2):
-    """Softmax-normalized scores of one node over a neighbor set.
-
-    H and W are plain arrays; `neighbors` is a nonempty id sequence. The
-    score of neighbor j is LeakyReLU(<W^T h_node, W^T h_j>).
-    """
-    if len(neighbors) == 0:
-        raise ValueError("attention over an empty neighbor set is undefined")
-    H = np.asarray(H, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    wx_i = H[node] @ W
-    scores = np.array([wx_i @ (H[j] @ W) for j in neighbors])
-    scores = np.where(scores > 0, scores, slope * scores)
-    scores -= scores.max()
-    e = np.exp(scores)
-    return e / e.sum()
-
-
-def fuse_features(H, sparse, gates):
-    """Gated neighbor sum for one node from its RelationSparseMatrix.
-
-    Each stored relation id selects the learned scalar gate applied to that
-    neighbor's row of H. Zero incident edges give the zero vector.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    gates = np.asarray(gates, dtype=np.float64).reshape(-1)
-    f = np.zeros(H.shape[1])
-    for row, _col, rel in sparse.entries:
-        f += gates[rel] * H[row]
-    return f
-
-
-# ---------------------------------------------------------------------------
 # fused tape operations
 
 

@@ -1,4 +1,4 @@
-"""Minimal dense/sparse matrix autodiff: a reverse-mode tape over numpy.
+"""Minimal dense matrix autodiff: a reverse-mode tape over numpy.
 
 Everything is a 2-D float64 matrix. Operations executed while a Tape is
 active record a backward closure; ``Tape.backward(loss)`` replays them in
@@ -67,40 +67,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.values.shape})"
-
-
-class SparseMatrix:
-    """COO-format sparse matrix, entries sorted by (row, col), no duplicates."""
-
-    __slots__ = ("shape", "rows", "cols", "vals")
-
-    def __init__(self, shape, rows, cols, vals):
-        self.shape = (int(shape[0]), int(shape[1]))
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-            raise ShapeError("rows, cols and vals must be equal-length 1-D arrays")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.shape[0]:
-                raise ShapeError("sparse row index out of range")
-            if cols.min() < 0 or cols.max() >= self.shape[1]:
-                raise ShapeError("sparse col index out of range")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            keys = rows * self.shape[1] + cols
-            if np.any(np.diff(keys) == 0):
-                raise ShapeError("duplicate coordinate in sparse matrix")
-        self.rows, self.cols, self.vals = rows, cols, vals
-
-    @property
-    def nnz(self):
-        return self.rows.size
-
-    def densify(self):
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +143,6 @@ def matmul(a, b):
     def bw(g):
         _acc(a, g @ b.values.T)
         _acc(b, a.values.T @ g)
-
-    _record(out, bw)
-    return out
-
-
-def sparse_dense_matmul(s, d, transpose=False):
-    """S @ D (or S^T @ D with transpose=True) without densifying S.
-
-    The sparse operand is structural and receives no gradient.
-    """
-    inner = s.shape[0] if transpose else s.shape[1]
-    if inner != d.shape[0]:
-        raise ShapeError(
-            f"sparse_dense_matmul: inner dims differ, sparse {s.shape}"
-            f"{'^T' if transpose else ''} x dense {d.shape}")
-    n_out = s.shape[1] if transpose else s.shape[0]
-    out_idx = s.cols if transpose else s.rows
-    in_idx = s.rows if transpose else s.cols
-    res = np.zeros((n_out, d.shape[1]))
-    np.add.at(res, out_idx, s.vals[:, None] * d.values[in_idx])
-    out = Tensor(res)
-
-    def bw(g):
-        if d.grad is None:
-            d.grad = np.zeros_like(d.values)
-        np.add.at(d.grad, in_idx, s.vals[:, None] * g[out_idx])
 
     _record(out, bw)
     return out
@@ -328,55 +268,8 @@ def slice_cols(a, start, stop):
     return out
 
 
-def scatter_add_rows(a, idx, num_rows):
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (a.shape[0],):
-        raise ShapeError("scatter_add_rows: one index per input row required")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ShapeError("scatter_add_rows: index out of range")
-    res = np.zeros((num_rows, a.shape[1]))
-    np.add.at(res, idx, a.values)
-    out = Tensor(res)
-
-    def bw(g):
-        _acc(a, g[idx])
-
-    _record(out, bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # block-diagonal weights
-
-
-def block_matmul(x, q, num_blocks):
-    """x @ diag(Q_1..Q_B) where q stacks the blocks vertically.
-
-    q has shape (B*din_b, dout_b); the result is (n, B*dout_b). Equal to a
-    dense product with the assembled block-diagonal matrix, without ever
-    materializing its zeros.
-    """
-    xb = _split_blocks(x.shape[1], q.shape, num_blocks)
-    din_b, dout_b = xb
-    res = _block_forward(x.values, q.values, num_blocks, din_b, dout_b)
-    out = Tensor(res)
-
-    def bw(g):
-        _acc(x, _block_backward_x(g, q.values, num_blocks, din_b, dout_b))
-        _acc(q, _block_backward_q(x.values, g, num_blocks, din_b, dout_b))
-
-    _record(out, bw)
-    return out
-
-
-def _split_blocks(d_in, q_shape, num_blocks):
-    if d_in % num_blocks:
-        raise ShapeError(f"block count {num_blocks} does not divide input dim {d_in}")
-    din_b = d_in // num_blocks
-    if q_shape[0] != num_blocks * din_b:
-        raise ShapeError(
-            f"block weight rows {q_shape[0]} != num_blocks*din_b {num_blocks * din_b}")
-    return din_b, q_shape[1]
 
 
 def _block_forward(xv, qv, b, din_b, dout_b):
@@ -403,23 +296,6 @@ def _block_backward_q(xv, g, b, din_b, dout_b):
         dq[k * din_b:(k + 1) * din_b] = (
             xv[:, k * din_b:(k + 1) * din_b].T @ g[:, k * dout_b:(k + 1) * dout_b])
     return dq
-
-
-def assemble_block_weight(blocks):
-    """Dense block-diagonal matrix from a list of equally-shaped blocks.
-
-    Off-block entries are exactly zero. Used for tests and inspection; the
-    model multiplies blockwise instead.
-    """
-    shapes = {np.asarray(b).shape for b in blocks}
-    if len(shapes) != 1:
-        raise ShapeError(f"inconsistent block shapes: {sorted(shapes)}")
-    (din_b, dout_b), = shapes
-    b = len(blocks)
-    out = np.zeros((b * din_b, b * dout_b))
-    for k, blk in enumerate(blocks):
-        out[k * din_b:(k + 1) * din_b, k * dout_b:(k + 1) * dout_b] = blk
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,39 +326,10 @@ def leaky_relu(a, slope):
     return out
 
 
-def sigmoid(a):
+def softmax_rows(a):
+    """Row softmax with max-subtraction."""
     v = a.values
-    res = np.empty_like(v)
-    pos = v >= 0
-    res[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    res[~pos] = ev / (1.0 + ev)
-    out = Tensor(res)
-
-    def bw(g):
-        _acc(a, g * res * (1.0 - res))
-
-    _record(out, bw)
-    return out
-
-
-def softmax_rows(a, mask=None):
-    """Row softmax with max-subtraction; masked-out entries are exactly zero."""
-    v = a.values
-    if mask is None:
-        shifted = v - v.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != v.shape:
-            raise ShapeError(f"mask shape {mask.shape} != tensor shape {v.shape}")
-        active = mask.sum(axis=1)
-        if np.any(active == 0):
-            row = int(np.argmin(active))
-            raise ValueError(f"softmax_rows: row {row} has no active entries")
-        neg = np.where(mask, v, -np.inf)
-        shifted = v - neg.max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(shifted), 0.0)
+    e = np.exp(v - v.max(axis=1, keepdims=True))
     res = e / e.sum(axis=1, keepdims=True)
     out = Tensor(res)
 

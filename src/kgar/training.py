@@ -77,7 +77,8 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
                                                valid_labels)
     elif task == "linkpred":
         triples = graph.triple_array()
-        known = graph.known_triples() if config.filtered_negatives else None
+        known = (frozenset(map(tuple, triples.tolist()))
+                 if config.filtered_negatives else None)
         params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
                              task, rng, decoder=config.decoder,
                              init=config.init)

@@ -1,11 +1,16 @@
-"""Shared toy fixtures: a 6-node, 3-relation graph and parameter builders."""
+"""Shared toy fixtures: a 6-node, 3-relation graph, parameter builders,
+and single-triple scoring."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kgar.data import KnowledgeGraph
+from kgar.decoders import score_triples
 from kgar.encoder import EncoderConfig
 from kgar.model import init_params
+from kgar.tensor import Tensor
 
 # node 1 has two relation-0 in-edges (a real attention group), node 3 mixes
 # relations, every relation occurs in both directions somewhere
@@ -66,3 +71,21 @@ def to_oracle_params(params, num_blocks):
     if params.rel_diag is not None:
         out["rel_diag"] = params.rel_diag.values.tolist()
     return out
+
+
+def complex_score(s, r, o, feats, rel_re, rel_im):
+    """ComplEx score of one triple through `decoders.score_triples`."""
+    return _score("complex", (s, r, o), feats, rel_re=rel_re, rel_im=rel_im)
+
+
+def distmult_score(s, r, o, feats, rel_diag):
+    """DistMult score of one triple through `decoders.score_triples`."""
+    return _score("distmult", (s, r, o), feats, rel_diag=rel_diag)
+
+
+def _score(decoder, triple, feats, **relations):
+    params = SimpleNamespace(**{name: Tensor(w)
+                                for name, w in relations.items()})
+    scores, _ = score_triples(params, Tensor(feats), np.array([triple]),
+                              decoder)
+    return scores.item()

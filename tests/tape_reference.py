@@ -1,0 +1,92 @@
+"""Tape ops kept only as references for tests.
+
+The encoder multiplies relation blocks and scatters edge messages inside
+its fused ops; these composable versions (block-diagonal matmul, row
+scatter-add, dense block assembly, sigmoid) let the tests check those
+fused ops and the tape against independent routes.
+"""
+
+import numpy as np
+
+from kgar.tensor import (ShapeError, Tensor, _acc, _block_backward_q,
+                         _block_backward_x, _block_forward, _record)
+
+
+def scatter_add_rows(a, idx, num_rows):
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.shape != (a.shape[0],):
+        raise ShapeError("scatter_add_rows: one index per input row required")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise ShapeError("scatter_add_rows: index out of range")
+    res = np.zeros((num_rows, a.shape[1]))
+    np.add.at(res, idx, a.values)
+    out = Tensor(res)
+
+    def bw(g):
+        _acc(a, g[idx])
+
+    _record(out, bw)
+    return out
+
+
+def block_matmul(x, q, num_blocks):
+    """x @ diag(Q_1..Q_B) where q stacks the blocks vertically.
+
+    q has shape (B*din_b, dout_b); the result is (n, B*dout_b). Equal to a
+    dense product with the assembled block-diagonal matrix, without ever
+    materializing its zeros.
+    """
+    xb = _split_blocks(x.shape[1], q.shape, num_blocks)
+    din_b, dout_b = xb
+    res = _block_forward(x.values, q.values, num_blocks, din_b, dout_b)
+    out = Tensor(res)
+
+    def bw(g):
+        _acc(x, _block_backward_x(g, q.values, num_blocks, din_b, dout_b))
+        _acc(q, _block_backward_q(x.values, g, num_blocks, din_b, dout_b))
+
+    _record(out, bw)
+    return out
+
+
+def _split_blocks(d_in, q_shape, num_blocks):
+    if d_in % num_blocks:
+        raise ShapeError(f"block count {num_blocks} does not divide input dim {d_in}")
+    din_b = d_in // num_blocks
+    if q_shape[0] != num_blocks * din_b:
+        raise ShapeError(
+            f"block weight rows {q_shape[0]} != num_blocks*din_b {num_blocks * din_b}")
+    return din_b, q_shape[1]
+
+
+def assemble_block_weight(blocks):
+    """Dense block-diagonal matrix from a list of equally-shaped blocks.
+
+    Off-block entries are exactly zero. Used for tests and inspection; the
+    model multiplies blockwise instead.
+    """
+    shapes = {np.asarray(b).shape for b in blocks}
+    if len(shapes) != 1:
+        raise ShapeError(f"inconsistent block shapes: {sorted(shapes)}")
+    (din_b, dout_b), = shapes
+    b = len(blocks)
+    out = np.zeros((b * din_b, b * dout_b))
+    for k, blk in enumerate(blocks):
+        out[k * din_b:(k + 1) * din_b, k * dout_b:(k + 1) * dout_b] = blk
+    return out
+
+
+def sigmoid(a):
+    v = a.values
+    res = np.empty_like(v)
+    pos = v >= 0
+    res[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    res[~pos] = ev / (1.0 + ev)
+    out = Tensor(res)
+
+    def bw(g):
+        _acc(a, g * res * (1.0 - res))
+
+    _record(out, bw)
+    return out

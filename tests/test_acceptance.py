@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES,
-                      to_oracle_params, toy_config, toy_params)
+import tape_reference as R
+from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES, complex_score,
+                      distmult_score, to_oracle_params, toy_config,
+                      toy_params)
 from kgar import datasets, decoders, evaluation, synthetic, training
 from kgar.config import resolve_config
 from kgar.data import DataError, KnowledgeGraph
 from kgar.encoder import conv_stack, encode
 from kgar.model import init_params
 from kgar.snapshot import save_snapshot
-from kgar.tensor import (Tensor, assemble_block_weight, grad_check,
-                         segment_softmax)
+from kgar.tensor import Tensor, grad_check, segment_softmax
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -106,14 +107,13 @@ def test_criterion_2_oracle_equivalence():
                            decoder="distmult")
     err_complex = err_distmult = 0.0
     for (s, r, o) in [(0, 0, 1), (3, 2, 4), (5, 1, 0), (2, 2, 2)]:
-        got_c = decoders.complex_score(s, r, o, feats, params.rel_re.values,
-                                       params.rel_im.values)
+        got_c = complex_score(s, r, o, feats, params.rel_re.values,
+                              params.rel_im.values)
         want_c = oracle.complex_score(params.rel_re.values[r].tolist(),
                                       params.rel_im.values[r].tolist(),
                                       feats[s].tolist(), feats[o].tolist())
         err_complex = max(err_complex, abs(got_c - want_c))
-        got_d = decoders.distmult_score(s, r, o, feats,
-                                        dm_params.rel_diag.values)
+        got_d = distmult_score(s, r, o, feats, dm_params.rel_diag.values)
         want_d = oracle.distmult_score(dm_params.rel_diag.values[r].tolist(),
                                        feats[s].tolist(), feats[o].tolist())
         err_distmult = max(err_distmult, abs(got_d - want_d))
@@ -197,18 +197,17 @@ def test_criterion_5_synthetic_link_prediction(tmp_path):
     with open(os.path.join(root, "patterns.json"), encoding="utf-8") as fh:
         patterns = json.load(fh)
     anti_names = synthetic.antisymmetric_relations(patterns)
-    anti_ids = {bundle.graph.relation_vocab[n] for n in anti_names}
+    anti_ids = {bundle.relation_names.index(n) for n in anti_names}
     test = bundle.splits["test"]
     anti_test = test[[int(t[1]) in anti_ids for t in test]]
     assert len(anti_test)
 
+    train = bundle.graph.triple_array()
     known = evaluation.FilterIndex(
-        list(bundle.graph.triples)
-        + [tuple(t) for t in bundle.splits["valid"]]
-        + [tuple(t) for t in test])
+        np.concatenate([train, bundle.splits["valid"], test]))
     splits = {"valid": bundle.splits["valid"],
-              "filter_triples": list(bundle.graph.triples)
-              + [tuple(t) for t in bundle.splits["valid"]]}
+              "filter_triples": np.concatenate(
+                  [train, bundle.splits["valid"]])}
 
     metrics = {}
     for decoder in ("complex", "distmult"):
@@ -324,7 +323,8 @@ def test_criterion_7_structural_invariants():
         assert np.abs(sums - 1.0).max() < 1e-9
 
     # block assembly: off-block entries exactly zero
-    dense = assemble_block_weight([rng.normal(size=(4, 4)) for _ in range(2)])
+    dense = R.assemble_block_weight(
+        [rng.normal(size=(4, 4)) for _ in range(2)])
     mask = np.zeros((8, 8), dtype=bool)
     for b in range(2):
         mask[b * 4:(b + 1) * 4, b * 4:(b + 1) * 4] = True
@@ -361,11 +361,11 @@ def test_criterion_7_structural_invariants():
     zeros = np.zeros_like(w_re)
     sym_err = anti_err = 0.0
     for (s, r, o) in [(0, 0, 1), (2, 1, 3), (4, 2, 5), (1, 1, 1)]:
-        fwd = decoders.complex_score(s, r, o, feats, w_re, zeros)
-        rev = decoders.complex_score(o, r, s, feats, w_re, zeros)
+        fwd = complex_score(s, r, o, feats, w_re, zeros)
+        rev = complex_score(o, r, s, feats, w_re, zeros)
         sym_err = max(sym_err, abs(fwd - rev))
-        fwd = decoders.complex_score(s, r, o, feats, zeros, w_re)
-        rev = decoders.complex_score(o, r, s, feats, zeros, w_re)
+        fwd = complex_score(s, r, o, feats, zeros, w_re)
+        rev = complex_score(o, r, s, feats, zeros, w_re)
         anti_err = max(anti_err, abs(fwd + rev))
     assert sym_err < 1e-12
     assert anti_err < 1e-12

@@ -165,7 +165,11 @@ def rewrite_header(src, dst, edit):
     (lambda h: h["meta"]["config"].update(surprise=1), "surprise"),
     (lambda h: h.pop("params"), "params"),
     (lambda h: h["meta"]["config"].pop("embed_dim"), "embed_dim"),
-], ids=["unknown-config-key", "no-params", "missing-config-key"])
+    (lambda h: h["meta"]["config"].update(num_blocks="two"),
+     "config is invalid"),
+    (lambda h: h["meta"]["config"].update(num_blocks=3), "num_blocks 3"),
+], ids=["unknown-config-key", "no-params", "missing-config-key",
+        "mistyped-config-value", "invalid-config-value"])
 def test_evaluate_bad_snapshot_header_is_snapshot_error(
         lp_dir, tmp_path, capsys, edit, named):
     out = str(tmp_path / "run")
@@ -178,6 +182,33 @@ def test_evaluate_bad_snapshot_header_is_snapshot_error(
                      "--dataset", lp_dir]) == 2
     err = capsys.readouterr().err
     assert "snapshot error" in err and named in err
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("triples_test.tsv", lambda lines: ["-1\t0\t3"] + lines[1:]),
+    ("triples_test.tsv", lambda lines: ["999\t0\t3"] + lines[1:]),
+    ("triples_test.tsv", lambda lines: ["0\t99\t3"] + lines[1:]),
+    ("triples_test.tsv", lambda lines: lines[:-1]),
+    ("triples_test.tsv", lambda lines: ["0\tx\t3"] + lines[1:]),
+    ("entities.tsv", lambda lines: ["x\te000"] + lines[1:]),
+    ("manifest.json", lambda lines: lines[:-2]),
+    ("manifest.json",
+     lambda lines: [line.replace('"counts"', '"tallies"') for line in lines]),
+], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
+        "short-file", "non-integer-field", "entity-names-bad-id",
+        "truncated-manifest", "manifest-without-counts"])
+def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt):
+    path = os.path.join(lp_dir, "bundle", name)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in corrupt(lines)))
+    capsys.readouterr()
+    # the bundle loads before the snapshot is read
+    assert cli.main(["evaluate", "--snapshot", "absent.kgar",
+                     "--dataset", lp_dir]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and name in err
 
 
 def test_classify_train_evaluate_roundtrip(tmp_path, capsys):

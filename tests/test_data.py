@@ -1,9 +1,14 @@
-"""Loader, vocabulary, neighbor-index and sparse-incidence contracts."""
+"""Loader, vocabulary, graph-array, direction-plan, relation-drop, dedup
+and label contracts."""
+
+import re
 
 import numpy as np
 import pytest
 
 from kgar import data as D
+from kgar import datasets, decoders, training
+from kgar.config import resolve_config
 
 
 def write(tmp_path, name, text):
@@ -13,7 +18,7 @@ def write(tmp_path, name, text):
 
 
 # ---------------------------------------------------------------------------
-# load_triples / build_vocab
+# load_triples / vocabulary
 
 
 def test_load_triples_order_and_comments(tmp_path):
@@ -37,92 +42,122 @@ def test_load_triples_missing_file(tmp_path):
         D.load_triples(str(tmp_path / "nope.tsv"))
 
 
-def test_build_vocab_first_appearance():
-    ents, rels = D.build_vocab([("a", "r", "b"), ("b", "r", "c")])
-    assert ents == {"a": 0, "b": 1, "c": 2}
-    assert rels == {"r": 0}
+def linkpred_dir(tmp_path, train, valid="", test=""):
+    for name, text in (("train", train), ("valid", valid), ("test", test)):
+        write(tmp_path, f"{name}.tsv", text)
+    return str(tmp_path)
+
+
+def test_build_vocab_first_appearance(tmp_path):
+    processed = datasets.preprocess(
+        linkpred_dir(tmp_path, "a\tr\tb\nb\tr\tc\n"))
+    assert processed["entities"] == ["a", "b", "c"]
+    assert processed["relations"] == ["r"]
 
 
 def test_vocab_roundtrip_deterministic(tmp_path):
-    text = "x\tp\ty\ny\tq\tz\nz\tp\tx\n"
-    p = write(tmp_path, "t.tsv", text)
-    v1 = D.build_vocab(D.load_triples(p))
-    v2 = D.build_vocab(D.load_triples(p))
-    assert v1 == v2
+    d = linkpred_dir(tmp_path, "x\tp\ty\ny\tq\tz\nz\tp\tx\n")
+    v1 = datasets.preprocess(d)
+    v2 = datasets.preprocess(d)
+    assert (v1["entities"], v1["relations"]) == (v2["entities"],
+                                                 v2["relations"])
 
 
 # ---------------------------------------------------------------------------
-# neighbor indexes
+# neighbors through the direction plans
+
+
+def incident(graph, direction, node):
+    """(neighbor, relation) of a node's edges in one direction, plan order."""
+    p = graph.plan(direction)
+    at = p.dst == node
+    return list(zip(p.src[at].tolist(), p.rel[at].tolist()))
 
 
 def test_single_triple_indexes():
-    in_idx, out_idx = D.build_neighbor_indexes([(0, 0, 1)], 2)
-    assert in_idx[1] == [(0, 0, 1)]
-    assert out_idx[0] == [(1, 0, 1)]
-    assert in_idx[0] == [] and out_idx[1] == []
+    g = D.KnowledgeGraph([(0, 0, 1)], 2, 1)
+    assert incident(g, "forward", 1) == [(0, 0)]
+    assert incident(g, "backward", 0) == [(1, 0)]
+    assert incident(g, "forward", 0) == [] and incident(g, "backward", 1) == []
 
 
 def test_second_incident_edge_gets_ordinal_two():
-    # make (4512, 52, 546) the second in-edge of node 546
+    # (4512, 52, 546) is the second in-edge of node 546
     triples = [(7, 3, 546), (4512, 52, 546)]
-    in_idx, _ = D.build_neighbor_indexes(triples, 5000)
-    assert in_idx[546][1] == (4512, 52, 2)
+    g = D.KnowledgeGraph(triples, 5000, 60)
+    assert incident(g, "forward", 546)[1] == (4512, 52)
 
 
 def test_star_graph_ordinals():
     center = 0
     triples = [(k, 0, center) for k in range(1, 6)]
-    in_idx, out_idx = D.build_neighbor_indexes(triples, 6)
-    assert len(in_idx[center]) == 5
-    assert [o for _, _, o in in_idx[center]] == [1, 2, 3, 4, 5]
-    assert sum(len(l) for l in in_idx) == 5 == sum(len(l) for l in out_idx)
+    g = D.KnowledgeGraph(triples, 6, 1)
+    # one attention group, neighbors in triple-file order
+    assert incident(g, "forward", center) == [(k, 0) for k in range(1, 6)]
+    assert g.plan("forward").seg_starts.tolist() == [0]
+    assert g.plan("forward").num_edges == 5 == g.plan("backward").num_edges
 
 
 def test_index_out_of_range_entity():
-    with pytest.raises(D.DataError):
-        D.build_neighbor_indexes([(0, 0, 9)], 2)
+    # entity past the end, negative entity, relation past the end
+    for bad in ((0, 0, 9), (-1, 0, 1), (0, 1, 1)):
+        with pytest.raises(D.DataError, match=re.escape(f"row 2 {bad}")):
+            D.KnowledgeGraph([(0, 0, 1), bad], 2, 1)
 
 
 def test_shuffled_triples_same_multiset():
     rng = np.random.default_rng(0)
     triples = [(int(rng.integers(0, 10)), int(rng.integers(0, 3)),
                 int(rng.integers(0, 10))) for _ in range(40)]
-    in1, out1 = D.build_neighbor_indexes(triples, 10)
+    g1 = D.KnowledgeGraph(triples, 10, 3)
     shuffled = list(triples)
     rng.shuffle(shuffled)
-    in2, out2 = D.build_neighbor_indexes(shuffled, 10)
-    for a, b in ((in1, in2), (out1, out2)):
+    g2 = D.KnowledgeGraph(shuffled, 10, 3)
+    for direction in D.DIRECTIONS:
         for node in range(10):
-            assert sorted((n, r) for n, r, _ in a[node]) == \
-                sorted((n, r) for n, r, _ in b[node])
+            assert sorted(incident(g1, direction, node)) == \
+                sorted(incident(g2, direction, node))
+
+
+def test_graph_is_one_read_only_array():
+    triples = np.array([(0, 1, 2), (2, 0, 1)])
+    g = D.KnowledgeGraph(triples, 3, 2)
+    arr = g.triple_array()
+    np.testing.assert_array_equal(arr, triples)
+    assert arr.dtype == np.int64 and arr.flags.c_contiguous
+    assert not arr.flags.writeable and g.num_triples == 2
+    for column in (g.heads, g.rels, g.tails):
+        assert np.shares_memory(column, arr)
+    assert g.tails.tolist() == [2, 1]
+    assert D.KnowledgeGraph([], 3, 2).triple_array().shape == (0, 3)
+    with pytest.raises(D.DataError, match="shape"):
+        D.KnowledgeGraph([(0, 1)], 3, 2)
 
 
 # ---------------------------------------------------------------------------
-# relation sparse matrix
+# relation blocks and groups of the plans
 
 
 def test_worked_sparse_example():
-    # node 546's second in-edge is (4512, 52, 546): the matrix must hold
-    # value 52 at row 4512, column 2
+    # node 546's in-edge (4512, 52, 546) is relation 52's whole block
     triples = [(7, 3, 546), (4512, 52, 546)]
     g = D.KnowledgeGraph(triples, num_entities=5000, num_relations=60)
-    m = D.build_relation_sparse(g, 546, "forward")
-    assert m.num_rows == 5000
-    assert m.num_cols == 2
-    assert (4512, 2, 52) in m.entries
+    p = g.plan("forward")
+    lo, hi = p.rel_starts[52], p.rel_starts[53]
+    assert (p.src[lo:hi].tolist(), p.dst[lo:hi].tolist()) == ([4512], [546])
 
 
 def test_isolated_node_zero_columns():
     g = D.KnowledgeGraph([(0, 0, 1)], 3, 1)
-    m = D.build_relation_sparse(g, 2, "forward")
-    assert m.num_cols == 0 and m.entries == []
+    assert incident(g, "forward", 2) == [] == incident(g, "backward", 2)
 
 
 def test_three_in_edges_column_set():
     triples = [(1, 0, 0), (2, 0, 0), (3, 1, 0)]
     g = D.KnowledgeGraph(triples, 4, 2)
-    m = D.build_relation_sparse(g, 0, "forward")
-    assert sorted(c for _, c, _ in m.entries) == [1, 2, 3]
+    assert incident(g, "forward", 0) == [(1, 0), (2, 0), (3, 1)]
+    # relation 0 and relation 1 in-edges form separate attention groups
+    assert g.plan("forward").seg_starts.tolist() == [0, 2]
 
 
 def test_sparse_column_count_matches_index_length():
@@ -131,85 +166,91 @@ def test_sparse_column_count_matches_index_length():
                 int(rng.integers(0, 8))) for _ in range(30)]
     g = D.KnowledgeGraph(triples, 8, 3)
     for node in range(8):
-        for direction, index in (("forward", g.in_index),
-                                 ("backward", g.out_index)):
-            m = D.build_relation_sparse(g, node, direction)
-            assert m.num_cols == len(index[node])
+        assert len(incident(g, "forward", node)) == \
+            sum(t == node for _, _, t in triples)
+        assert len(incident(g, "backward", node)) == \
+            sum(h == node for h, _, _ in triples)
 
 
 # ---------------------------------------------------------------------------
-# drop_relations / dedup
+# relation drop / dedup in preprocessing
 
 
-def toy_graph():
-    raw = [("a", "p", "b"), ("b", "q", "c"), ("c", "p", "a")]
-    return D.KnowledgeGraph.from_raw(raw)
+def toy_dir(tmp_path):
+    return linkpred_dir(tmp_path, "a\tp\tb\nb\tq\tc\nc\tp\ta\n")
 
 
-def test_drop_relations_removes_and_recompacts():
-    g = toy_graph()
-    g2 = D.drop_relations(g, {"p"})
-    assert g2.num_triples == 1
-    assert g2.num_relations == 1
-    assert g2.relation_vocab == {"q": 0}
-    assert all(r == 0 for _, r, _ in g2.triples)
+def test_drop_relations_removes_and_recompacts(tmp_path):
+    d = toy_dir(tmp_path)
+    kept = datasets.preprocess(d, drop_names=("p",))
+    assert kept["splits"]["train"] == [(1, 0, 2)]
+    assert kept["manifest"]["num_relations"] == 1
+    assert kept["relations"] == ["q"]
     # entity ids preserved
-    assert g2.entity_vocab == g.entity_vocab
-    assert g2.num_entities == g.num_entities
+    assert kept["entities"] == datasets.preprocess(d)["entities"]
+    assert kept["manifest"]["num_entities"] == 3
 
 
-def test_drop_relations_empty_set_identity():
-    g = toy_graph()
-    g2 = D.drop_relations(g, set())
-    assert g2.triples == g.triples
-    assert g2.relation_vocab == g.relation_vocab
+def test_drop_relations_empty_set_identity(tmp_path):
+    processed = datasets.preprocess(toy_dir(tmp_path), drop_names=())
+    assert processed["splits"]["train"] == [(0, 0, 1), (1, 1, 2), (2, 0, 0)]
+    assert processed["relations"] == ["p", "q"]
 
 
-def test_drop_relations_unknown_name_warns():
-    g = toy_graph()
-    with pytest.warns(UserWarning, match="missing_rel"):
-        g2 = D.drop_relations(g, {"missing_rel"})
-    assert g2.num_triples == g.num_triples
+def test_drop_relations_unknown_name_warns(tmp_path):
+    processed = datasets.preprocess(toy_dir(tmp_path),
+                                    drop_names=("missing_rel",))
+    assert processed["manifest"]["unmatched_drop_names"] == ["missing_rel"]
+    assert processed["manifest"]["counts"]["train"] == 3
 
 
-def test_drop_then_no_unused_relation_id():
-    g = toy_graph()
-    g2 = D.drop_relations(g, {"q"})
-    used = {r for _, r, _ in g2.triples}
-    assert used == set(range(g2.num_relations))
+def test_drop_then_no_unused_relation_id(tmp_path):
+    processed = datasets.preprocess(toy_dir(tmp_path), drop_names=("q",))
+    used = {r for _, r, _ in processed["splits"]["train"]}
+    assert used == set(range(processed["manifest"]["num_relations"]))
 
 
-def test_dedup_triples():
-    triples = [(0, 0, 1), (0, 0, 1), (1, 0, 0)]
-    assert D.dedup_triples(triples) == [(0, 0, 1), (1, 0, 0)]
-    g = D.KnowledgeGraph.from_raw(
-        [("a", "r", "b"), ("a", "r", "b")], dedup=True)
-    assert g.num_triples == 1
+def test_dedup_triples(tmp_path):
+    d = linkpred_dir(tmp_path, "a\tr\tb\na\tr\tb\nb\tr\ta\na\tr\tb\n",
+                     valid="b\tr\ta\nb\tr\ta\n", test="a\tr\tb\n")
+    splits = datasets.preprocess(d, dedup=True)["splits"]
+    # first occurrences, in order, separately per split
+    assert splits["train"] == [(0, 0, 1), (1, 0, 0)]
+    assert splits["valid"] == [(1, 0, 0)]
+    assert splits["test"] == [(0, 0, 1)]
+    assert len(datasets.preprocess(d)["splits"]["train"]) == 4
 
 
 # ---------------------------------------------------------------------------
 # labels
 
 
+def classify_bundle(tmp_path, labels_train, labels_test):
+    write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n")
+    write(tmp_path, "labels_train.tsv", labels_train)
+    write(tmp_path, "labels_test.tsv", labels_test)
+    out = str(tmp_path / "bundle")
+    datasets.write_bundle(out, datasets.preprocess(str(tmp_path)))
+    return datasets.load_bundle(out)
+
+
 def test_load_labels_basic(tmp_path):
-    path = write(tmp_path, "l.tsv", "a\t0\nb\t1\n")
-    labels = D.load_labels(path, {"a": 0, "b": 1})
-    assert labels.num_classes == 2
-    assert labels.pairs == {0: 0, 1: 1}
+    labels = classify_bundle(tmp_path, "a\t0\nb\t1\n", "c\t0\n").labels
+    assert labels["train"].num_classes == 2
+    assert labels["train"].entities.tolist() == [0, 1]
+    assert labels["train"].classes.tolist() == [0, 1]
 
 
 def test_load_labels_shared_class_map(tmp_path):
-    vocab = {"a": 0, "b": 1, "c": 2}
-    train = D.load_labels(write(tmp_path, "tr.tsv", "a\tx\nb\ty\n"), vocab)
-    test = D.load_labels(write(tmp_path, "te.tsv", "c\ty\n"), vocab,
-                         class_to_id=train.class_to_id)
-    assert test.pairs == {2: train.class_to_id["y"]}
+    labels = classify_bundle(tmp_path, "a\tx\nb\ty\n", "c\ty\n").labels
+    assert labels["test"].entities.tolist() == [2]
+    assert labels["test"].classes.tolist() == \
+        [labels["train"].class_to_id["y"]]
 
 
 def test_load_labels_unknown_entity_names_line(tmp_path):
-    path = write(tmp_path, "l.tsv", "a\t0\nzz\t1\n")
-    with pytest.raises(D.DataError, match=":2"):
-        D.load_labels(path, {"a": 0})
+    with pytest.raises(D.DataError, match="labels_train.tsv.*'zz'"):
+        classify_bundle(tmp_path, "a\t0\nzz\t1\n", "c\t0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +296,21 @@ def test_plan_empty_graph():
     assert list(p.rel_starts) == [0, 0, 0]
 
 
-def test_known_triples():
+def test_known_triples(monkeypatch):
+    # filtered negative sampling checks corruptions against the training
+    # triples, as a set built from the graph's array
+    seen = []
+    sample = decoders.sample_negatives
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["known"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "sample_negatives", spy)
     g = D.KnowledgeGraph([(0, 0, 1), (1, 0, 0)], 2, 1)
-    known = g.known_triples()
+    config = resolve_config("linkpred", cli_values=dict(
+        embed_dim=4, num_blocks=2, num_layers=1, iterations=1,
+        batch_size=2, filtered_negatives=True))
+    training.train(g, {}, config, "linkpred", seed=0)
+    known = seen[0]
     assert (0, 0, 1) in known and (1, 0, 1) not in known

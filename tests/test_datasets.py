@@ -139,7 +139,7 @@ def test_bundle_roundtrip_and_idempotence(tmp_path):
     bundle = datasets.load_bundle(str(out))
     assert bundle.task == "linkpred"
     assert bundle.graph.num_triples == 4
-    assert bundle.graph.entity_vocab["d"] == 3
+    assert bundle.entity_names.index("d") == 3
     assert [tuple(t) for t in bundle.splits["valid"]] == [(0, 1, 2)]
 
     datasets.write_bundle(str(out), datasets.preprocess(d))
@@ -156,7 +156,8 @@ def test_bundle_roundtrip_classify(tmp_path):
     bundle = datasets.load_bundle(str(out))
     assert bundle.task == "classify"
     assert bundle.class_names == ["red", "blue"]
-    assert bundle.labels["test"].pairs == {2: 0}
+    assert bundle.labels["test"].entities.tolist() == [2]
+    assert bundle.labels["test"].classes.tolist() == [0]
     assert bundle.labels["train"].num_classes == 2
     # drop list defaulted to the directory profile: 'cl' has none
     assert bundle.manifest["dropped_relations"] == []

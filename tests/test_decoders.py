@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from conftest import TOY_LABELS, TOY_TRIPLES, to_oracle_params, toy_config, \
-    toy_params
+from conftest import TOY_LABELS, TOY_TRIPLES, complex_score, \
+    distmult_score, to_oracle_params, toy_config, toy_params
 from kgar import decoders as dec
 from kgar import encoder as E
 from kgar import tensor as T
@@ -92,15 +92,15 @@ def test_classification_grad_check(toy_graph):
 
 def test_complex_all_real_unit():
     feats = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert dec.complex_score(0, 0, 1, feats, [[1.0]], [[0.0]]) == 1.0
+    assert complex_score(0, 0, 1, feats, [[1.0]], [[0.0]]) == 1.0
 
 
 def test_complex_imaginary_relation_antisymmetry():
     # w = i, s = 1, o = i: score +1; swapping (s,o) flips the sign
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
     w_re, w_im = [[0.0]], [[1.0]]
-    assert dec.complex_score(0, 0, 1, feats, w_re, w_im) == 1.0
-    assert dec.complex_score(1, 0, 0, feats, w_re, w_im) == -1.0
+    assert complex_score(0, 0, 1, feats, w_re, w_im) == 1.0
+    assert complex_score(1, 0, 0, feats, w_re, w_im) == -1.0
 
 
 def test_complex_zero_relation_scores_zero():
@@ -109,7 +109,7 @@ def test_complex_zero_relation_scores_zero():
     zero = np.zeros((1, 3))
     for s in range(4):
         for o in range(4):
-            assert dec.complex_score(s, 0, o, feats, zero, zero) == 0.0
+            assert complex_score(s, 0, o, feats, zero, zero) == 0.0
 
 
 def test_complex_matches_scalar_oracle():
@@ -118,7 +118,7 @@ def test_complex_matches_scalar_oracle():
     rel_re = rng.standard_normal((2, 4))
     rel_im = rng.standard_normal((2, 4))
     for s, r, o in [(0, 0, 1), (3, 1, 2), (4, 0, 4)]:
-        got = dec.complex_score(s, r, o, feats, rel_re, rel_im)
+        got = complex_score(s, r, o, feats, rel_re, rel_im)
         expected = oracle.complex_score(rel_re[r].tolist(), rel_im[r].tolist(),
                                         feats[s].tolist(), feats[o].tolist())
         assert got == pytest.approx(expected, abs=1e-12)
@@ -132,11 +132,11 @@ def test_real_relation_symmetry_and_distmult_equivalence():
     diag = np.hstack([w_re, w_re])  # DistMult over [re, im] concatenation
     for s in range(6):
         for o in range(6):
-            f_so = dec.complex_score(s, 0, o, feats, w_re, w_im)
-            f_os = dec.complex_score(o, 0, s, feats, w_re, w_im)
+            f_so = complex_score(s, 0, o, feats, w_re, w_im)
+            f_os = complex_score(o, 0, s, feats, w_re, w_im)
             assert f_so == pytest.approx(f_os, abs=1e-12)
             assert f_so == pytest.approx(
-                dec.distmult_score(s, 0, o, feats, diag), abs=1e-12)
+                distmult_score(s, 0, o, feats, diag), abs=1e-12)
 
 
 def test_purely_imaginary_relation_antisymmetric_for_all_pairs():
@@ -146,8 +146,8 @@ def test_purely_imaginary_relation_antisymmetric_for_all_pairs():
     w_im = rng.standard_normal((1, 4))
     for s in range(6):
         for o in range(6):
-            f_so = dec.complex_score(s, 0, o, feats, w_re, w_im)
-            f_os = dec.complex_score(o, 0, s, feats, w_re, w_im)
+            f_so = complex_score(s, 0, o, feats, w_re, w_im)
+            f_os = complex_score(o, 0, s, feats, w_re, w_im)
             assert f_so == pytest.approx(-f_os, abs=1e-12)
 
 
@@ -157,17 +157,17 @@ def test_distmult_commutes_and_counts():
     diag = rng.standard_normal((2, 4))
     for s in range(4):
         for o in range(4):
-            assert dec.distmult_score(s, 1, o, feats, diag) == \
-                dec.distmult_score(o, 1, s, feats, diag)
+            assert distmult_score(s, 1, o, feats, diag) == \
+                distmult_score(o, 1, s, feats, diag)
     ones = np.ones((2, 4))
-    assert dec.distmult_score(0, 0, 1, np.ones((2, 4)), ones) == 4.0
+    assert distmult_score(0, 0, 1, np.ones((2, 4)), ones) == 4.0
 
 
 def test_distmult_matches_scalar_oracle():
     rng = np.random.default_rng(6)
     feats = rng.standard_normal((5, 6))
     diag = rng.standard_normal((3, 6))
-    got = dec.distmult_score(2, 1, 4, feats, diag)
+    got = distmult_score(2, 1, 4, feats, diag)
     expected = oracle.distmult_score(diag[1].tolist(), feats[2].tolist(),
                                      feats[4].tolist())
     assert got == expected
@@ -186,12 +186,12 @@ def test_batch_scores_match_single(toy_graph):
         scores, _ = dec.score_triples(params, feats, triples, decoder)
         for k, (s, r, o) in enumerate(TOY_TRIPLES):
             if decoder == "complex":
-                single = dec.complex_score(s, r, o, feats.values,
-                                           params.rel_re.values,
-                                           params.rel_im.values)
+                single = complex_score(s, r, o, feats.values,
+                                       params.rel_re.values,
+                                       params.rel_im.values)
             else:
-                single = dec.distmult_score(s, r, o, feats.values,
-                                            params.rel_diag.values)
+                single = distmult_score(s, r, o, feats.values,
+                                        params.rel_diag.values)
             assert scores.values[k, 0] == pytest.approx(single, abs=1e-10)
 
 
@@ -209,12 +209,12 @@ def test_all_candidate_scores_match_single(toy_graph):
                 s, r, o = triple
                 cand = (c, r, o) if side == "head" else (s, r, c)
                 if decoder == "complex":
-                    single = dec.complex_score(*cand, feats,
-                                               params.rel_re.values,
-                                               params.rel_im.values)
+                    single = complex_score(*cand, feats,
+                                           params.rel_re.values,
+                                           params.rel_im.values)
                 else:
-                    single = dec.distmult_score(*cand, feats,
-                                                params.rel_diag.values)
+                    single = distmult_score(*cand, feats,
+                                            params.rel_diag.values)
                 assert all_scores[c] == pytest.approx(single, abs=1e-10)
 
 

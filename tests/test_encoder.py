@@ -1,30 +1,41 @@
-"""Encoder semantics: reference-op contracts, parity of the fused tape ops
-with composable ops, scalar-oracle agreement, and structural invariants."""
+"""Encoder semantics: per-node attention and fusion contracts, parity of
+the fused tape ops with composable ops, scalar-oracle agreement, and
+structural invariants."""
 
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+import tape_reference as R
 from conftest import TOY_TRIPLES, to_oracle_params, toy_config, toy_params
 from kgar import encoder as E
 from kgar import tensor as T
-from kgar.data import KnowledgeGraph, build_relation_sparse
+from kgar.data import KnowledgeGraph
 from kgar.tensor import NumericFailure, Parameter, Tensor
 
 
 # ---------------------------------------------------------------------------
-# attention_coefficients
+# attention of one node, through the conv layer's ops
+
+
+def attention(H, W, node, neighbors, slope=0.2):
+    """LeakyReLU(<W^T h_node, W^T h_j>) softmaxed over the neighbors j, as
+    one attention group of edge_inner_product and segment_softmax."""
+    src = np.asarray(neighbors, dtype=np.int64)
+    hw = T.matmul(Tensor(H), Tensor(W))
+    scores = E.edge_inner_product(hw, src, np.full(src.size, node))
+    return T.segment_softmax(T.leaky_relu(scores, slope), [0]).values[:, 0]
 
 
 def test_attention_identical_states_split_evenly():
     H = np.tile([[1.0, 2.0, 3.0]], (3, 1))
-    alpha = E.attention_coefficients(H, np.eye(3), 0, [1, 2])
+    alpha = attention(H, np.eye(3), 0, [1, 2])
     np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-15)
 
 
 def test_attention_singleton_is_one():
     H = np.random.default_rng(0).standard_normal((4, 3))
-    alpha = E.attention_coefficients(H, np.eye(3), 2, [3])
+    alpha = attention(H, np.eye(3), 2, [3])
     assert alpha.shape == (1,) and alpha[0] == 1.0
 
 
@@ -32,15 +43,16 @@ def test_attention_matches_scalar_oracle():
     rng = np.random.default_rng(1)
     H = rng.standard_normal((5, 4))
     neighbors = [1, 3, 4]
-    got = E.attention_coefficients(H, np.eye(4), 0, neighbors, slope=0.2)
+    got = attention(H, np.eye(4), 0, neighbors, slope=0.2)
     expected = oracle.attention_weights([row.tolist() for row in H], 0,
                                         neighbors, 0.2)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 def test_attention_empty_set_rejected():
-    with pytest.raises(ValueError):
-        E.attention_coefficients(np.ones((2, 2)), np.eye(2), 0, [])
+    # a group start past the last score would be an empty neighbor set
+    with pytest.raises(T.ShapeError):
+        T.segment_softmax(Tensor([[1.0], [2.0]]), [0, 2])
 
 
 def test_attention_group_sums_to_one_on_toy(toy_graph):
@@ -59,39 +71,43 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
 
 
 # ---------------------------------------------------------------------------
-# fuse_features
+# fusion readout of one node, through gated_neighbor_sum
+
+
+def fuse(H, graph, node, direction, gates):
+    """Gated sum of one node's neighbor rows in one direction."""
+    gates = Tensor(np.asarray(gates, dtype=np.float64)[:, None])
+    out = E.gated_neighbor_sum(Tensor(H), gates, graph.plan(direction),
+                               graph.num_entities)
+    return out.values[node]
 
 
 def test_fuse_single_edge_unit_gate(toy_graph):
     g = KnowledgeGraph([(0, 0, 1)], 2, 1)
     H = np.array([[3.0, -1.0], [0.5, 2.0]])
-    sparse = build_relation_sparse(g, 1, "forward")
-    np.testing.assert_array_equal(E.fuse_features(H, sparse, [1.0]), H[0])
+    np.testing.assert_array_equal(fuse(H, g, 1, "forward", [1.0]), H[0])
 
 
 def test_fuse_all_gates_zero(toy_graph):
-    sparse = build_relation_sparse(toy_graph, 1, "forward")
     H = np.random.default_rng(3).standard_normal((6, 4))
-    np.testing.assert_array_equal(E.fuse_features(H, sparse, [0.0, 0.0, 0.0]),
-                                  np.zeros(4))
+    np.testing.assert_array_equal(
+        fuse(H, toy_graph, 1, "forward", [0.0, 0.0, 0.0]), np.zeros(4))
 
 
 def test_fuse_three_edges_matches_weighted_sum(toy_graph):
     # node 1 has in-edges (0,rel0), (2,rel0), (4,rel1)
-    sparse = build_relation_sparse(toy_graph, 1, "forward")
-    assert sparse.num_cols == 3
+    assert np.count_nonzero(toy_graph.plan("forward").dst == 1) == 3
     H = np.random.default_rng(4).standard_normal((6, 5))
     gates = [0.5, 1.0, 2.0]
-    got = E.fuse_features(H, sparse, gates)
+    got = fuse(H, toy_graph, 1, "forward", gates)
     expected = 0.5 * H[0] + 0.5 * H[2] + 1.0 * H[4]
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 def test_fuse_zero_degree_node():
     g = KnowledgeGraph([(0, 0, 1)], 3, 1)
-    sparse = build_relation_sparse(g, 2, "forward")
     H = np.ones((3, 4))
-    np.testing.assert_array_equal(E.fuse_features(H, sparse, [1.0]),
+    np.testing.assert_array_equal(fuse(H, g, 2, "forward", [1.0]),
                                   np.zeros(4))
 
 
@@ -148,9 +164,9 @@ def test_attention_aggregate_parity(toy_graph):
             if lo == hi:
                 continue
             xs = T.gather_rows(h, plan.src[lo:hi])
-            ys = T.block_matmul(xs, qs[r], b)
+            ys = R.block_matmul(xs, qs[r], b)
             w = Tensor(alpha_vals[lo:hi])
-            part = T.scatter_add_rows(T.mul(ys, w), plan.dst[lo:hi], n)
+            part = R.scatter_add_rows(T.mul(ys, w), plan.dst[lo:hi], n)
             total = part if total is None else T.add(total, part)
         return T.sum_squares(total)
 
@@ -192,7 +208,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
                 continue
             xs = T.gather_rows(h, plan.src[lo:hi])
             w = T.gather_rows(gates, np.full(hi - lo, r))
-            part = T.scatter_add_rows(T.mul(xs, w), plan.dst[lo:hi], 6)
+            part = R.scatter_add_rows(T.mul(xs, w), plan.dst[lo:hi], 6)
             total = part if total is None else T.add(total, part)
         return T.sum_squares(total)
 
@@ -204,7 +220,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
 
 
 def test_gated_sum_matches_per_node_fuse(toy_graph):
-    # vectorized fusion readout == per-node reference op, both directions
+    # vectorized fusion readout == per-triple sums, both directions
     rng = np.random.default_rng(9)
     H = rng.standard_normal((6, 4))
     gates = rng.standard_normal(3)
@@ -212,13 +228,11 @@ def test_gated_sum_matches_per_node_fuse(toy_graph):
                                toy_graph.plan("forward"), 6)
     bwd = E.gated_neighbor_sum(Tensor(H), Tensor(gates[:, None]),
                                toy_graph.plan("backward"), 6)
-    for i in range(6):
-        f = E.fuse_features(H, build_relation_sparse(toy_graph, i, "forward"),
-                            gates)
-        f += E.fuse_features(H, build_relation_sparse(toy_graph, i, "backward"),
-                             gates)
-        np.testing.assert_allclose(fwd.values[i] + bwd.values[i], f,
-                                   atol=1e-10)
+    expected = np.zeros((6, 4))
+    for h, r, t in TOY_TRIPLES:
+        expected[t] += gates[r] * H[h]
+        expected[h] += gates[r] * H[t]
+    np.testing.assert_allclose(fwd.values + bwd.values, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

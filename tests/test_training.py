@@ -24,7 +24,9 @@ def toy_run_config(task, **kw):
 
 def toy_labelset():
     class_to_id = {str(k): k for k in range(4)}
-    return LabelSet(pairs=dict(TOY_LABELS), class_to_id=class_to_id)
+    return LabelSet(entities=np.array(list(TOY_LABELS)),
+                    classes=np.array(list(TOY_LABELS.values())),
+                    class_to_id=class_to_id)
 
 
 @pytest.fixture
