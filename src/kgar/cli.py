@@ -229,31 +229,33 @@ def _check_meta(meta):
 
 
 def _check_shapes(meta, arrays, bundle, task):
+    """Check the dataset-sized dimensions of a snapshot against the bundle;
+    `rebuild_params` checks every other dimension."""
     emb = arrays.get("embedding")
     if emb is None:
         raise SnapshotError("snapshot missing parameter 'embedding'")
-    if emb.shape[0] != bundle.num_entities:
+    if emb.shape[:1] != (bundle.num_entities,):
         raise DataError(
-            f"parameter 'embedding' covers {emb.shape[0]} entities but the "
-            f"dataset has {bundle.num_entities}")
+            f"parameter 'embedding' has shape {emb.shape} but the dataset "
+            f"has {bundle.num_entities} entities")
     if meta["num_relations"] != bundle.num_relations:
         raise DataError(
             f"snapshot relation weights cover {meta['num_relations']} "
             f"relations but the dataset has {bundle.num_relations} "
-            "(parameter 'layer0.forward.rel*.blocks')")
+            "(parameter 'layer0.forward.blocks')")
     if task == "classify":
         head = arrays.get("classify.head")
         if head is None:
             raise SnapshotError("snapshot missing parameter 'classify.head'")
-        if head.shape[1] != bundle.manifest["num_classes"]:
+        if head.shape[1:2] != (bundle.manifest["num_classes"],):
             raise DataError(
-                f"parameter 'classify.head' has {head.shape[1]} classes but "
-                f"the dataset has {bundle.manifest['num_classes']}")
+                f"parameter 'classify.head' has shape {head.shape} but the "
+                f"dataset has {bundle.manifest['num_classes']} classes")
 
 
 def _evaluate_bundle(run, arrays, regularized, bundle, task, dataset):
     params = rebuild_params(arrays, regularized, run.encoder_config(),
-                            bundle.num_relations)
+                            bundle.num_relations, task, run.decoder)
     if task == "classify":
         accuracy = training.evaluate_classification(
             bundle.graph, params, run.encoder_config(),

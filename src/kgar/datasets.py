@@ -276,7 +276,7 @@ def _read_ids(path, width, count):
             rows = np.loadtxt(path, dtype=np.int64, delimiter="\t",
                               comments=None, ndmin=2)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
+        raise DataError(f"{path}: {_non_integer_field(path) or exc}")
     if rows.size == 0:
         rows = rows.reshape(0, width)
     if rows.shape[1] != width:
@@ -286,6 +286,24 @@ def _read_ids(path, width, count):
         raise DataError(f"{path}: {rows.shape[0]} rows, but the manifest "
                         f"counts {count}")
     return rows
+
+
+def _non_integer_field(path):
+    """Where an id file holds a field that is not an integer, counting lines
+    and columns from 1; None if every field is one. Read only after
+    `np.loadtxt` has failed, whose own message counts rows from 0."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue  # np.loadtxt skips blank lines
+            for column, field in enumerate(line.rstrip("\n").split("\t"),
+                                           start=1):
+                try:
+                    int(field)
+                except ValueError:
+                    return (f"line {lineno}, column {column}: {field!r} is "
+                            "not an integer id")
+    return None
 
 
 def _read_names(path):

@@ -87,25 +87,23 @@ def edge_inner_product(hw, src, dst):
     return out
 
 
-def attention_relational_aggregate(h, alpha, plan, rel_blocks, num_blocks,
+def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
                                    num_nodes):
     """sum_r sum_{edges k of r} alpha_k * (h[src_k] @ W_r) scattered to dst.
 
-    rel_blocks[r] stacks relation r's blocks vertically, (D_in, D_out/B).
-    Gathered edge features are recomputed in the backward pass.
+    `blocks` holds every relation's weight, (R*D_in, D_out/B): rows
+    r*D_in:(r+1)*D_in are relation r's B diagonal blocks, stacked
+    vertically. Gathered edge features are recomputed in the backward pass.
     """
-    din = h.shape[1]
-    din_b = din // num_blocks
-    dout_b = rel_blocks[0].shape[1]
-    dout = num_blocks * dout_b
+    din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
+    q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
     hv, av = h.values, alpha.values
-    res = np.zeros((num_nodes, dout))
-    for r in range(len(rel_blocks)):
+    res = np.zeros((num_nodes, num_blocks * dout_b))
+    for r in range(len(q)):
         lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
         if lo == hi:
             continue
-        xs = hv[plan.src[lo:hi]]
-        ys = _block_forward(xs, rel_blocks[r].values, num_blocks, din_b, dout_b)
+        ys = _block_forward(hv[plan.src[lo:hi]], q[r])
         np.add.at(res, plan.dst[lo:hi], av[lo:hi] * ys)
     out = Tensor(res)
 
@@ -113,21 +111,22 @@ def attention_relational_aggregate(h, alpha, plan, rel_blocks, num_blocks,
         if h.grad is None:
             h.grad = np.zeros_like(hv)
         galpha = np.empty_like(av)
-        for r in range(len(rel_blocks)):
+        # relations without edges keep zero rows
+        gq = np.zeros(q.shape)
+        for r in range(len(q)):
             lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
             if lo == hi:
                 continue
             src, dst = plan.src[lo:hi], plan.dst[lo:hi]
-            q = rel_blocks[r]
             xs = hv[src]
-            ys = _block_forward(xs, q.values, num_blocks, din_b, dout_b)
+            ys = _block_forward(xs, q[r])
             gd = g[dst]
             galpha[lo:hi] = np.einsum("ij,ij->i", ys, gd)[:, None]
             gys = av[lo:hi] * gd
-            np.add.at(h.grad, src,
-                      _block_backward_x(gys, q.values, num_blocks, din_b, dout_b))
-            _acc(q, _block_backward_q(xs, gys, num_blocks, din_b, dout_b))
+            np.add.at(h.grad, src, _block_backward_x(gys, q[r]))
+            gq[r] = _block_backward_q(xs, gys, num_blocks)
         _acc(alpha, galpha)
+        _acc(blocks, gq.reshape(blocks.shape))
 
     _record(out, bw)
     return out
@@ -168,20 +167,16 @@ def gated_neighbor_sum(h, gates, plan, num_nodes):
 
 
 def conv_layer_forward(h, graph, weights, config, direction, training=False,
-                       rng=None, hw=None, self_pre=None, layer=None):
+                       rng=None, *, hw, self_pre, layer):
     """One directional pass; returns the (|V|, D) directional hidden state.
 
-    hw (h @ attention_W) and self_pre (h @ self_W) may be passed in so the
-    two directions of a layer share them.
+    hw (h @ attention_W) and self_pre (h @ self_W) are computed once per
+    layer and shared by its two directions.
     """
     plan = graph.plan(direction)
-    if self_pre is None:
-        self_pre = T.matmul(h, weights.self_W)
     if plan.num_edges == 0:
         pre = self_pre
     else:
-        if hw is None:
-            hw = T.matmul(h, weights.att_W)
         scores = edge_inner_product(hw, plan.src, plan.dst)
         scores = T.leaky_relu(scores, config.leaky_slope)
         alpha = T.segment_softmax(scores, plan.seg_starts)
@@ -195,9 +190,8 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
     bad = ~np.isfinite(pre.values)
     if bad.any():
         node = int(np.flatnonzero(bad.any(axis=1))[0])
-        where = f"layer {layer}, " if layer is not None else ""
         raise NumericFailure(
-            f"non-finite hidden state ({where}direction {direction}, "
+            f"non-finite hidden state (layer {layer}, direction {direction}, "
             f"node {node})")
     return T.relu(pre)
 
@@ -212,9 +206,11 @@ def conv_stack(graph, params, config, training=False, rng=None):
         hw = T.matmul(h, lw.att_W) if graph.num_triples else None
         self_pre = T.matmul(h, lw.self_W)
         h_fwd = conv_layer_forward(h, graph, lw, config, "forward", training,
-                                   rng, hw, self_pre, layer=layer_index)
+                                   rng, hw=hw, self_pre=self_pre,
+                                   layer=layer_index)
         h_bwd = conv_layer_forward(h, graph, lw, config, "backward", training,
-                                   rng, hw, self_pre, layer=layer_index)
+                                   rng, hw=hw, self_pre=self_pre,
+                                   layer=layer_index)
         h = T.add(h_fwd, h_bwd)
     return h
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import DIRECTIONS
+from .snapshot import SnapshotError
 from .tensor import Parameter
 
 TASKS = ("classify", "linkpred")
@@ -13,13 +14,13 @@ INITS = ("scaled", "std-normal")
 
 
 class LayerWeights:
-    """One conv layer: shared attention weight, self-loop weight, and
-    per-direction per-relation stacked block weights."""
+    """One conv layer: shared attention weight, self-loop weight, and per
+    direction all relations' blocks in one (R*D_in, D_out/B) parameter."""
 
     def __init__(self, att_W, self_W, blocks):
         self.att_W = att_W
         self.self_W = self_W
-        self.blocks = blocks  # direction -> [Parameter per relation]
+        self.blocks = blocks  # direction -> Parameter
 
 
 class ModelParams:
@@ -44,10 +45,7 @@ class ModelParams:
         """Every parameter in a fixed, documented order."""
         out = [self.embedding]
         for lw in self.layers:
-            out.append(lw.att_W)
-            out.append(lw.self_W)
-            for direction in DIRECTIONS:
-                out.extend(lw.blocks[direction])
+            out += [lw.att_W, lw.self_W] + [lw.blocks[d] for d in DIRECTIONS]
         out.append(self.gates)
         for p in (self.head, self.rel_re, self.rel_im, self.rel_diag):
             if p is not None:
@@ -66,8 +64,8 @@ def init_params(num_entities, num_relations, config, task, rng,
     """Create freshly initialized ModelParams.
 
     Default init scales normal draws by sqrt(2/(fan_in+fan_out)) for weight
-    matrices (per-block for the relation blocks) and 1/sqrt(width) for
-    embedding-like tables; `std-normal` draws every weight from N(0,1).
+    matrices (per block for the stacked relation blocks) and 1/sqrt(width)
+    for embedding-like tables; `std-normal` draws every weight from N(0,1).
     Fusion gates start at 1.0 under either mode, which reduces the fusion
     readout to plain neighbor summation at initialization.
     """
@@ -81,7 +79,6 @@ def init_params(num_entities, num_relations, config, task, rng,
         raise ValueError("classify task needs num_classes")
 
     m, d, b = config.embed_dim, config.hidden_dim, config.num_blocks
-    regularize_blocks = task == "classify"
 
     embedding = Parameter(
         "embedding", _draw(rng, (num_entities, m), 1.0 / np.sqrt(m), init))
@@ -95,13 +92,12 @@ def init_params(num_entities, num_relations, config, task, rng,
                            _draw(rng, (d_in, d), w_std, init))
         din_b, dout_b = d_in // b, d // b
         q_std = np.sqrt(2.0 / (din_b + dout_b))
-        blocks = {}
-        for direction in DIRECTIONS:
-            blocks[direction] = [
-                Parameter(f"layer{layer}.{direction}.rel{r}.blocks",
-                          _draw(rng, (d_in, dout_b), q_std, init),
-                          regularized=regularize_blocks)
-                for r in range(num_relations)]
+        blocks = {
+            direction: Parameter(
+                f"layer{layer}.{direction}.blocks",
+                _draw(rng, (num_relations * d_in, dout_b), q_std, init),
+                regularized=task == "classify")
+            for direction in DIRECTIONS}
         layers.append(LayerWeights(att_W, self_W, blocks))
     gates = Parameter("fusion.gates", np.ones((num_relations, 1)))
 
@@ -129,26 +125,55 @@ def init_params(num_entities, num_relations, config, task, rng,
     return ModelParams(embedding, layers, gates, **kwargs)
 
 
-def rebuild_params(arrays, regularized, config, num_relations):
-    """Reassemble a ModelParams from a name->array mapping (see snapshot)."""
-    def param(name):
-        return Parameter(name, arrays[name], regularized=regularized[name])
+def rebuild_params(arrays, regularized, config, num_relations, task,
+                   decoder):
+    """Reassemble a ModelParams from a name->array mapping (see snapshot).
 
-    num_layers = config.num_layers
+    Raises SnapshotError for a parameter that is missing or whose shape
+    differs from the one config and num_relations fix. Embedding rows and
+    classification-head columns are the dataset's to check.
+    """
+    def array(name, shape):
+        if name not in arrays:
+            raise SnapshotError(f"snapshot missing parameter {name!r}")
+        values = arrays[name]
+        if len(values.shape) != len(shape) or any(
+                want is not None and want != got
+                for got, want in zip(values.shape, shape)):
+            want = ", ".join("*" if n is None else str(n) for n in shape)
+            raise SnapshotError(f"parameter {name!r} has shape "
+                                f"{values.shape}, expected ({want})")
+        return values
+
+    def param(name, shape):
+        return Parameter(name, array(name, shape),
+                         regularized=regularized[name])
+
+    def stacked_blocks(prefix, d_in, dout_b):
+        name = f"{prefix}.blocks"
+        if name in arrays or f"{prefix}.rel0.blocks" not in arrays:
+            return param(name, (num_relations * d_in, dout_b))
+        # a snapshot written before the relation weights were stacked
+        rels = [f"{prefix}.rel{r}.blocks" for r in range(num_relations)]
+        return Parameter(name, np.concatenate(
+            [array(n, (d_in, dout_b)) for n in rels]), regularized[rels[0]])
+
+    m, d, b = config.embed_dim, config.hidden_dim, config.num_blocks
     layers = []
-    for layer in range(num_layers):
-        blocks = {
-            direction: [param(f"layer{layer}.{direction}.rel{r}.blocks")
-                        for r in range(num_relations)]
-            for direction in DIRECTIONS}
-        layers.append(LayerWeights(param(f"layer{layer}.att_w"),
-                                   param(f"layer{layer}.self_w"), blocks))
-    optional = {}
-    for field, name in (("head", "classify.head"),
-                        ("rel_re", "decoder.rel_re"),
-                        ("rel_im", "decoder.rel_im"),
-                        ("rel_diag", "decoder.rel_diag")):
-        if name in arrays:
-            optional[field] = param(name)
-    return ModelParams(param("embedding"), layers, param("fusion.gates"),
-                       **optional)
+    for layer in range(config.num_layers):
+        d_in = m if layer == 0 else d
+        blocks = {direction: stacked_blocks(f"layer{layer}.{direction}",
+                                            d_in, d // b)
+                  for direction in DIRECTIONS}
+        layers.append(LayerWeights(param(f"layer{layer}.att_w", (d_in, d)),
+                                   param(f"layer{layer}.self_w", (d_in, d)),
+                                   blocks))
+    if task == "classify":
+        heads = {"head": param("classify.head", (d, None))}
+    elif decoder == "complex":
+        heads = {"rel_re": param("decoder.rel_re", (num_relations, d // 2)),
+                 "rel_im": param("decoder.rel_im", (num_relations, d // 2))}
+    else:
+        heads = {"rel_diag": param("decoder.rel_diag", (num_relations, d))}
+    return ModelParams(param("embedding", (None, m)), layers,
+                       param("fusion.gates", (num_relations, 1)), **heads)

@@ -272,30 +272,29 @@ def slice_cols(a, start, stop):
 # block-diagonal weights
 
 
-def _block_forward(xv, qv, b, din_b, dout_b):
-    n = xv.shape[0]
-    res = np.empty((n, b * dout_b))
-    for k in range(b):
-        res[:, k * dout_b:(k + 1) * dout_b] = (
-            xv[:, k * din_b:(k + 1) * din_b] @ qv[k * din_b:(k + 1) * din_b])
+def _block_forward(xv, qv):
+    """xv @ diag(qv[0], ..., qv[B-1]) for blocks qv of (B, din_b, dout_b),
+    one product over the (B, n, din_b) view of xv."""
+    b, din_b, dout_b = qv.shape
+    res = np.empty((xv.shape[0], b * dout_b))
+    np.matmul(xv.reshape(-1, b, din_b).transpose(1, 0, 2), qv,
+              out=res.reshape(-1, b, dout_b).transpose(1, 0, 2))
     return res
 
 
-def _block_backward_x(g, qv, b, din_b, dout_b):
-    n = g.shape[0]
-    dx = np.empty((n, b * din_b))
-    for k in range(b):
-        dx[:, k * din_b:(k + 1) * din_b] = (
-            g[:, k * dout_b:(k + 1) * dout_b] @ qv[k * din_b:(k + 1) * din_b].T)
+def _block_backward_x(g, qv):
+    b, din_b, dout_b = qv.shape
+    dx = np.empty((g.shape[0], b * din_b))
+    np.matmul(g.reshape(-1, b, dout_b).transpose(1, 0, 2),
+              qv.transpose(0, 2, 1),
+              out=dx.reshape(-1, b, din_b).transpose(1, 0, 2))
     return dx
 
 
-def _block_backward_q(xv, g, b, din_b, dout_b):
-    dq = np.empty((b * din_b, dout_b))
-    for k in range(b):
-        dq[k * din_b:(k + 1) * din_b] = (
-            xv[:, k * din_b:(k + 1) * din_b].T @ g[:, k * dout_b:(k + 1) * dout_b])
-    return dq
+def _block_backward_q(xv, g, b):
+    n = xv.shape[0]
+    return np.matmul(xv.reshape(n, b, xv.shape[1] // b).transpose(1, 2, 0),
+                     g.reshape(n, b, g.shape[1] // b).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,24 @@ def toy_params(config, task="classify", seed=0, num_classes=4,
                        num_classes=num_classes, decoder=decoder)
 
 
+def relation_rows(params, layer, direction):
+    """Writable (R, D_in, D_out/B) view of one stacked relation-weight
+    parameter: entry r is relation r's blocks, stacked vertically."""
+    q = params.layers[layer].blocks[direction]
+    return q.values.reshape(params.gates.shape[0], -1, q.shape[1],
+                            copy=False)
+
+
 def to_oracle_params(params, num_blocks):
     """Convert package ModelParams to the scalar oracle's nested lists."""
     layers = []
-    for lw in params.layers:
+    for layer, lw in enumerate(params.layers):
         blocks = {}
         for direction, key in (("forward", "fwd"), ("backward", "bwd")):
             rel_map = {}
-            for r, q in enumerate(lw.blocks[direction]):
-                din_b = q.values.shape[0] // num_blocks
-                rel_map[r] = [q.values[k * din_b:(k + 1) * din_b].tolist()
+            for r, q in enumerate(relation_rows(params, layer, direction)):
+                din_b = q.shape[0] // num_blocks
+                rel_map[r] = [q[k * din_b:(k + 1) * din_b].tolist()
                               for k in range(num_blocks)]
             blocks[key] = rel_map
         layers.append({"att_W": lw.att_W.values.tolist(),

@@ -36,14 +36,13 @@ def block_matmul(x, q, num_blocks):
     dense product with the assembled block-diagonal matrix, without ever
     materializing its zeros.
     """
-    xb = _split_blocks(x.shape[1], q.shape, num_blocks)
-    din_b, dout_b = xb
-    res = _block_forward(x.values, q.values, num_blocks, din_b, dout_b)
-    out = Tensor(res)
+    din_b, dout_b = _split_blocks(x.shape[1], q.shape, num_blocks)
+    qv = q.values.reshape(num_blocks, din_b, dout_b)
+    out = Tensor(_block_forward(x.values, qv))
 
     def bw(g):
-        _acc(x, _block_backward_x(g, q.values, num_blocks, din_b, dout_b))
-        _acc(q, _block_backward_q(x.values, g, num_blocks, din_b, dout_b))
+        _acc(x, _block_backward_x(g, qv))
+        _acc(q, _block_backward_q(x.values, g, num_blocks).reshape(q.shape))
 
     _record(out, bw)
     return out

@@ -18,8 +18,8 @@ import pytest
 import scalar_oracle as oracle
 import tape_reference as R
 from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES, complex_score,
-                      distmult_score, to_oracle_params, toy_config,
-                      toy_params)
+                      distmult_score, relation_rows, to_oracle_params,
+                      toy_config, toy_params)
 from kgar import datasets, decoders, evaluation, synthetic, training
 from kgar.config import resolve_config
 from kgar.data import DataError, KnowledgeGraph
@@ -346,9 +346,9 @@ def test_criterion_7_structural_invariants():
 
     # relation ablation: zeroed blocks for a relation == deleting its edges
     ablated = toy_params(config, task="classify", seed=5)
-    for lw in ablated.layers:
+    for layer in range(len(ablated.layers)):
         for direction in ("forward", "backward"):
-            lw.blocks[direction][1].values[:] = 0.0
+            relation_rows(ablated, layer, direction)[1] = 0.0
     kept = [t for t in TOY_TRIPLES if t[1] != 1]
     dgraph = KnowledgeGraph(kept, 6, TOY_RELATIONS)
     abl_err = np.abs(conv_stack(graph, ablated, config).values

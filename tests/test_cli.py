@@ -3,9 +3,13 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
-from kgar import cli, synthetic
+from kgar import cli, datasets, synthetic
+from kgar.model import init_params
+from kgar.snapshot import load_snapshot, save_snapshot
+from kgar.tensor import Parameter
 
 
 def sha(path):
@@ -105,6 +109,33 @@ def test_train_same_seed_identical_snapshots(lp_dir, tmp_path, capsys):
     assert len(lines) == 3  # intervals at 2 and 4
 
 
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+def test_train_with_relation_absent_from_train(tmp_path, capsys, optimizer):
+    d = small_linkpred(tmp_path / "lp")
+    with open(os.path.join(d, "test.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("e000\tghost\te001\n")
+    assert cli.main(["preprocess", "--dataset", d]) == 0
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--dataset", d, "--out", out, "--seed", "4"]
+                    + FAST + ["--optimizer", optimizer]) == 0
+    meta, arrays, _ = load_snapshot(
+        os.path.join(out, "snapshot-linkpred-seed4-complex.kgar"))
+    run = cli._check_meta(meta)
+    bundle = datasets.load_bundle(os.path.join(d, "bundle"))
+    ghost = bundle.relation_names.index("ghost")
+    initial = init_params(bundle.num_entities, bundle.num_relations,
+                          run.encoder_config(), "linkpred",
+                          np.random.default_rng(4))
+    for direction in ("forward", "backward"):
+        name = f"layer0.{direction}.blocks"
+        rows = slice(ghost * 8, (ghost + 1) * 8)  # embed_dim 8
+        trained = arrays[name]
+        np.testing.assert_array_equal(
+            trained[rows], initial.layers[0].blocks[direction].values[rows])
+        assert not np.array_equal(
+            trained, initial.layers[0].blocks[direction].values)
+
+
 def test_train_and_evaluate_linkpred_report(lp_dir, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--dataset", lp_dir, "--out", out,
@@ -184,20 +215,23 @@ def test_evaluate_bad_snapshot_header_is_snapshot_error(
     assert "snapshot error" in err and named in err
 
 
-@pytest.mark.parametrize("name, corrupt", [
-    ("triples_test.tsv", lambda lines: ["-1\t0\t3"] + lines[1:]),
-    ("triples_test.tsv", lambda lines: ["999\t0\t3"] + lines[1:]),
-    ("triples_test.tsv", lambda lines: ["0\t99\t3"] + lines[1:]),
-    ("triples_test.tsv", lambda lines: lines[:-1]),
-    ("triples_test.tsv", lambda lines: ["0\tx\t3"] + lines[1:]),
-    ("entities.tsv", lambda lines: ["x\te000"] + lines[1:]),
-    ("manifest.json", lambda lines: lines[:-2]),
+@pytest.mark.parametrize("name, corrupt, detail", [
+    ("triples_test.tsv", lambda lines: ["-1\t0\t3"] + lines[1:], "row 1"),
+    ("triples_test.tsv", lambda lines: ["999\t0\t3"] + lines[1:], "row 1"),
+    ("triples_test.tsv", lambda lines: ["0\t99\t3"] + lines[1:], "row 1"),
+    ("triples_test.tsv", lambda lines: lines[:-1], "manifest counts"),
+    ("triples_test.tsv", lambda lines: lines[:1] + ["0\tx\t3"] + lines[2:],
+     "line 2, column 2"),
+    ("entities.tsv", lambda lines: ["x\te000"] + lines[1:], ":1:"),
+    ("manifest.json", lambda lines: lines[:-2], ""),
     ("manifest.json",
-     lambda lines: [line.replace('"counts"', '"tallies"') for line in lines]),
+     lambda lines: [line.replace('"counts"', '"tallies"') for line in lines],
+     "counts"),
 ], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
         "short-file", "non-integer-field", "entity-names-bad-id",
         "truncated-manifest", "manifest-without-counts"])
-def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt):
+def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
+                                               detail):
     path = os.path.join(lp_dir, "bundle", name)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -208,7 +242,74 @@ def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt):
     assert cli.main(["evaluate", "--snapshot", "absent.kgar",
                      "--dataset", lp_dir]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and name in err
+    assert "data error" in err and name in err and detail in err
+
+
+def rewrite_params(src, dst, edit):
+    """Copy a snapshot with `edit(arrays)` applied to its name->array map."""
+    meta, arrays, regularized = load_snapshot(src)
+    edit(arrays)
+    save_snapshot(dst, [Parameter(name, values, regularized.get(name, False))
+                        for name, values in arrays.items()], meta)
+
+
+def split_relations(arrays):
+    """Rewrite stacked relation weights in the per-relation layout that
+    snapshots had before the weights were stacked."""
+    num_relations = len(arrays["fusion.gates"])
+    for name in [n for n in arrays if n.endswith(".blocks")]:
+        prefix = name[:-len(".blocks")]
+        for r, rows in enumerate(np.split(arrays.pop(name), num_relations)):
+            arrays[f"{prefix}.rel{r}.blocks"] = rows
+
+
+def malformed_old_layout(arrays):
+    split_relations(arrays)
+    arrays["layer0.backward.rel2.blocks"] = np.zeros((3, 3))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda a: a.pop("layer0.att_w"), "'layer0.att_w'"),
+    (lambda a: a.pop("decoder.rel_re"), "'decoder.rel_re'"),
+    (lambda a: a.update({"layer0.att_w": np.zeros((3, 3))}),
+     "'layer0.att_w' has shape (3, 3), expected (8, 8)"),
+    (lambda a: a.update({"decoder.rel_re": np.zeros((2, 1))}),
+     "'decoder.rel_re' has shape (2, 1), expected (4, 4)"),
+    (lambda a: a.update({"fusion.gates": np.zeros((1, 1))}),
+     "'fusion.gates' has shape (1, 1), expected (4, 1)"),
+    (malformed_old_layout,
+     "'layer0.backward.rel2.blocks' has shape (3, 3), expected (8, 4)"),
+], ids=["missing-att-w", "missing-rel-re", "misshapen-att-w",
+        "misshapen-rel-re", "misshapen-gates", "misshapen-old-layout-block"])
+def test_evaluate_bad_snapshot_parameter_is_snapshot_error(
+        lp_dir, tmp_path, capsys, edit, named):
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0
+    snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
+    bad = str(tmp_path / "bad.kgar")
+    rewrite_params(snap, bad, edit)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--snapshot", bad,
+                     "--dataset", lp_dir]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot error" in err and named in err
+
+
+def test_evaluate_per_relation_snapshot_matches_stacked(lp_dir, tmp_path,
+                                                        capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0
+    snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
+    old = str(tmp_path / "old.kgar")
+    rewrite_params(snap, old, split_relations)
+    assert "layer0.forward.rel3.blocks" in load_snapshot(old)[1]
+    reports = []
+    for path in (snap, old):
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--snapshot", path,
+                         "--dataset", lp_dir]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_classify_train_evaluate_roundtrip(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import scalar_oracle as oracle
 import tape_reference as R
-from conftest import TOY_TRIPLES, to_oracle_params, toy_config, toy_params
+from conftest import (TOY_TRIPLES, relation_rows, to_oracle_params, toy_config,
+                      toy_params)
 from kgar import encoder as E
 from kgar import tensor as T
 from kgar.data import KnowledgeGraph
@@ -148,13 +149,14 @@ def test_attention_aggregate_parity(toy_graph):
     n, d, b = 6, 4, 2
     h = Parameter("h", rng.standard_normal((n, d)))
     plan = toy_graph.plan("forward")
-    qs = [Parameter(f"q{r}", rng.standard_normal((d, d // b)))
-          for r in range(3)]
+    q = Parameter("q", rng.standard_normal((3 * d, d // b)))
+    # the composed route gives each relation its own rows of q
+    qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(3)]
     alpha_vals = rng.random((plan.num_edges, 1))
 
     def fused():
         alpha = Tensor(alpha_vals)
-        agg = E.attention_relational_aggregate(h, alpha, plan, qs, b, n)
+        agg = E.attention_relational_aggregate(h, alpha, plan, q, b, n)
         return T.sum_squares(agg)
 
     def composed():
@@ -170,23 +172,23 @@ def test_attention_aggregate_parity(toy_graph):
             total = part if total is None else T.add(total, part)
         return T.sum_squares(total)
 
-    v1, grads1 = grads_of(fused, [h] + qs)
-    v2, grads2 = grads_of(composed, [h] + qs)
+    v1, (gh1, gq1) = grads_of(fused, [h, q])
+    v2, (gh2, *gqs) = grads_of(composed, [h] + qs)
     assert v1 == pytest.approx(v2, abs=1e-10)
-    for g1, g2 in zip(grads1, grads2):
-        np.testing.assert_allclose(g1, g2, atol=1e-12)
+    np.testing.assert_allclose(gh1, gh2, atol=1e-12)
+    np.testing.assert_allclose(gq1, np.concatenate(gqs), atol=1e-12)
 
 
 def test_attention_aggregate_alpha_gradient(toy_graph):
     rng = np.random.default_rng(7)
     plan = toy_graph.plan("forward")
     h = Tensor(rng.standard_normal((6, 4)))
-    qs = [Parameter(f"q{r}", rng.standard_normal((4, 2))) for r in range(3)]
+    q = Parameter("q", rng.standard_normal((3 * 4, 2)))
     alpha = Parameter("alpha", rng.random((plan.num_edges, 1)))
 
     def loss():
         return T.sum_squares(
-            E.attention_relational_aggregate(h, alpha, plan, qs, 2, 6))
+            E.attention_relational_aggregate(h, alpha, plan, q, 2, 6))
 
     assert T.grad_check(loss, [alpha]) < 1e-6
 
@@ -245,9 +247,16 @@ def one_node_setup(self_w, blocks_value, embed):
     d = embed.shape[1]
     att = Parameter("a", np.eye(d))
     self_p = Parameter("s", self_w)
-    blocks = {dir_: [Parameter(f"q{dir_}", blocks_value.copy())]
+    blocks = {dir_: Parameter(f"q{dir_}", blocks_value.copy())
               for dir_ in ("forward", "backward")}
     return LayerWeights(att, self_p, blocks)
+
+
+def conv(h, g, lw, cfg, direction):
+    """One directional pass of layer 0 with its projections computed here."""
+    return E.conv_layer_forward(h, g, lw, cfg, direction,
+                                hw=T.matmul(h, lw.att_W),
+                                self_pre=T.matmul(h, lw.self_W), layer=0)
 
 
 def test_conv_self_loop_only():
@@ -255,7 +264,7 @@ def test_conv_self_loop_only():
     h = Tensor(np.array([[1.0, -2.0, 3.0, -4.0]]))
     lw = one_node_setup(np.eye(4), np.zeros((4, 2)), h.values)
     cfg = toy_config(embed_dim=4, num_layers=1)
-    out = E.conv_layer_forward(h, g, lw, cfg, "forward")
+    out = conv(h, g, lw, cfg, "forward")
     np.testing.assert_array_equal(out.values, np.maximum(h.values, 0.0))
 
 
@@ -267,7 +276,7 @@ def test_conv_one_neighbor_identity_weights():
     identity_blocks = np.vstack([np.eye(2), np.eye(2)])
     lw = one_node_setup(np.zeros((4, 4)), identity_blocks, h.values)
     cfg = toy_config(embed_dim=4, num_layers=1)
-    out = E.conv_layer_forward(h, g, lw, cfg, "forward")
+    out = conv(h, g, lw, cfg, "forward")
     np.testing.assert_allclose(out.values[1], np.maximum(h.values[0], 0.0),
                                atol=1e-12)
     np.testing.assert_array_equal(out.values[0], np.zeros(4))
@@ -327,8 +336,7 @@ def test_encode_zero_weights_degenerate(toy_graph):
     cfg = toy_config(embed_dim=4, num_layers=1)
     params = toy_params(cfg, seed=13)
     for direction in ("forward", "backward"):
-        for q in params.layers[0].blocks[direction]:
-            q.values[:] = 0.0
+        relation_rows(params, 0, direction)[:] = 0.0
     params.layers[0].self_W.values[:] = np.eye(4)
     got = E.encode(toy_graph, params, cfg).values
     h1 = 2.0 * np.maximum(params.embedding.values, 0.0)
@@ -361,9 +369,9 @@ def test_permutation_equivariance(toy_graph):
 
 
 def zero_relation(params, rel, zero_gate):
-    for lw in params.layers:
+    for layer in range(len(params.layers)):
         for direction in ("forward", "backward"):
-            lw.blocks[direction][rel].values[:] = 0.0
+            relation_rows(params, layer, direction)[rel] = 0.0
     if zero_gate:
         params.gates.values[rel, 0] = 0.0
 
@@ -405,13 +413,12 @@ def test_forward_backward_symmetry():
     g = KnowledgeGraph(sym, 4, 3)
     cfg = toy_config(embed_dim=6, num_layers=1, num_blocks=3)
     params = toy_params(cfg, seed=18, num_entities=4)
+    relation_rows(params, 0, "backward")[:] = relation_rows(
+        params, 0, "forward")
     lw = params.layers[0]
-    for r in range(3):
-        lw.blocks["backward"][r].values[:] = lw.blocks["forward"][r].values
     h = params.embedding
-    hw = None
-    h_fwd = E.conv_layer_forward(h, g, lw, cfg, "forward", hw=hw)
-    h_bwd = E.conv_layer_forward(h, g, lw, cfg, "backward", hw=hw)
+    h_fwd = conv(h, g, lw, cfg, "forward")
+    h_bwd = conv(h, g, lw, cfg, "backward")
     np.testing.assert_allclose(h_fwd.values, h_bwd.values, atol=1e-9)
 
 

@@ -111,6 +111,25 @@ def test_block_matmul_equals_dense_blockdiag():
     np.testing.assert_allclose(got, x.values @ dense, atol=1e-12)
 
 
+def test_block_products_equal_per_block_loop():
+    # each product is one batched matmul over all blocks; it must give the
+    # same bits as one 2-D product per block
+    rng = np.random.default_rng(2)
+    for n, b, din_b, dout_b in ((1, 2, 4, 4), (64, 2, 4, 2), (77, 5, 20, 20),
+                                (300, 10, 10, 10)):
+        x = rng.standard_normal((n, b * din_b))
+        g = rng.standard_normal((n, b * dout_b))
+        qv = rng.standard_normal((b, din_b, dout_b))
+        xs = [x[:, k * din_b:(k + 1) * din_b] for k in range(b)]
+        gs = [g[:, k * dout_b:(k + 1) * dout_b] for k in range(b)]
+        assert np.array_equal(T._block_forward(x, qv),
+                              np.hstack([xs[k] @ qv[k] for k in range(b)]))
+        assert np.array_equal(T._block_backward_x(g, qv),
+                              np.hstack([gs[k] @ qv[k].T for k in range(b)]))
+        assert np.array_equal(T._block_backward_q(x, g, b),
+                              np.stack([xs[k].T @ gs[k] for k in range(b)]))
+
+
 def test_assemble_block_weight_off_block_exact_zero():
     blocks = [np.full((2, 2), 5.0), np.full((2, 2), 7.0)]
     w = R.assemble_block_weight(blocks)

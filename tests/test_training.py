@@ -153,23 +153,34 @@ def test_linkpred_valid_metric_logged(graph):
 
 
 def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
-    cfg = toy_run_config("classify", iterations=5)
-    result = training.train(graph, {"labels_train": toy_labelset()},
-                            cfg, "classify", seed=10)
-    path = tmp_path / "model.kgar"
-    meta = {"task": "classify", "num_relations": 3}
-    save_snapshot(path, result.params.all_params(), meta)
-    got_meta, arrays, regularized = load_snapshot(path)
-    assert got_meta == meta
-    for p in result.params.all_params():
-        np.testing.assert_array_equal(arrays[p.name], p.values)
-        assert regularized[p.name] == p.regularized
-    # rebuild into a structured ModelParams and re-encode identically
     from kgar.model import rebuild_params
-    rebuilt = rebuild_params(arrays, regularized, cfg.encoder_config(), 3)
-    f1 = encode(graph, result.params, cfg.encoder_config()).values
-    f2 = encode(graph, rebuilt, cfg.encoder_config()).values
-    np.testing.assert_array_equal(f1, f2)
+    for task, decoder, splits in (
+            ("classify", "complex", {"labels_train": toy_labelset()}),
+            ("linkpred", "complex", {}), ("linkpred", "distmult", {})):
+        cfg = toy_run_config(task, iterations=5, batch_size=5,
+                             decoder=decoder)
+        result = training.train(graph, splits, cfg, task, seed=10)
+        path = tmp_path / f"{task}-{decoder}.kgar"
+        meta = {"task": task, "num_relations": 3}
+        save_snapshot(path, result.params.all_params(), meta)
+        got_meta, arrays, regularized = load_snapshot(path)
+        assert got_meta == meta
+        for p in result.params.all_params():
+            np.testing.assert_array_equal(arrays[p.name], p.values)
+            assert regularized[p.name] == p.regularized
+        # rebuild into a structured ModelParams and re-encode identically
+        rebuilt = rebuild_params(arrays, regularized, cfg.encoder_config(), 3,
+                                 task, decoder)
+        assert ([p.name for p in rebuilt.all_params()]
+                == [p.name for p in result.params.all_params()])
+        f1 = encode(graph, result.params, cfg.encoder_config()).values
+        f2 = encode(graph, rebuilt, cfg.encoder_config()).values
+        np.testing.assert_array_equal(f1, f2)
+        for name in ("rel_re", "rel_im", "rel_diag", "head"):
+            original = getattr(result.params, name)
+            if original is not None:
+                np.testing.assert_array_equal(
+                    getattr(rebuilt, name).values, original.values)
 
 
 def test_snapshot_corruption_detected(tmp_path):
