@@ -253,9 +253,7 @@ def _check_shapes(meta, arrays, bundle, task):
                 f"dataset has {bundle.manifest['num_classes']} classes")
 
 
-def _evaluate_bundle(run, arrays, regularized, bundle, task, dataset):
-    params = rebuild_params(arrays, regularized, run.encoder_config(),
-                            bundle.num_relations, task, run.decoder)
+def _evaluate_bundle(run, params, bundle, task, dataset):
     if task == "classify":
         accuracy = training.evaluate_classification(
             bundle.graph, params, run.encoder_config(),
@@ -283,7 +281,9 @@ def cmd_evaluate(args):
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot evaluate a {task!r} snapshot on it")
     _check_shapes(meta, arrays, bundle, task)
-    report = _evaluate_bundle(run, arrays, regularized, bundle, task,
+    params = rebuild_params(arrays, regularized, run.encoder_config(),
+                            bundle.num_relations, task, run.decoder)
+    report = _evaluate_bundle(run, params, bundle, task,
                               bundle.manifest["dataset"])
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.csv:
@@ -312,9 +312,7 @@ def _repro_train_eval(path, bundle, task, seed, decoder="complex"):
         None, {"dataset_dir": path, "seed": seed, "decoder": decoder})
     result = training.train(bundle.graph, _train_splits(bundle), config, task,
                             seed=seed, progress=_progress(sys.stderr))
-    arrays = {p.name: p.values for p in result.params.all_params()}
-    regularized = {p.name: p.regularized for p in result.params.all_params()}
-    return _evaluate_bundle(config, arrays, regularized, bundle, task,
+    return _evaluate_bundle(config, result.params, bundle, task,
                             bundle.manifest["dataset"])
 
 

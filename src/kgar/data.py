@@ -65,7 +65,6 @@ class DirectionPlan:
     """
     src: np.ndarray
     dst: np.ndarray
-    rel: np.ndarray
     rel_starts: np.ndarray
     seg_starts: np.ndarray
 
@@ -85,7 +84,7 @@ def _build_plan(src, dst, rel, num_relations):
         seg_starts = np.flatnonzero(change)
     else:
         seg_starts = np.zeros(0, dtype=np.int64)
-    return DirectionPlan(src=s, dst=d, rel=r, rel_starts=rel_starts,
+    return DirectionPlan(src=s, dst=d, rel_starts=rel_starts,
                          seg_starts=seg_starts)
 
 

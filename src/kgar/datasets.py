@@ -268,13 +268,18 @@ def write_bundle(bundle_dir, processed):
 
 
 def _read_ids(path, width, count):
-    """An id file as an (n, width) int64 array holding exactly `count` rows."""
+    """An id file as an (n, width) int64 array holding exactly `count` rows.
+
+    An empty file is a valid empty split; an empty line is a DataError, so
+    row k of the array is line k of the file.
+    """
     try:
-        with warnings.catch_warnings():
-            # an empty file is a valid empty split
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t",
-                              comments=None, ndmin=2)
+            rows = np.loadtxt(_lines_without_blanks(fh, path), dtype=np.int64,
+                              delimiter="\t", comments=None, ndmin=2)
+    except DataError:
+        raise
     except ValueError as exc:
         raise DataError(f"{path}: {_non_integer_field(path) or exc}")
     if rows.size == 0:
@@ -288,6 +293,15 @@ def _read_ids(path, width, count):
     return rows
 
 
+def _lines_without_blanks(fh, path):
+    """The lines of an open file; an empty line, which np.loadtxt would
+    skip, raises DataError naming it, counting from 1."""
+    for lineno, line in enumerate(fh, start=1):
+        if line == "\n":
+            raise DataError(f"{path}: line {lineno} is empty")
+        yield line
+
+
 def _non_integer_field(path):
     """Where an id file holds a field that is not an integer, counting lines
     and columns from 1; None if every field is one. Read only after
@@ -295,7 +309,7 @@ def _non_integer_field(path):
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
-                continue  # np.loadtxt skips blank lines
+                continue  # an empty line stops the load before np.loadtxt
             for column, field in enumerate(line.rstrip("\n").split("\t"),
                                            start=1):
                 try:

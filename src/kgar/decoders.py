@@ -7,10 +7,13 @@ feature row splits half/half: the first D/2 columns are the real part, the
 rest the imaginary part. Relation embeddings are decoder-owned parameters,
 independent of the encoder.
 
-Training scores sampled triples on the tape (`score_triples`). Ranking
-scores without the tape: `query_scorer` folds each (fixed entity,
-relation, side) query into one D-vector and scores a block of queries
-against all entities with one GEMM.
+Each decoder's formula is stated once, in `_fold`, the bilinear form
+with one argument left open. Training scores sampled triples on the tape
+(`score_triples`): after the row gathers, one fused op scores
+<w, fold(f_s, f_o)> and its backward folds the other two operands.
+Ranking scores without the tape: `query_scorer` folds each (fixed
+entity, relation, side) query into one D-vector and scores a block of
+queries against all entities with one GEMM.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .tensor import Tensor, _acc, _record
 
 
 # ---------------------------------------------------------------------------
@@ -43,56 +47,65 @@ def classification_loss(probs, class_ids, params=(), l2_coefficient=0.0):
 
 
 # ---------------------------------------------------------------------------
-# triple scoring (batched tape forms for training)
-
-
-def complex_score_batch(w_re, w_im, f_s, f_o):
-    """Per-row complex scores as an (n,1) column; all inputs are tensors of
-    gathered rows (w_*: (n,D/2), f_*: (n,D))."""
-    half = w_re.shape[1]
-    s_re = T.slice_cols(f_s, 0, half)
-    s_im = T.slice_cols(f_s, half, 2 * half)
-    o_re = T.slice_cols(f_o, 0, half)
-    o_im = T.slice_cols(f_o, half, 2 * half)
-    t1 = T.mul(T.mul(w_re, s_re), o_re)
-    t2 = T.mul(T.mul(w_re, s_im), o_im)
-    t3 = T.mul(T.mul(w_im, s_re), o_im)
-    t4 = T.mul(T.mul(w_im, s_im), o_re)
-    return T.row_sum(T.sub(T.add(T.add(t1, t2), t3), t4))
-
-
-def distmult_score_batch(w_diag, f_s, f_o):
-    return T.row_sum(T.mul(w_diag, T.mul(f_s, f_o)))
-
-
-def score_triples(params, feats, triples, decoder):
-    """Scores for an (n,3) id array using gathered feature/relation rows.
-
-    Returns (scores, [f_s, f_o]) so the caller can L2-penalize exactly the
-    entity features that took part.
-    """
-    triples = np.asarray(triples)
-    f_s = T.gather_rows(feats, triples[:, 0])
-    f_o = T.gather_rows(feats, triples[:, 2])
-    if decoder == "complex":
-        w_re = T.gather_rows(params.rel_re, triples[:, 1])
-        w_im = T.gather_rows(params.rel_im, triples[:, 1])
-        scores = complex_score_batch(w_re, w_im, f_s, f_o)
-    elif decoder == "distmult":
-        w = T.gather_rows(params.rel_diag, triples[:, 1])
-        scores = distmult_score_batch(w, f_s, f_o)
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    return scores, [f_s, f_o]
-
-
-# ---------------------------------------------------------------------------
-# 1-N candidate scoring for ranking (no tape; used by evaluation)
+# triple scoring: training (one tape op) and 1-N ranking (no tape)
 
 
 def _split(vec):
     half = vec.shape[-1] // 2
     return vec[..., :half], vec[..., half:]
+
+
+def _relations(params, decoder):
+    """The decoder's relation-embedding parameters, in column order."""
+    if decoder == "complex":
+        return [params.rel_re, params.rel_im]
+    if decoder == "distmult":
+        return [params.rel_diag]
+    raise ValueError(f"unknown decoder {decoder!r}")
+
+
+def _fold(decoder, a, f, sign):
+    """The decoder's bilinear form with one argument still open.
+
+    DistMult gives a * f. ComplEx gives [Re q, Im q] of q = a f for sign
+    +1 and [Re q, -Im q] of q = a conj(f) for sign -1, so a triple scores
+    Re(<w, s, conj(o)>) = <w, fold(s, o, -1)>. The fold is linear in
+    each argument; `score_triples` differentiates through it.
+    """
+    if decoder == "distmult":
+        return a * f
+    a_re, a_im = _split(a)
+    f_re, f_im = _split(f)
+    return np.hstack([a_re * f_re - sign * (a_im * f_im),
+                      a_re * f_im + sign * (a_im * f_re)])
+
+
+def score_triples(params, feats, triples, decoder):
+    """Scores for an (n,3) id array using gathered feature/relation rows.
+
+    After the gathers the score is one tape op, <w, fold(f_s, f_o, -1)>
+    per row, whose backward folds the other two operands. Returns
+    (scores, [f_s, f_o]) so the caller can L2-penalize exactly the entity
+    features that took part.
+    """
+    triples = np.asarray(triples)
+    relations = _relations(params, decoder)
+    f_s = T.gather_rows(feats, triples[:, 0])
+    f_o = T.gather_rows(feats, triples[:, 2])
+    rels = [T.gather_rows(p, triples[:, 1]) for p in relations]
+    w = np.hstack([r.values for r in rels])
+    p = _fold(decoder, f_s.values, f_o.values, -1.0)
+    out = Tensor((w * p).sum(axis=1, keepdims=True))
+
+    def bw(g):
+        gw = g * w
+        _acc(f_s, _fold(decoder, gw, f_o.values, -1.0))
+        _acc(f_o, _fold(decoder, f_s.values, gw, 1.0))
+        for r, gr in zip(rels, np.hsplit(g * p, len(rels))):
+            _acc(r, gr)
+
+    _record(out, bw)
+    return out, [f_s, f_o]
 
 
 def query_scorer(feats, params, decoder):
@@ -104,26 +117,17 @@ def query_scorer(feats, params, decoder):
     against every entity by a single (q x D)(D x |V|) product.
     """
     feats_t = feats.T
-    if decoder == "complex":
-        rel_re, rel_im = params.rel_re.values, params.rel_im.values
+    rel = np.hstack([p.values for p in _relations(params, decoder)])
 
-        def scorer(queries):
-            f_re, f_im = _split(feats[queries[:, 0]])
-            w_re, w_im = rel_re[queries[:, 1]], rel_im[queries[:, 1]]
-            # score = Re(<w, s, conj(o)>): a tail query is Re(q conj(o))
-            # with q = w s, a head query Re(s q) with q = w conj(o); the
-            # row is [Re q, Im q] for tails and [Re q, -Im q] for heads
-            sign = np.where(queries[:, 2] == 1, 1.0, -1.0)[:, None]
-            q = np.hstack([w_re * f_re - sign * (w_im * f_im),
-                           w_re * f_im + sign * (w_im * f_re)])
-            return q @ feats_t
-    elif decoder == "distmult":
-        rel_diag = params.rel_diag.values
+    def scorer(queries):
+        # ComplEx scores Re(<w, s, conj(o)>): a tail query is Re(q conj(o))
+        # with q = w s, a head query Re(s q) with q = w conj(o); the row is
+        # [Re q, Im q] for tails and [Re q, -Im q] for heads. DistMult's
+        # fold ignores the sign.
+        sign = np.where(queries[:, 2] == 1, 1.0, -1.0)[:, None]
+        q = _fold(decoder, rel[queries[:, 1]], feats[queries[:, 0]], sign)
+        return q @ feats_t
 
-        def scorer(queries):
-            return (feats[queries[:, 0]] * rel_diag[queries[:, 1]]) @ feats_t
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
     return scorer
 
 

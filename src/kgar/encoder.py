@@ -37,20 +37,15 @@ class EncoderConfig:
     dropout_attention: float = 0.6
     dropout_conv: float = 0.4
     leaky_slope: float = 0.2
-    hidden_dim: int = None  # defaults to embed_dim; all layers share it
 
     def __post_init__(self):
-        if self.hidden_dim is None:
-            self.hidden_dim = self.embed_dim
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        for dim, label in ((self.embed_dim, "embed_dim"),
-                           (self.hidden_dim, "hidden_dim")):
-            if dim % self.num_blocks:
-                raise ValueError(
-                    f"num_blocks {self.num_blocks} does not divide {label} {dim}")
+        if self.embed_dim % self.num_blocks:
+            raise ValueError(f"num_blocks {self.num_blocks} does not divide "
+                             f"embed_dim {self.embed_dim}")
         for rate, label in ((self.dropout_attention, "dropout_attention"),
                             (self.dropout_conv, "dropout_conv")):
             if not 0.0 <= rate < 1.0:

@@ -78,24 +78,22 @@ def init_params(num_entities, num_relations, config, task, rng,
     if task == "classify" and not num_classes:
         raise ValueError("classify task needs num_classes")
 
-    m, d, b = config.embed_dim, config.hidden_dim, config.num_blocks
+    d, b = config.embed_dim, config.num_blocks
 
     embedding = Parameter(
-        "embedding", _draw(rng, (num_entities, m), 1.0 / np.sqrt(m), init))
+        "embedding", _draw(rng, (num_entities, d), 1.0 / np.sqrt(d), init))
     layers = []
     for layer in range(config.num_layers):
-        d_in = m if layer == 0 else d
-        w_std = np.sqrt(2.0 / (d_in + d))
+        w_std = np.sqrt(2.0 / (d + d))
         att_W = Parameter(f"layer{layer}.att_w",
-                          _draw(rng, (d_in, d), w_std, init))
+                          _draw(rng, (d, d), w_std, init))
         self_W = Parameter(f"layer{layer}.self_w",
-                           _draw(rng, (d_in, d), w_std, init))
-        din_b, dout_b = d_in // b, d // b
-        q_std = np.sqrt(2.0 / (din_b + dout_b))
+                           _draw(rng, (d, d), w_std, init))
+        q_std = np.sqrt(2.0 / (d // b + d // b))
         blocks = {
             direction: Parameter(
                 f"layer{layer}.{direction}.blocks",
-                _draw(rng, (num_relations * d_in, dout_b), q_std, init),
+                _draw(rng, (num_relations * d, d // b), q_std, init),
                 regularized=task == "classify")
             for direction in DIRECTIONS}
         layers.append(LayerWeights(att_W, self_W, blocks))
@@ -108,7 +106,7 @@ def init_params(num_entities, num_relations, config, task, rng,
             _draw(rng, (d, num_classes), np.sqrt(2.0 / (d + num_classes)), init))
     elif decoder == "complex":
         if d % 2:
-            raise ValueError(f"complex decoder needs an even hidden_dim, got {d}")
+            raise ValueError(f"complex decoder needs an even embed_dim, got {d}")
         half = d // 2
         std = 1.0 / np.sqrt(half)
         kwargs["rel_re"] = Parameter(
@@ -149,24 +147,23 @@ def rebuild_params(arrays, regularized, config, num_relations, task,
         return Parameter(name, array(name, shape),
                          regularized=regularized[name])
 
-    def stacked_blocks(prefix, d_in, dout_b):
+    d, b = config.embed_dim, config.num_blocks
+
+    def stacked_blocks(prefix):
         name = f"{prefix}.blocks"
         if name in arrays or f"{prefix}.rel0.blocks" not in arrays:
-            return param(name, (num_relations * d_in, dout_b))
+            return param(name, (num_relations * d, d // b))
         # a snapshot written before the relation weights were stacked
         rels = [f"{prefix}.rel{r}.blocks" for r in range(num_relations)]
         return Parameter(name, np.concatenate(
-            [array(n, (d_in, dout_b)) for n in rels]), regularized[rels[0]])
+            [array(n, (d, d // b)) for n in rels]), regularized[rels[0]])
 
-    m, d, b = config.embed_dim, config.hidden_dim, config.num_blocks
     layers = []
     for layer in range(config.num_layers):
-        d_in = m if layer == 0 else d
-        blocks = {direction: stacked_blocks(f"layer{layer}.{direction}",
-                                            d_in, d // b)
+        blocks = {direction: stacked_blocks(f"layer{layer}.{direction}")
                   for direction in DIRECTIONS}
-        layers.append(LayerWeights(param(f"layer{layer}.att_w", (d_in, d)),
-                                   param(f"layer{layer}.self_w", (d_in, d)),
+        layers.append(LayerWeights(param(f"layer{layer}.att_w", (d, d)),
+                                   param(f"layer{layer}.self_w", (d, d)),
                                    blocks))
     if task == "classify":
         heads = {"head": param("classify.head", (d, None))}
@@ -175,5 +172,5 @@ def rebuild_params(arrays, regularized, config, num_relations, task,
                  "rel_im": param("decoder.rel_im", (num_relations, d // 2))}
     else:
         heads = {"rel_diag": param("decoder.rel_diag", (num_relations, d))}
-    return ModelParams(param("embedding", (None, m)), layers,
+    return ModelParams(param("embedding", (None, d)), layers,
                        param("fusion.gates", (num_relations, 1)), **heads)

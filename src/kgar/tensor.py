@@ -161,66 +161,12 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.values - b.values)
-
-    def bw(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    _record(out, bw)
-    return out
-
-
-def mul(a, b):
-    """Elementwise product; also accepts a column (n,1) against (n,m)."""
-    if a.shape != b.shape:
-        if a.shape == (b.shape[0], 1):
-            a, b = b, a  # normalize: broadcast operand second
-        if not (b.shape == (a.shape[0], 1)):
-            raise ShapeError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.values * b.values)
-
-    def bw(g):
-        ga = g * b.values
-        gb = g * a.values
-        if b.shape != a.shape:
-            gb = gb.sum(axis=1, keepdims=True)
-        _acc(a, ga)
-        _acc(b, gb)
-
-    _record(out, bw)
-    return out
-
-
 def scale(a, c):
     c = float(c)
     out = Tensor(a.values * c)
 
     def bw(g):
         _acc(a, g * c)
-
-    _record(out, bw)
-    return out
-
-
-def row_sum(a):
-    out = Tensor(a.values.sum(axis=1, keepdims=True))
-
-    def bw(g):
-        _acc(a, np.broadcast_to(g, a.shape).copy())
-
-    _record(out, bw)
-    return out
-
-
-def sum_all(a):
-    out = Tensor([[a.values.sum()]])
-
-    def bw(g):
-        _acc(a, np.full_like(a.values, g[0, 0]))
 
     _record(out, bw)
     return out
@@ -248,21 +194,6 @@ def gather_rows(a, idx):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
         np.add.at(a.grad, idx, g)
-
-    _record(out, bw)
-    return out
-
-
-def slice_cols(a, start, stop):
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ShapeError(
-            f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-    out = Tensor(a.values[:, start:stop].copy())
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        a.grad[:, start:stop] += g
 
     _record(out, bw)
     return out

@@ -1,9 +1,10 @@
 """Tape ops kept only as references for tests.
 
 The encoder multiplies relation blocks and scatters edge messages inside
-its fused ops; these composable versions (block-diagonal matmul, row
-scatter-add, dense block assembly, sigmoid) let the tests check those
-fused ops and the tape against independent routes.
+its fused ops, and the decoder scores triples in one fused op; these
+composable versions (block-diagonal matmul, row scatter-add, dense block
+assembly, sigmoid, elementwise sub/mul, row and total sums) let the tests
+check those fused ops and the tape against independent routes.
 """
 
 import numpy as np
@@ -86,6 +87,60 @@ def sigmoid(a):
 
     def bw(g):
         _acc(a, g * res * (1.0 - res))
+
+    _record(out, bw)
+    return out
+
+
+def sub(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shapes differ, {a.shape} vs {b.shape}")
+    out = Tensor(a.values - b.values)
+
+    def bw(g):
+        _acc(a, g)
+        _acc(b, -g)
+
+    _record(out, bw)
+    return out
+
+
+def mul(a, b):
+    """Elementwise product; also accepts a column (n,1) against (n,m)."""
+    if a.shape != b.shape:
+        if a.shape == (b.shape[0], 1):
+            a, b = b, a  # normalize: broadcast operand second
+        if not (b.shape == (a.shape[0], 1)):
+            raise ShapeError(f"mul: shapes differ, {a.shape} vs {b.shape}")
+    out = Tensor(a.values * b.values)
+
+    def bw(g):
+        ga = g * b.values
+        gb = g * a.values
+        if b.shape != a.shape:
+            gb = gb.sum(axis=1, keepdims=True)
+        _acc(a, ga)
+        _acc(b, gb)
+
+    _record(out, bw)
+    return out
+
+
+def row_sum(a):
+    out = Tensor(a.values.sum(axis=1, keepdims=True))
+
+    def bw(g):
+        _acc(a, np.broadcast_to(g, a.shape).copy())
+
+    _record(out, bw)
+    return out
+
+
+def sum_all(a):
+    out = Tensor([[a.values.sum()]])
+
+    def bw(g):
+        _acc(a, np.full_like(a.values, g[0, 0]))
 
     _record(out, bw)
     return out

@@ -222,13 +222,17 @@ def test_evaluate_bad_snapshot_header_is_snapshot_error(
     ("triples_test.tsv", lambda lines: lines[:-1], "manifest counts"),
     ("triples_test.tsv", lambda lines: lines[:1] + ["0\tx\t3"] + lines[2:],
      "line 2, column 2"),
+    ("triples_test.tsv", lambda lines: lines[:1] + [""] + lines[1:],
+     "line 2 is empty"),
+    ("triples_test.tsv", lambda lines: lines + [""], "line {end} is empty"),
     ("entities.tsv", lambda lines: ["x\te000"] + lines[1:], ":1:"),
     ("manifest.json", lambda lines: lines[:-2], ""),
     ("manifest.json",
      lambda lines: [line.replace('"counts"', '"tallies"') for line in lines],
      "counts"),
 ], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
-        "short-file", "non-integer-field", "entity-names-bad-id",
+        "short-file", "non-integer-field", "blank-line", "blank-line-at-end",
+        "entity-names-bad-id",
         "truncated-manifest", "manifest-without-counts"])
 def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
                                                detail):
@@ -242,6 +246,7 @@ def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
     assert cli.main(["evaluate", "--snapshot", "absent.kgar",
                      "--dataset", lp_dir]) == 2
     err = capsys.readouterr().err
+    detail = detail.format(end=len(lines) + 1)
     assert "data error" in err and name in err and detail in err
 
 

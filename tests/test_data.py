@@ -67,11 +67,17 @@ def test_vocab_roundtrip_deterministic(tmp_path):
 # neighbors through the direction plans
 
 
+def edge_relations(plan):
+    """The relation of each plan edge, read off the relation runs."""
+    return np.repeat(np.arange(plan.rel_starts.size - 1),
+                     np.diff(plan.rel_starts))
+
+
 def incident(graph, direction, node):
     """(neighbor, relation) of a node's edges in one direction, plan order."""
     p = graph.plan(direction)
     at = p.dst == node
-    return list(zip(p.src[at].tolist(), p.rel[at].tolist()))
+    return list(zip(p.src[at].tolist(), edge_relations(p)[at].tolist()))
 
 
 def test_single_triple_indexes():
@@ -261,15 +267,17 @@ def test_plan_orders_by_relation_then_dst():
     triples = [(0, 1, 2), (1, 0, 2), (3, 0, 2), (0, 0, 1), (2, 1, 1)]
     g = D.KnowledgeGraph(triples, 4, 2)
     p = g.plan("forward")
-    assert list(p.rel) == sorted(p.rel)
-    # within a relation, dst nondecreasing
+    rel = edge_relations(p)
+    # each relation's run holds exactly its edges, dst nondecreasing
     for r in range(2):
         lo, hi = p.rel_starts[r], p.rel_starts[r + 1]
+        assert sorted(zip(p.src[lo:hi].tolist(), p.dst[lo:hi].tolist())) == \
+            sorted((h, t) for h, rr, t in triples if rr == r)
         assert list(p.dst[lo:hi]) == sorted(p.dst[lo:hi])
     # every (rel, dst) change is a segment start
     starts = set(p.seg_starts.tolist())
     for k in range(1, p.num_edges):
-        changed = p.rel[k] != p.rel[k - 1] or p.dst[k] != p.dst[k - 1]
+        changed = rel[k] != rel[k - 1] or p.dst[k] != p.dst[k - 1]
         assert (k in starts) == changed
     assert 0 in starts
 

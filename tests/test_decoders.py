@@ -2,6 +2,7 @@
 scoring laws, negative sampling statistics, and the link loss."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ def test_distmult_matches_scalar_oracle():
     assert got == expected
 
 
+def test_score_triples_grad_check():
+    # repeated entities (one row has head == tail) and relations make the
+    # gathers' backward sum several rows of the fused score's gradient
+    rng = np.random.default_rng(14)
+    triples = np.array([(0, 1, 2), (2, 1, 0), (3, 0, 3), (0, 0, 1), (3, 1, 2)])
+    for decoder, widths in (("complex", {"rel_re": 3, "rel_im": 3}),
+                            ("distmult", {"rel_diag": 6})):
+        feats = T.Parameter("feats", rng.standard_normal((4, 6)))
+        relations = [T.Parameter(name, rng.standard_normal((2, width)))
+                     for name, width in widths.items()]
+        params = SimpleNamespace(**{p.name: p for p in relations})
+
+        def loss():
+            scores, _ = dec.score_triples(params, feats, triples, decoder)
+            return T.sum_squares(scores)
+
+        assert T.grad_check(loss, [feats, *relations]) < 1e-4, decoder
+
+
 # ---------------------------------------------------------------------------
 # batched scoring == single-triple scoring; all-candidate forms
 
@@ -296,17 +316,18 @@ def test_link_loss_l2_term():
 
 def test_link_loss_grad_check(toy_graph):
     cfg = toy_config(embed_dim=4, num_layers=1, num_blocks=2)
-    params = toy_params(cfg, task="linkpred", decoder="complex", seed=25)
     rng = np.random.default_rng(12)
     samples, labels = dec.sample_negatives(np.array(TOY_TRIPLES[:5]), 6, rng)
+    for decoder in ("complex", "distmult"):
+        params = toy_params(cfg, task="linkpred", decoder=decoder, seed=25)
 
-    def loss():
-        feats = E.encode(toy_graph, params, cfg)
-        scores, used = dec.score_triples(params, feats, samples, "complex")
-        return dec.link_loss(scores, labels, params.all_params(), used,
-                             l2_coefficient=0.01)
+        def loss():
+            feats = E.encode(toy_graph, params, cfg)
+            scores, used = dec.score_triples(params, feats, samples, decoder)
+            return dec.link_loss(scores, labels, params.all_params(), used,
+                                 l2_coefficient=0.01)
 
-    assert T.grad_check(loss, params.all_params()) < 1e-4
+        assert T.grad_check(loss, params.all_params()) < 1e-4, decoder
 
 
 def test_losses_finite_for_arbitrary_parameters():

@@ -136,7 +136,7 @@ def test_edge_inner_product_parity(toy_graph):
     def composed():
         d = T.gather_rows(hw, plan.dst)
         s = T.gather_rows(hw, plan.src)
-        return T.sum_squares(T.row_sum(T.mul(d, s)))
+        return T.sum_squares(R.row_sum(R.mul(d, s)))
 
     v1, (g1,) = grads_of(fused, [hw])
     v2, (g2,) = grads_of(composed, [hw])
@@ -168,7 +168,7 @@ def test_attention_aggregate_parity(toy_graph):
             xs = T.gather_rows(h, plan.src[lo:hi])
             ys = R.block_matmul(xs, qs[r], b)
             w = Tensor(alpha_vals[lo:hi])
-            part = R.scatter_add_rows(T.mul(ys, w), plan.dst[lo:hi], n)
+            part = R.scatter_add_rows(R.mul(ys, w), plan.dst[lo:hi], n)
             total = part if total is None else T.add(total, part)
         return T.sum_squares(total)
 
@@ -210,7 +210,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
                 continue
             xs = T.gather_rows(h, plan.src[lo:hi])
             w = T.gather_rows(gates, np.full(hi - lo, r))
-            part = R.scatter_add_rows(T.mul(xs, w), plan.dst[lo:hi], 6)
+            part = R.scatter_add_rows(R.mul(xs, w), plan.dst[lo:hi], 6)
             total = part if total is None else T.add(total, part)
         return T.sum_squares(total)
 

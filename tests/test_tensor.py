@@ -1,7 +1,9 @@
 """Autodiff core: forward values against hand/NumPy oracles, gradients
 against central finite differences, plus the error contracts."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,10 +191,10 @@ def test_grad_elementwise_ops():
 
     def loss():
         x = T.add(a, b)
-        x = T.mul(x, col)          # column broadcast
-        x = T.sub(x, T.scale(b, 0.3))
+        x = R.mul(x, col)          # column broadcast
+        x = R.sub(x, T.scale(b, 0.3))
         x = T.leaky_relu(x, 0.2)
-        return T.sum_all(T.mul(x, x))
+        return R.sum_all(R.mul(x, x))
 
     assert_grad_matches(loss, [a, b, col])
 
@@ -206,8 +208,8 @@ def test_grad_softmax_sigmoid_relu():
         x = T.softmax_rows(a)
         x = T.matmul(x, w)
         x = R.sigmoid(x)
-        x = T.relu(T.sub(x, T.scale(R.sigmoid(x), 0.5)))
-        return T.sum_all(x)
+        x = T.relu(R.sub(x, T.scale(R.sigmoid(x), 0.5)))
+        return R.sum_all(x)
 
     assert_grad_matches(loss, [a, w])
 
@@ -219,7 +221,7 @@ def test_grad_segment_softmax():
 
     def loss():
         p = T.segment_softmax(s, [0, 2, 5])
-        return T.sum_all(T.mul(p, T.Tensor(weight)))
+        return R.sum_all(R.mul(p, T.Tensor(weight)))
 
     assert_grad_matches(loss, [s])
 
@@ -271,7 +273,7 @@ def test_grad_row_sum_sum_all():
     a = T.Parameter("a", rng.standard_normal((3, 4)))
 
     def loss():
-        return T.sum_squares(T.row_sum(a))
+        return T.sum_squares(R.row_sum(a))
 
     assert_grad_matches(loss, [a])
 
@@ -280,7 +282,7 @@ def test_grad_accumulates_across_reuse():
     a = T.Parameter("a", [[2.0]])
 
     def loss():
-        return T.add(T.mul(a, a), T.scale(a, 3.0))  # a^2 + 3a -> 2a+3 = 7
+        return T.add(R.mul(a, a), T.scale(a, 3.0))  # a^2 + 3a -> 2a+3 = 7
 
     backward(loss, [a])
     assert a.grad[0, 0] == pytest.approx(7.0, abs=1e-12)
@@ -311,7 +313,7 @@ def test_tape_frees_intermediate_grads():
     a = T.Parameter("a", [[1.0, 2.0], [3.0, 4.0]])
     with T.Tape() as tape:
         mid = T.relu(a)
-        loss = T.sum_all(mid)
+        loss = R.sum_all(mid)
     tape.backward(loss)
     assert mid.grad is None  # freed after its producer closure ran
     assert a.grad is not None
@@ -400,6 +402,45 @@ def test_grad_check_nonlinear_within_tolerance():
     w = T.Parameter("w", rng.standard_normal((3, 3)))
 
     def loss():
-        return T.sum_all(R.sigmoid(T.matmul(w, T.Tensor(np.eye(3)))))
+        return R.sum_all(R.sigmoid(T.matmul(w, T.Tensor(np.eye(3)))))
 
     assert T.grad_check(loss, [w]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# no test-only tape ops in the package
+
+
+def _called_names(node):
+    """Names called bare (`op(...)`) or through the package's tensor alias
+    (`T.op(...)`) anywhere under `node`."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute) and \
+                    isinstance(func.value, ast.Name) and func.value.id == "T":
+                yield func.attr
+
+
+def test_every_tape_op_has_a_production_caller():
+    # an op that records on the tape but that only tests call belongs in
+    # tests/tape_reference.py; calls inside the op's own definition do not
+    # count as callers
+    package = Path(T.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    ops = [node.name for node in trees["tensor.py"].body
+           if isinstance(node, ast.FunctionDef)
+           and "_record" in _called_names(node)]
+    assert "matmul" in ops and "gather_rows" in ops
+    callers = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            for name in _called_names(top):
+                callers.setdefault(name, set()).add(
+                    (module, getattr(top, "name", None)))
+    unused = [op for op in ops
+              if not callers.get(op, set()) - {("tensor.py", op)}]
+    assert unused == []
