@@ -34,15 +34,6 @@ DROP_RELATIONS = {
     "am": ("objectCategory", "material"),
 }
 
-DATASET_TASKS = {
-    "aifb": "classify",
-    "mutag": "classify",
-    "bgs": "classify",
-    "am": "classify",
-    "fb15k-237": "linkpred",
-    "synthetic": "linkpred",
-}
-
 # per-dataset config overrides; the synthetic graph is tiny, so it trains
 # with a narrow one-layer encoder, large batches, and the adam variant
 DATASET_DEFAULTS = {
@@ -54,10 +45,6 @@ DATASET_DEFAULTS = {
 
 def dataset_name(dataset_dir):
     return os.path.basename(os.path.normpath(dataset_dir)).lower()
-
-
-def dataset_task(name):
-    return DATASET_TASKS.get(name)
 
 
 def dataset_defaults(name):
@@ -273,13 +260,18 @@ def _read_ids(path, width, count):
     An empty file is a valid empty split; an empty line is a DataError, so
     row k of the array is line k of the file.
     """
+    # np.loadtxt skips empty lines, so find the first one beforehand
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    empty = ("\n" + text).find("\n\n")  # where the empty line starts
+    if empty >= 0:
+        lineno = text.count("\n", 0, empty) + 1
+        raise DataError(f"{path}: line {lineno} is empty")
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            rows = np.loadtxt(_lines_without_blanks(fh, path), dtype=np.int64,
-                              delimiter="\t", comments=None, ndmin=2)
-    except DataError:
-        raise
+            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t",
+                              comments=None, ndmin=2, encoding="utf-8")
     except ValueError as exc:
         raise DataError(f"{path}: {_non_integer_field(path) or exc}")
     if rows.size == 0:
@@ -291,15 +283,6 @@ def _read_ids(path, width, count):
         raise DataError(f"{path}: {rows.shape[0]} rows, but the manifest "
                         f"counts {count}")
     return rows
-
-
-def _lines_without_blanks(fh, path):
-    """The lines of an open file; an empty line, which np.loadtxt would
-    skip, raises DataError naming it, counting from 1."""
-    for lineno, line in enumerate(fh, start=1):
-        if line == "\n":
-            raise DataError(f"{path}: line {lineno} is empty")
-        yield line
 
 
 def _non_integer_field(path):

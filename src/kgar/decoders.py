@@ -142,26 +142,31 @@ def sample_negatives(positives, num_entities, rng, known=None, filtered=False):
     over the ids different from the original. With `filtered`, corruptions
     that collide with a known positive are resampled (bounded retries).
     """
-    positives = np.asarray(positives, dtype=np.int64)
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if num_entities < 2:
         raise ValueError("negative sampling needs at least 2 entities")
     m = positives.shape[0]
-    samples = np.empty((2 * m, 3), dtype=np.int64)
-    labels = np.empty(2 * m)
-    for i, (h, r, t) in enumerate(positives):
-        samples[2 * i] = (h, r, t)
-        labels[2 * i] = 1.0
-        corrupt_head = rng.random() < 0.5
-        original = h if corrupt_head else t
-        for _ in range(100):
-            x = int(rng.integers(0, num_entities - 1))
-            if x >= original:
-                x += 1
-            candidate = (x, r, t) if corrupt_head else (h, r, x)
-            if not filtered or known is None or candidate not in known:
+    side = np.where(rng.random(m) < 0.5, 0, 2)
+    negatives = positives.copy()
+
+    def corrupt(rows):
+        original = positives[rows, side[rows]]
+        x = rng.integers(0, num_entities - 1, rows.size)
+        negatives[rows, side[rows]] = x + (x >= original)
+
+    pending = np.arange(m)
+    corrupt(pending)
+    if filtered and known is not None:
+        for _ in range(99):
+            pending = pending[[tuple(t) in known
+                               for t in negatives[pending].tolist()]]
+            if not pending.size:
                 break
-        samples[2 * i + 1] = candidate
-        labels[2 * i + 1] = 0.0
+            corrupt(pending)
+    samples = np.empty((2 * m, 3), dtype=np.int64)
+    samples[0::2] = positives
+    samples[1::2] = negatives
+    labels = np.tile([1.0, 0.0], m)
     return samples, labels
 
 

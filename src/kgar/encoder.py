@@ -13,7 +13,12 @@ f_i = sum over incident edges of g_rel * H[neighbor], both directions.
 
 The hot loops are fused tape operations that recompute gathers in the
 backward pass instead of retaining edge-expanded intermediates; peak
-memory stays near O(V*D) rather than O(E*D).
+memory stays near O(V*D) rather than O(E*D). Every sum of edge rows onto
+nodes goes through `tensor.scatter_rows`, one bincount per chunk of at
+most `tensor._SCATTER_CHUNK` edge rows, so its temporaries stay
+O(chunk*D) too. The aggregate's backward never recomputes the forward
+messages alpha * (h[src] W_r): they are linear in alpha, so one product
+t = g[dst] W_r^T gives both dalpha = <h[src], t> and dh[src] = alpha * t.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import (NumericFailure, Tensor, _acc, _block_backward_q,
-                     _block_backward_x, _block_forward, _record)
+                     _block_backward_x, _block_forward, _record, scatter_rows)
 
 _CHUNK = 16384  # edges per gather chunk in fused ops
 
@@ -75,8 +80,8 @@ def edge_inner_product(hw, src, dst):
         gcol = g[:, 0:1]
         for lo in range(0, n_edges, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            np.add.at(hw.grad, dst[sl], gcol[sl] * v[src[sl]])
-            np.add.at(hw.grad, src[sl], gcol[sl] * v[dst[sl]])
+            scatter_rows(hw.grad, dst[sl], gcol[sl] * v[src[sl]])
+            scatter_rows(hw.grad, src[sl], gcol[sl] * v[dst[sl]])
 
     _record(out, bw)
     return out
@@ -99,7 +104,8 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
         if lo == hi:
             continue
         ys = _block_forward(hv[plan.src[lo:hi]], q[r])
-        np.add.at(res, plan.dst[lo:hi], av[lo:hi] * ys)
+        ys *= av[lo:hi]
+        scatter_rows(res, plan.dst[lo:hi], ys)
     out = Tensor(res)
 
     def bw(g):
@@ -114,12 +120,15 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
                 continue
             src, dst = plan.src[lo:hi], plan.dst[lo:hi]
             xs = hv[src]
-            ys = _block_forward(xs, q[r])
             gd = g[dst]
-            galpha[lo:hi] = np.einsum("ij,ij->i", ys, gd)[:, None]
-            gys = av[lo:hi] * gd
-            np.add.at(h.grad, src, _block_backward_x(gys, q[r]))
-            gq[r] = _block_backward_q(xs, gys, num_blocks)
+            # the message is linear in alpha: with t = g[dst] W_r^T,
+            # dalpha = <h[src], t> and dh[src] = alpha * t
+            t = _block_backward_x(gd, q[r])
+            galpha[lo:hi] = np.einsum("ij,ij->i", xs, t)[:, None]
+            t *= av[lo:hi]
+            scatter_rows(h.grad, src, t)
+            gd *= av[lo:hi]
+            gq[r] = _block_backward_q(xs, gd, num_blocks)
         _acc(alpha, galpha)
         _acc(blocks, gq.reshape(blocks.shape))
 
@@ -136,7 +145,7 @@ def gated_neighbor_sum(h, gates, plan, num_nodes):
         lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
         if lo == hi:
             continue
-        np.add.at(res, plan.dst[lo:hi], gv[r, 0] * hv[plan.src[lo:hi]])
+        scatter_rows(res, plan.dst[lo:hi], gv[r, 0] * hv[plan.src[lo:hi]])
     out = Tensor(res)
 
     def bw(g):
@@ -150,7 +159,7 @@ def gated_neighbor_sum(h, gates, plan, num_nodes):
                 continue
             src, dst = plan.src[lo:hi], plan.dst[lo:hi]
             gd = g[dst]
-            np.add.at(h.grad, src, gv[r, 0] * gd)
+            scatter_rows(h.grad, src, gv[r, 0] * gd)
             gates.grad[r, 0] += float(np.einsum("ij,ij->", hv[src], gd))
 
     _record(out, bw)

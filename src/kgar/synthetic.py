@@ -137,7 +137,3 @@ def ensure_dataset(out_dir):
         return out_dir
     return write_dataset(out_dir)
 
-
-def antisymmetric_relations(patterns):
-    return {rel for rel, info in patterns.items()
-            if info["type"] == "antisymmetric_chain"}

@@ -182,6 +182,32 @@ def sum_squares(a):
     return out
 
 
+# rows per bincount in scatter_rows: bounds its (chunk * D) bin index
+_SCATTER_CHUNK = 8192
+
+
+def scatter_rows(out, idx, vals):
+    """out[idx[k]] += vals[k] for every k, a repeated index accumulating
+    every row it names (an unbuffered scatter-add), for a 2-D `out` and
+    (len(idx), D) `vals`.
+
+    Per chunk of rows, one bincount sums the values per distinct target
+    row in row order, and each target row of `out` is then added to once,
+    so the temporaries stay O(chunk * D). A row whose terms span several
+    chunks, or that already holds a value, may round differently from
+    adding the terms one by one.
+    """
+    d = out.shape[1]
+    cols = np.arange(d)
+    for lo in range(0, len(idx), _SCATTER_CHUNK):
+        rows, inv = np.unique(idx[lo:lo + _SCATTER_CHUNK],
+                              return_inverse=True)
+        bins = (inv[:, None] * d + cols).ravel()
+        sums = np.bincount(bins, vals[lo:lo + _SCATTER_CHUNK].ravel(),
+                           minlength=rows.size * d)
+        out[rows] += sums.reshape(rows.size, d)
+
+
 def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
@@ -193,7 +219,7 @@ def gather_rows(a, idx):
     def bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
-        np.add.at(a.grad, idx, g)
+        scatter_rows(a.grad, idx, g)
 
     _record(out, bw)
     return out
@@ -433,48 +459,3 @@ def adam_step(params, state, learning_rate):
         v += (1 - b2) * np.square(p.grad)
         p.values -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def grad_check(loss_fn, params, eps=1e-5):
-    """Max relative error of analytic gradients vs central differences.
-
-    ``loss_fn`` must be deterministic (dropout off, fixed inputs) and return
-    a scalar Tensor; it is re-evaluated with perturbed parameters.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = loss_fn()
-    base = loss.item()
-    tape.backward(loss)
-    analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.values)
-                for p in params]
-    for p in params:
-        p.grad = None
-
-    # Coordinates where both gradients sit below the finite-difference noise
-    # floor are counted as agreeing.
-    floor = 1e-7 * max(1.0, abs(base))
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        gflat = ga.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + eps
-            f_plus = loss_fn().item()
-            flat[k] = orig - eps
-            f_minus = loss_fn().item()
-            flat[k] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = gflat[k]
-            m = max(abs(a), abs(numeric))
-            if m <= floor:
-                continue
-            worst = max(worst, abs(a - numeric) / m)
-    return worst

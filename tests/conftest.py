@@ -81,6 +81,11 @@ def to_oracle_params(params, num_blocks):
     return out
 
 
+def antisymmetric_relations(patterns):
+    return {rel for rel, info in patterns.items()
+            if info["type"] == "antisymmetric_chain"}
+
+
 def complex_score(s, r, o, feats, rel_re, rel_im):
     """ComplEx score of one triple through `decoders.score_triples`."""
     return _score("complex", (s, r, o), feats, rel_re=rel_re, rel_im=rel_im)

@@ -17,7 +17,8 @@ import pytest
 
 import scalar_oracle as oracle
 import tape_reference as R
-from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES, complex_score,
+from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES,
+                      antisymmetric_relations, complex_score,
                       distmult_score, relation_rows, to_oracle_params,
                       toy_config, toy_params)
 from kgar import datasets, decoders, evaluation, synthetic, training
@@ -26,7 +27,7 @@ from kgar.data import DataError, KnowledgeGraph
 from kgar.encoder import conv_stack, encode
 from kgar.model import init_params
 from kgar.snapshot import save_snapshot
-from kgar.tensor import Tensor, grad_check, segment_softmax
+from kgar.tensor import Tensor, segment_softmax
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,7 +55,7 @@ def test_criterion_1_gradient_correctness():
         return decoders.classification_loss(probs, classes,
                                             cls_params.all_params(), 0.0005)
 
-    err_cls = grad_check(classification_loss, cls_params.all_params())
+    err_cls = R.grad_check(classification_loss, cls_params.all_params())
 
     link_params = toy_params(config, task="linkpred", seed=1)
     samples = np.array(TOY_TRIPLES[:4] + [(1, 0, 4), (5, 2, 2), (0, 1, 5),
@@ -68,7 +69,7 @@ def test_criterion_1_gradient_correctness():
         return decoders.link_loss(scores, labels, link_params.all_params(),
                                   used, 0.01)
 
-    err_link = grad_check(link_loss, link_params.all_params())
+    err_link = R.grad_check(link_loss, link_params.all_params())
     took = time.time() - started
 
     assert err_cls < 1e-4
@@ -196,7 +197,7 @@ def test_criterion_5_synthetic_link_prediction(tmp_path):
 
     with open(os.path.join(root, "patterns.json"), encoding="utf-8") as fh:
         patterns = json.load(fh)
-    anti_names = synthetic.antisymmetric_relations(patterns)
+    anti_names = antisymmetric_relations(patterns)
     anti_ids = {bundle.relation_names.index(n) for n in anti_names}
     test = bundle.splits["test"]
     anti_test = test[[int(t[1]) in anti_ids for t in test]]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+import tape_reference as R
 from conftest import TOY_LABELS, TOY_TRIPLES, complex_score, \
     distmult_score, to_oracle_params, toy_config, toy_params
 from kgar import decoders as dec
@@ -84,7 +85,7 @@ def test_classification_grad_check(toy_graph):
         return dec.classification_loss(probs, classes, params.all_params(),
                                        l2_coefficient=0.0005)
 
-    assert T.grad_check(loss, params.all_params()) < 1e-4
+    assert R.grad_check(loss, params.all_params()) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def test_score_triples_grad_check():
             scores, _ = dec.score_triples(params, feats, triples, decoder)
             return T.sum_squares(scores)
 
-        assert T.grad_check(loss, [feats, *relations]) < 1e-4, decoder
+        assert R.grad_check(loss, [feats, *relations]) < 1e-4, decoder
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,7 @@ def test_link_loss_grad_check(toy_graph):
             return dec.link_loss(scores, labels, params.all_params(), used,
                                  l2_coefficient=0.01)
 
-        assert T.grad_check(loss, params.all_params()) < 1e-4, decoder
+        assert R.grad_check(loss, params.all_params()) < 1e-4, decoder
 
 
 def test_losses_finite_for_arbitrary_parameters():

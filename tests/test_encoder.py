@@ -190,7 +190,7 @@ def test_attention_aggregate_alpha_gradient(toy_graph):
         return T.sum_squares(
             E.attention_relational_aggregate(h, alpha, plan, q, 2, 6))
 
-    assert T.grad_check(loss, [alpha]) < 1e-6
+    assert R.grad_check(loss, [alpha]) < 1e-6
 
 
 def test_gated_neighbor_sum_parity(toy_graph):
@@ -429,7 +429,7 @@ def test_encoder_grad_check(toy_graph):
     def loss():
         return T.sum_squares(E.encode(toy_graph, params, cfg))
 
-    assert T.grad_check(loss, params.all_params()) < 1e-4
+    assert R.grad_check(loss, params.all_params()) < 1e-4
 
 
 def test_encode_deterministic_in_training_mode(toy_graph):

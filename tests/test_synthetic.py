@@ -1,6 +1,7 @@
 import json
 import os
 
+from conftest import antisymmetric_relations
 from kgar import synthetic
 
 
@@ -80,7 +81,7 @@ def test_write_and_ensure_dataset(tmp_path):
     synthetic.write_dataset(str(out))
     with open(out / "patterns.json", encoding="utf-8") as fh:
         patterns = json.load(fh)
-    assert synthetic.antisymmetric_relations(patterns) == {
+    assert antisymmetric_relations(patterns) == {
         "anti_0", "anti_1", "anti_2", "anti_3"}
     lines = (out / "train.tsv").read_text().splitlines()
     assert all(len(line.split("\t")) == 3 for line in lines)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tape_reference as R
+from kgar import datasets, synthetic, training
 from kgar import tensor as T
+from kgar.config import resolve_config
 
 
 def fd_grad(loss_fn, param, eps=1e-6):
@@ -130,6 +132,45 @@ def test_block_products_equal_per_block_loop():
                               np.hstack([gs[k] @ qv[k].T for k in range(b)]))
         assert np.array_equal(T._block_backward_q(x, g, b),
                               np.stack([xs[k].T @ gs[k] for k in range(b)]))
+
+
+@pytest.mark.parametrize("num_idx, num_rows, held", [
+    (40, 5, False),                         # every row repeated
+    (0, 5, False),                          # empty index
+    (2 * T._SCATTER_CHUNK + 37, 300, False),  # more rows than one chunk
+    (2 * T._SCATTER_CHUNK + 37, 300, True),   # ...into rows holding values
+    (50, 7, True),
+], ids=["repeated", "empty", "chunks", "chunks-held", "held"])
+def test_scatter_rows_matches_unbuffered_reference(num_idx, num_rows, held):
+    rng = np.random.default_rng(num_idx)
+    idx = rng.integers(0, num_rows, num_idx)
+    vals = rng.standard_normal((num_idx, 6))
+    base = rng.standard_normal((num_rows, 6)) if held \
+        else np.zeros((num_rows, 6))
+    out = base.copy()
+    T.scatter_rows(out, idx, vals)
+    expected = base + R.scatter_add_rows(T.Tensor(vals), idx, num_rows).values
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def test_same_seed_synthetic_training_is_bit_identical(tmp_path):
+    # the bundled graph with its shipped defaults (D=100, one layer, batch
+    # 512, Adam): the scatters and the sampler leave no run-to-run noise
+    root = str(tmp_path / "synthetic")
+    synthetic.write_dataset(root)
+    bundle_dir = str(tmp_path / "bundle")
+    datasets.write_bundle(bundle_dir, datasets.preprocess(root))
+    graph = datasets.load_bundle(bundle_dir).graph
+    config = resolve_config("linkpred", datasets.dataset_defaults("synthetic"),
+                            None, {"dataset_dir": root, "iterations": 4,
+                                   "eval_interval": 4})
+    runs = [training.train(graph, {}, config, "linkpred", seed=5).params
+            for _ in range(2)]
+    first, second = ([p.values for p in params.all_params()]
+                     for params in runs)
+    assert len(first) == len(second) == 8
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_assemble_block_weight_off_block_exact_zero():
@@ -378,7 +419,7 @@ def test_grad_check_linear_loss_tiny_error():
     def loss():
         return T.matmul(w, direction)
 
-    assert T.grad_check(loss, [w]) < 1e-10
+    assert R.grad_check(loss, [w]) < 1e-10
 
 
 def test_grad_check_flags_wrong_gradient():
@@ -394,7 +435,7 @@ def test_grad_check_flags_wrong_gradient():
         T._record(out, bw)
         return out
 
-    assert T.grad_check(loss, [w]) > 0.1
+    assert R.grad_check(loss, [w]) > 0.1
 
 
 def test_grad_check_nonlinear_within_tolerance():
@@ -404,11 +445,11 @@ def test_grad_check_nonlinear_within_tolerance():
     def loss():
         return R.sum_all(R.sigmoid(T.matmul(w, T.Tensor(np.eye(3)))))
 
-    assert T.grad_check(loss, [w]) < 1e-6
+    assert R.grad_check(loss, [w]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
-# no test-only tape ops in the package
+# no test-only tape ops, and no ufunc scatter, in the package
 
 
 def _called_names(node):
@@ -444,3 +485,19 @@ def test_every_tape_op_has_a_production_caller():
     unused = [op for op in ops
               if not callers.get(op, set()) - {("tensor.py", op)}]
     assert unused == []
+
+
+def test_every_scatter_goes_through_scatter_rows():
+    # `<ufunc>.at` (np.add.at and the like) scatters unbuffered, element by
+    # element; the package scatters rows with tensor.scatter_rows instead
+    package = Path(T.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "at":
+                owner = node.value
+                name = owner.attr if isinstance(owner, ast.Attribute) \
+                    else getattr(owner, "id", None)
+                if isinstance(getattr(np, name or "", None), np.ufunc):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
