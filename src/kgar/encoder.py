@@ -13,12 +13,16 @@ f_i = sum over incident edges of g_rel * H[neighbor], both directions.
 
 The hot loops are fused tape operations that recompute gathers in the
 backward pass instead of retaining edge-expanded intermediates; peak
-memory stays near O(V*D) rather than O(E*D). Every sum of edge rows onto
-nodes goes through `tensor.scatter_rows`, one bincount per chunk of at
-most `tensor._SCATTER_CHUNK` edge rows, so its temporaries stay
-O(chunk*D) too. The aggregate's backward never recomputes the forward
-messages alpha * (h[src] W_r): they are linear in alpha, so one product
-t = g[dst] W_r^T gives both dalpha = <h[src], t> and dh[src] = alpha * t.
+memory stays near O(V*D) rather than O(E*D). Each fused op walks every
+relation's edge range rel_starts[r]:rel_starts[r+1] in tiles of at most
+`tensor._TILE` edges, forward and backward, so that one tile's gather,
+block product, attention scaling and `tensor.scatter_rows` sum onto
+nodes run on rows that are still in cache, and its temporaries stay
+O(tile*D). Sums onto nodes, and each relation's weight gradient, are
+therefore added tile by tile. The aggregate's backward never recomputes
+the forward messages alpha * (h[src] W_r): they are linear in alpha, so
+one product t = g[dst] W_r^T gives both dalpha = <h[src], t> and
+dh[src] = alpha * t.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import (NumericFailure, Tensor, _acc, _block_backward_q,
                      _block_backward_x, _block_forward, _record, scatter_rows)
-
-_CHUNK = 16384  # edges per gather chunk in fused ops
 
 
 @dataclass
@@ -64,24 +66,31 @@ class EncoderConfig:
 # fused tape operations
 
 
+def _tiles(rel_starts):
+    """(r, lo, hi) for the consecutive tiles of at most `tensor._TILE`
+    edges that split each range rel_starts[r]:rel_starts[r+1]."""
+    for r in range(len(rel_starts) - 1):
+        end = rel_starts[r + 1]
+        for lo in range(rel_starts[r], end, T._TILE):
+            yield r, lo, min(lo + T._TILE, end)
+
+
 def edge_inner_product(hw, src, dst):
     """Per-edge inner products <hw[dst_k], hw[src_k]> as an (E,1) column."""
     v = hw.values
     n_edges = src.size
     e = np.empty(n_edges)
-    for lo in range(0, n_edges, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        e[sl] = np.einsum("ij,ij->i", v[dst[sl]], v[src[sl]])
+    for _, lo, hi in _tiles((0, n_edges)):
+        e[lo:hi] = np.einsum("ij,ij->i", v[dst[lo:hi]], v[src[lo:hi]])
     out = Tensor(e[:, None] if n_edges else np.zeros((0, 1)))
 
     def bw(g):
         if hw.grad is None:
             hw.grad = np.zeros_like(v)
         gcol = g[:, 0:1]
-        for lo in range(0, n_edges, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            scatter_rows(hw.grad, dst[sl], gcol[sl] * v[src[sl]])
-            scatter_rows(hw.grad, src[sl], gcol[sl] * v[dst[sl]])
+        for _, lo, hi in _tiles((0, n_edges)):
+            scatter_rows(hw.grad, dst[lo:hi], gcol[lo:hi] * v[src[lo:hi]])
+            scatter_rows(hw.grad, src[lo:hi], gcol[lo:hi] * v[dst[lo:hi]])
 
     _record(out, bw)
     return out
@@ -99,10 +108,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
     hv, av = h.values, alpha.values
     res = np.zeros((num_nodes, num_blocks * dout_b))
-    for r in range(len(q)):
-        lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
-        if lo == hi:
-            continue
+    for r, lo, hi in _tiles(plan.rel_starts):
         ys = _block_forward(hv[plan.src[lo:hi]], q[r])
         ys *= av[lo:hi]
         scatter_rows(res, plan.dst[lo:hi], ys)
@@ -114,10 +120,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
         galpha = np.empty_like(av)
         # relations without edges keep zero rows
         gq = np.zeros(q.shape)
-        for r in range(len(q)):
-            lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
-            if lo == hi:
-                continue
+        for r, lo, hi in _tiles(plan.rel_starts):
             src, dst = plan.src[lo:hi], plan.dst[lo:hi]
             xs = hv[src]
             gd = g[dst]
@@ -128,7 +131,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             t *= av[lo:hi]
             scatter_rows(h.grad, src, t)
             gd *= av[lo:hi]
-            gq[r] = _block_backward_q(xs, gd, num_blocks)
+            gq[r] += _block_backward_q(xs, gd, num_blocks)
         _acc(alpha, galpha)
         _acc(blocks, gq.reshape(blocks.shape))
 
@@ -141,10 +144,7 @@ def gated_neighbor_sum(h, gates, plan, num_nodes):
     hv = h.values
     gv = gates.values
     res = np.zeros((num_nodes, h.shape[1]))
-    for r in range(gates.shape[0]):
-        lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
-        if lo == hi:
-            continue
+    for r, lo, hi in _tiles(plan.rel_starts):
         scatter_rows(res, plan.dst[lo:hi], gv[r, 0] * hv[plan.src[lo:hi]])
     out = Tensor(res)
 
@@ -153,10 +153,7 @@ def gated_neighbor_sum(h, gates, plan, num_nodes):
             h.grad = np.zeros_like(hv)
         if gates.grad is None:
             gates.grad = np.zeros_like(gv)
-        for r in range(gates.shape[0]):
-            lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
-            if lo == hi:
-                continue
+        for r, lo, hi in _tiles(plan.rel_starts):
             src, dst = plan.src[lo:hi], plan.dst[lo:hi]
             gd = g[dst]
             scatter_rows(h.grad, src, gv[r, 0] * gd)

@@ -3,12 +3,15 @@
 Layout: magic line, 4-byte little-endian header length, UTF-8 JSON header,
 then the raw row-major little-endian float64 bytes of every parameter in
 header order. No timestamps or other nondeterminism: identical parameters
-and metadata produce identical files.
+and metadata produce identical files. A save writes a temp file next to
+its target and renames it over the target only once complete, so a
+failed save leaves any earlier snapshot at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -28,12 +31,23 @@ def save_snapshot(path, params, meta):
                         "dtype": "<f8", "regularized": bool(p.regularized)})
     header = json.dumps({"meta": meta, "params": entries},
                         sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+    # same directory, so the rename cannot cross file systems; opened like
+    # the target would be, so it gets the same permissions
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for p in params:
+                fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _check_header(path, header):
@@ -49,6 +63,11 @@ def _check_header(path, header):
             raise SnapshotError(
                 f"{path}: malformed parameter entry {entry!r}: needs a "
                 "'name' string and a 'shape' list of sizes")
+        # the data is read as <f8; an absent dtype means <f8 too
+        if entry.get("dtype", "<f8") != "<f8":
+            raise SnapshotError(
+                f"{path}: parameter {entry['name']!r} has dtype "
+                f"{entry['dtype']!r}; snapshots hold '<f8' data only")
 
 
 def load_snapshot(path):

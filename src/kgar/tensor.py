@@ -182,8 +182,10 @@ def sum_squares(a):
     return out
 
 
-# rows per bincount in scatter_rows: bounds its (chunk * D) bin index
-_SCATTER_CHUNK = 8192
+# rows per tile: the encoder's fused ops walk their edges, and
+# scatter_rows its rows, in tiles this long, so that one tile's (rows x D)
+# temporaries stay in cache (512 x D=100 float64 is 400 kB)
+_TILE = 512
 
 
 def scatter_rows(out, idx, vals):
@@ -191,19 +193,18 @@ def scatter_rows(out, idx, vals):
     every row it names (an unbuffered scatter-add), for a 2-D `out` and
     (len(idx), D) `vals`.
 
-    Per chunk of rows, one bincount sums the values per distinct target
-    row in row order, and each target row of `out` is then added to once,
-    so the temporaries stay O(chunk * D). A row whose terms span several
-    chunks, or that already holds a value, may round differently from
-    adding the terms one by one.
+    Per tile of at most `_TILE` rows, one bincount sums the values per
+    distinct target row in row order, and each target row of `out` is then
+    added to once, so the temporaries stay O(tile * D). A row whose terms
+    span several tiles, or that already holds a value, may round
+    differently from adding the terms one by one.
     """
     d = out.shape[1]
     cols = np.arange(d)
-    for lo in range(0, len(idx), _SCATTER_CHUNK):
-        rows, inv = np.unique(idx[lo:lo + _SCATTER_CHUNK],
-                              return_inverse=True)
+    for lo in range(0, len(idx), _TILE):
+        rows, inv = np.unique(idx[lo:lo + _TILE], return_inverse=True)
         bins = (inv[:, None] * d + cols).ravel()
-        sums = np.bincount(bins, vals[lo:lo + _SCATTER_CHUNK].ravel(),
+        sums = np.bincount(bins, vals[lo:lo + _TILE].ravel(),
                            minlength=rows.size * d)
         out[rows] += sums.reshape(rows.size, d)
 

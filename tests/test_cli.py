@@ -199,8 +199,9 @@ def rewrite_header(src, dst, edit):
     (lambda h: h["meta"]["config"].update(num_blocks="two"),
      "config is invalid"),
     (lambda h: h["meta"]["config"].update(num_blocks=3), "num_blocks 3"),
+    (lambda h: h["params"][0].update(dtype="<f4"), "'<f4'"),
 ], ids=["unknown-config-key", "no-params", "missing-config-key",
-        "mistyped-config-value", "invalid-config-value"])
+        "mistyped-config-value", "invalid-config-value", "wrong-dtype"])
 def test_evaluate_bad_snapshot_header_is_snapshot_error(
         lp_dir, tmp_path, capsys, edit, named):
     out = str(tmp_path / "run")
@@ -213,6 +214,15 @@ def test_evaluate_bad_snapshot_header_is_snapshot_error(
                      "--dataset", lp_dir]) == 2
     err = capsys.readouterr().err
     assert "snapshot error" in err and named in err
+
+
+def test_snapshot_without_dtype_reads_as_f8(tmp_path):
+    snap, plain = str(tmp_path / "w.kgar"), str(tmp_path / "plain.kgar")
+    values = np.arange(6.0).reshape(2, 3)
+    save_snapshot(snap, [Parameter("w", values)], {})
+    rewrite_header(snap, plain, lambda h: h["params"][0].pop("dtype"))
+    _, arrays, _ = load_snapshot(plain)
+    np.testing.assert_array_equal(arrays["w"], values)
 
 
 @pytest.mark.parametrize("name, corrupt, detail", [

@@ -144,14 +144,16 @@ def test_edge_inner_product_parity(toy_graph):
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
-def test_attention_aggregate_parity(toy_graph):
-    rng = np.random.default_rng(6)
-    n, d, b = 6, 4, 2
+def aggregate_parity(graph, direction, seed):
+    """The fused aggregate's value and gradients against a composed route
+    of gathers, block products and scatters, one relation at a time."""
+    rng = np.random.default_rng(seed)
+    n, d, b, nr = graph.num_entities, 4, 2, graph.num_relations
     h = Parameter("h", rng.standard_normal((n, d)))
-    plan = toy_graph.plan("forward")
-    q = Parameter("q", rng.standard_normal((3 * d, d // b)))
+    plan = graph.plan(direction)
+    q = Parameter("q", rng.standard_normal((nr * d, d // b)))
     # the composed route gives each relation its own rows of q
-    qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(3)]
+    qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(nr)]
     alpha_vals = rng.random((plan.num_edges, 1))
 
     def fused():
@@ -161,7 +163,7 @@ def test_attention_aggregate_parity(toy_graph):
 
     def composed():
         total = None
-        for r in range(3):
+        for r in range(nr):
             lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
             if lo == hi:
                 continue
@@ -176,7 +178,13 @@ def test_attention_aggregate_parity(toy_graph):
     v2, (gh2, *gqs) = grads_of(composed, [h] + qs)
     assert v1 == pytest.approx(v2, abs=1e-10)
     np.testing.assert_allclose(gh1, gh2, atol=1e-12)
+    # the composed route leaves a relation without edges with no gradient
+    gqs = [g if g.ndim else np.zeros((d, d // b)) for g in gqs]
     np.testing.assert_allclose(gq1, np.concatenate(gqs), atol=1e-12)
+
+
+def test_attention_aggregate_parity(toy_graph):
+    aggregate_parity(toy_graph, "forward", seed=6)
 
 
 def test_attention_aggregate_alpha_gradient(toy_graph):
@@ -430,6 +438,54 @@ def test_encoder_grad_check(toy_graph):
         return T.sum_squares(E.encode(toy_graph, params, cfg))
 
     assert R.grad_check(loss, params.all_params()) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# tiles shorter than relations and attention groups
+
+# relation 0 has four edges (a whole number of tiles of 1 or 2), three of
+# them into node 1; relation 1 has five, relation 2 one, relation 3 none
+SPLIT_TRIPLES = [
+    (0, 0, 1), (2, 0, 1), (3, 0, 1), (3, 0, 5), (1, 1, 2),
+    (5, 1, 2), (0, 1, 3), (2, 1, 3), (1, 1, 0), (3, 2, 4),
+]
+
+
+@pytest.fixture
+def split_graph():
+    return KnowledgeGraph(SPLIT_TRIPLES, 6, 4)
+
+
+@pytest.mark.parametrize("tile", [1, 2])
+def test_tiled_encode_matches_scalar_oracle(split_graph, monkeypatch, tile):
+    monkeypatch.setattr(T, "_TILE", tile)
+    assert np.diff(split_graph.plan("forward").rel_starts).tolist() \
+        == [4, 5, 1, 0]
+    cfg = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
+    params = toy_params(cfg, seed=21, num_relations=4)
+    got = E.encode(split_graph, params, cfg).values
+    expected = oracle.encode(SPLIT_TRIPLES, 6, 4, to_oracle_params(params, 2),
+                             2)
+    np.testing.assert_allclose(got, np.array(expected), atol=1e-8)
+
+
+@pytest.mark.parametrize("tile", [1, 2])
+def test_tiled_encoder_grad_check(split_graph, monkeypatch, tile):
+    monkeypatch.setattr(T, "_TILE", tile)
+    cfg = toy_config(embed_dim=4, num_layers=2, num_blocks=2)
+    params = toy_params(cfg, seed=22, num_relations=4)
+
+    def loss():
+        return T.sum_squares(E.encode(split_graph, params, cfg))
+
+    assert R.grad_check(loss, params.all_params()) < 1e-4
+
+
+@pytest.mark.parametrize("tile", [1, 2])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_tiled_aggregate_parity(split_graph, monkeypatch, tile, direction):
+    monkeypatch.setattr(T, "_TILE", tile)
+    aggregate_parity(split_graph, direction, seed=23)
 
 
 def test_encode_deterministic_in_training_mode(toy_graph):

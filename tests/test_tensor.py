@@ -137,8 +137,8 @@ def test_block_products_equal_per_block_loop():
 @pytest.mark.parametrize("num_idx, num_rows, held", [
     (40, 5, False),                         # every row repeated
     (0, 5, False),                          # empty index
-    (2 * T._SCATTER_CHUNK + 37, 300, False),  # more rows than one chunk
-    (2 * T._SCATTER_CHUNK + 37, 300, True),   # ...into rows holding values
+    (2 * T._TILE + 37, 300, False),         # more rows than one tile
+    (2 * T._TILE + 37, 300, True),          # ...into rows holding values
     (50, 7, True),
 ], ids=["repeated", "empty", "chunks", "chunks-held", "held"])
 def test_scatter_rows_matches_unbuffered_reference(num_idx, num_rows, held):
@@ -449,7 +449,7 @@ def test_grad_check_nonlinear_within_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# no test-only tape ops, and no ufunc scatter, in the package
+# no test-only code, and no ufunc scatter, in the package
 
 
 def _called_names(node):
@@ -484,6 +484,31 @@ def test_every_tape_op_has_a_production_caller():
                     (module, getattr(top, "name", None)))
     unused = [op for op in ops
               if not callers.get(op, set()) - {("tensor.py", op)}]
+    assert unused == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a public top-level function or class that nothing else in the
+    # package names (bare or as an attribute) is dead code or test-only
+    # code, which belongs in tests/; an import alone does not count
+    package = Path(T.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    users = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                users.setdefault(name, set()).add(
+                    (module, getattr(top, "name", None)))
+    public = [(module, top.name) for module, tree in trees.items()
+              for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and not top.name.startswith("_")]
+    assert ("encoder.py", "encode") in public
+    unused = [f"{module}:{name}" for module, name in public
+              if not users.get(name, set()) - {(module, name)}]
     assert unused == []
 
 

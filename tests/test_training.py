@@ -194,3 +194,28 @@ def test_snapshot_corruption_detected(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(SnapshotError, match="truncated"):
         load_snapshot(q)
+
+
+def test_failed_snapshot_save_keeps_the_previous_file(tmp_path):
+    class Unwritable:
+        # a parameter whose data raises once the header and the first
+        # parameter are already written
+        shape = (2, 2)
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    path = tmp_path / "run.kgar"
+    save_snapshot(path, [T.Parameter("w", np.arange(4.0).reshape(2, 2))],
+                  {"round": 1})
+    before = path.read_bytes()
+    bad = T.Parameter("v", np.zeros((2, 2)))
+    bad.values = Unwritable()
+    with pytest.raises(OSError, match="disk full"):
+        save_snapshot(path, [T.Parameter("w", np.ones((2, 2))), bad],
+                      {"round": 2})
+    assert path.read_bytes() == before
+    meta, arrays, _ = load_snapshot(path)
+    assert meta == {"round": 1}
+    np.testing.assert_array_equal(arrays["w"], np.arange(4.0).reshape(2, 2))
+    assert [f.name for f in tmp_path.iterdir()] == ["run.kgar"]
