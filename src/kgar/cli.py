@@ -301,7 +301,7 @@ def _repro_prepare(name, data_dir):
     if not os.path.isdir(path):
         raise DataError(f"dataset directory not found: {path}")
     bundle_dir = _bundle_dir(path)
-    if not os.path.exists(os.path.join(bundle_dir, datasets.MANIFEST)):
+    if not os.path.exists(os.path.join(bundle_dir, datasets.TRAIN_IDS)):
         datasets.write_bundle(bundle_dir, datasets.preprocess(path))
     return path, datasets.load_bundle(bundle_dir)
 

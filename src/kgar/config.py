@@ -79,30 +79,24 @@ class RunConfig:
             dropout_conv=self.dropout_conv, leaky_slope=self.leaky_slope)
 
 
+# annotations are strings ("int", "float", "bool", "str") here, as this
+# module postpones their evaluation
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_FIELDS = {"filtered_negatives"}
-_INT_FIELDS = {"embed_dim", "num_layers", "num_blocks", "batch_size",
-               "iterations", "seed", "eval_interval"}
-_FLOAT_FIELDS = {"dropout_attention", "dropout_conv", "l2", "learning_rate",
-                 "leaky_slope"}
 
 
 def coerce(field, raw):
     """Parse a string value from a config file into the field's type."""
     if field not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {field!r}")
-    if field in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[field]
+    if kind == "bool":
         low = str(raw).strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{field}: expected a boolean, got {raw!r}")
-    if field in _INT_FIELDS:
-        return int(raw)
-    if field in _FLOAT_FIELDS:
-        return float(raw)
-    return str(raw)
+    return {"int": int, "float": float, "str": str}[kind](raw)
 
 
 def parse_config_file(path):

@@ -20,25 +20,24 @@ class DataError(ValueError):
     """Malformed input file or unresolvable identifier."""
 
 
-def load_triples(path, format="tsv"):
-    """Read raw string triples from a TSV file.
+def load_triples(path, width=3):
+    """Read raw string rows of `width` tab-separated fields from a TSV file:
+    (head, relation, tail) triples, or (entity, class) labels at width 2.
 
     Blank lines and `#` comments are skipped; line order is preserved.
     """
-    if format != "tsv":
-        raise ValueError(f"unsupported triple format {format!r}")
     raw = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
+            if len(parts) != width:
                 raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            raw.append((parts[0], parts[1], parts[2]))
+                    f"{path}:{lineno}: expected {width} tab-separated "
+                    f"fields, got {len(parts)}")
+            raw.append(tuple(parts))
     return raw
 
 

@@ -4,16 +4,15 @@ A dataset directory holds raw TSV files: link-prediction datasets carry
 `train.tsv` / `valid.tsv` / `test.tsv`; classification datasets carry the
 full graph in `train.tsv` plus `labels_train.tsv` / `labels_test.tsv`
 (an optional `labels_valid.tsv` adds a validation metric during
-training). `preprocess` turns a directory into a deterministic bundle of
-vocab files, id-mapped splits, and a manifest; re-running on unchanged
-input reproduces identical bytes.
+training). `preprocess` turns a directory into a deterministic bundle:
+TSV name files, one `.npy` int64 id array per split, and a manifest;
+re-running on unchanged input reproduces identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .data import DataError, KnowledgeGraph, LabelSet, check_ids, load_triples
 DATA_DIR_ENV = "KGAR_DATA_DIR"
 BUNDLE_DIR = "bundle"
 MANIFEST = "manifest.json"
+TRAIN_IDS = "triples_train.npy"  # in every bundle of the current format
 
 # relations whose triples leak the classification target (local names;
 # matched against full IRIs by suffix), per the usual protocol for these
@@ -106,22 +106,6 @@ def _require(dataset_dir, filename):
     return path
 
 
-def _load_label_rows(path):
-    """Raw (entity-name, class-name) rows; format mirrors triple TSVs."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 tab-separated "
-                                f"fields, got {len(parts)}")
-            rows.append((parts[0], parts[1]))
-    return rows
-
-
 @dataclass
 class Bundle:
     """A preprocessed dataset: id-mapped splits plus shared vocabulary."""
@@ -154,34 +138,30 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
     else:
         raw["train"] = load_triples(_require(dataset_dir, "train.tsv"))
 
-    ordered = [t for split in ("train", "valid", "test") if split in raw
-               for t in raw[split]]
-    entity_vocab, relation_vocab = {}, {}
-    for h, r, t in ordered:
-        entity_vocab.setdefault(h, len(entity_vocab))
-        relation_vocab.setdefault(r, len(relation_vocab))
-        entity_vocab.setdefault(t, len(entity_vocab))
-    raw_num_relations = len(relation_vocab)
+    # ids by first appearance: train, then valid, then test; h, r, t
+    entity_vocab, relation_vocab, id_splits = {}, {}, {}
+    for split, triples in raw.items():
+        rows = [(entity_vocab.setdefault(h, len(entity_vocab)),
+                 relation_vocab.setdefault(r, len(relation_vocab)),
+                 entity_vocab.setdefault(t, len(entity_vocab)))
+                for h, r, t in triples]
+        id_splits[split] = np.array(rows, dtype=np.int64).reshape(-1, 3)
 
     if drop_names is None:
         drop_names = default_drop(dataset_name(dataset_dir))
     dropped, unmatched = resolve_drop_names(list(relation_vocab), drop_names)
     dropped_set = set(dropped)
     # recompact relation ids in original order; entity ids never change
-    kept_relations = {r: i for i, r in enumerate(
-        n for n in relation_vocab if n not in dropped_set)}
-
-    id_splits = {}
-    for split, triples in raw.items():
-        rows = [(entity_vocab[h], kept_relations[r], entity_vocab[t])
-                for h, r, t in triples if r not in dropped_set]
-        if dedup:
-            seen, unique = set(), []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
+    relations = [r for r in relation_vocab if r not in dropped_set]
+    kept = np.array([r not in dropped_set for r in relation_vocab],
+                    dtype=bool)
+    new_relation_id = np.cumsum(kept) - 1
+    for split, rows in id_splits.items():
+        rows = rows[kept[rows[:, 1]]]
+        rows[:, 1] = new_relation_id[rows[:, 1]]
+        if dedup:  # first occurrences, in file order
+            _, first = np.unique(rows, axis=0, return_index=True)
+            rows = rows[np.sort(first)]
         id_splits[split] = rows
 
     labels = {}
@@ -193,22 +173,21 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
                 _require(dataset_dir, f"labels_{part}.tsv")
             elif not os.path.exists(path):
                 continue
-            rows = _load_label_rows(path)
             pairs = []
-            for ent, cls in rows:
+            for ent, cls in load_triples(path, width=2):
                 if ent not in entity_vocab:
                     raise DataError(f"{path}: entity {ent!r} absent from the "
                                     "graph")
                 class_vocab.setdefault(cls, len(class_vocab))
                 pairs.append((entity_vocab[ent], class_vocab[cls]))
-            labels[part] = pairs
+            labels[part] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     manifest = {
         "dataset": dataset_name(dataset_dir),
         "task": task,
         "num_entities": len(entity_vocab),
-        "num_relations": len(kept_relations),
-        "num_relations_raw": raw_num_relations,
+        "num_relations": len(relations),
+        "num_relations_raw": len(relation_vocab),
         "dropped_relations": sorted(dropped_set),
         "unmatched_drop_names": sorted(unmatched),
         "counts": {split: len(rows) for split, rows in id_splits.items()},
@@ -221,17 +200,17 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
     return {
         "manifest": manifest,
         "entities": list(entity_vocab),
-        "relations": list(kept_relations),
+        "relations": relations,
         "classes": list(class_vocab),
         "splits": id_splits,
         "labels": labels,
     }
 
 
-def _write_rows(path, rows):
+def _write_names(path, names):
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+        for i, name in enumerate(names):
+            fh.write(f"{i}\t{name}\n")
 
 
 def write_bundle(bundle_dir, processed):
@@ -240,70 +219,45 @@ def write_bundle(bundle_dir, processed):
     with open(os.path.join(bundle_dir, MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(processed["manifest"], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_rows(os.path.join(bundle_dir, "entities.tsv"),
-                enumerate(processed["entities"]))
-    _write_rows(os.path.join(bundle_dir, "relations.tsv"),
-                enumerate(processed["relations"]))
+    _write_names(os.path.join(bundle_dir, "entities.tsv"),
+                 processed["entities"])
+    _write_names(os.path.join(bundle_dir, "relations.tsv"),
+                 processed["relations"])
     if processed["classes"]:
-        _write_rows(os.path.join(bundle_dir, "classes.tsv"),
-                    enumerate(processed["classes"]))
+        _write_names(os.path.join(bundle_dir, "classes.tsv"),
+                     processed["classes"])
     for split, rows in processed["splits"].items():
-        _write_rows(os.path.join(bundle_dir, f"triples_{split}.tsv"), rows)
+        np.save(os.path.join(bundle_dir, f"triples_{split}.npy"), rows,
+                allow_pickle=False)
     for part, rows in processed["labels"].items():
-        _write_rows(os.path.join(bundle_dir, f"labels_{part}.tsv"), rows)
+        np.save(os.path.join(bundle_dir, f"labels_{part}.npy"), rows,
+                allow_pickle=False)
     return bundle_dir
 
 
 def _read_ids(path, width, count):
-    """An id file as an (n, width) int64 array holding exactly `count` rows.
-
-    An empty file is a valid empty split; an empty line is a DataError, so
-    row k of the array is line k of the file.
-    """
-    # np.loadtxt skips empty lines, so find the first one beforehand
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    empty = ("\n" + text).find("\n\n")  # where the empty line starts
-    if empty >= 0:
-        lineno = text.count("\n", 0, empty) + 1
-        raise DataError(f"{path}: line {lineno} is empty")
+    """An id file as the (count, width) int64 array that `write_bundle`
+    saved."""
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t",
-                              comments=None, ndmin=2, encoding="utf-8")
+        with open(path, "rb") as fh:  # the .npy format only, never pickles
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found; the bundle predates .npy "
+                        "id files or is incomplete, so rerun `kgar "
+                        "preprocess` on the dataset directory")
     except ValueError as exc:
-        raise DataError(f"{path}: {_non_integer_field(path) or exc}")
-    if rows.size == 0:
-        rows = rows.reshape(0, width)
-    if rows.shape[1] != width:
-        raise DataError(f"{path}: expected {width} tab-separated ids per "
-                        f"line, got {rows.shape[1]}")
+        raise DataError(f"{path}: not a readable .npy id array ({exc})")
+    if not (rows.dtype == np.int64 and rows.ndim == 2
+            and rows.shape[1] == width):
+        raise DataError(f"{path}: expected an (n, {width}) int64 array, "
+                        f"got {rows.dtype} of shape {rows.shape}")
     if rows.shape[0] != count:
         raise DataError(f"{path}: {rows.shape[0]} rows, but the manifest "
                         f"counts {count}")
     return rows
 
 
-def _non_integer_field(path):
-    """Where an id file holds a field that is not an integer, counting lines
-    and columns from 1; None if every field is one. Read only after
-    `np.loadtxt` has failed, whose own message counts rows from 0."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue  # an empty line stops the load before np.loadtxt
-            for column, field in enumerate(line.rstrip("\n").split("\t"),
-                                           start=1):
-                try:
-                    int(field)
-                except ValueError:
-                    return (f"line {lineno}, column {column}: {field!r} is "
-                            "not an integer id")
-    return None
-
-
-def _read_names(path):
+def _read_names(path, count):
     names = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -311,6 +265,9 @@ def _read_names(path):
             if idx != str(lineno - 1):
                 raise DataError(f"{path}:{lineno}: ids must be consecutive")
             names.append(name)
+    if len(names) != count:
+        raise DataError(f"{path}: {len(names)} names, but the manifest "
+                        f"counts {count}")
     return names
 
 
@@ -326,13 +283,17 @@ def load_bundle(bundle_dir):
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}: {exc}")
     required = ("task", "num_entities", "num_relations", "counts")
+    if isinstance(manifest, dict) and manifest.get("task") == "classify":
+        required += ("num_classes",)
     if not (isinstance(manifest, dict) and all(k in manifest
                                                for k in required)):
         raise DataError(f"{manifest_path}: a manifest needs the keys "
                         f"{', '.join(required)}")
     task = manifest["task"]
-    entities = _read_names(os.path.join(bundle_dir, "entities.tsv"))
-    relations = _read_names(os.path.join(bundle_dir, "relations.tsv"))
+    entities = _read_names(os.path.join(bundle_dir, "entities.tsv"),
+                           manifest["num_entities"])
+    relations = _read_names(os.path.join(bundle_dir, "relations.tsv"),
+                            manifest["num_relations"])
     bundle = Bundle(task=task, manifest=manifest, entity_names=entities,
                     relation_names=relations)
 
@@ -340,7 +301,7 @@ def load_bundle(bundle_dir):
     limits = (bundle.num_entities, bundle.num_relations, bundle.num_entities)
     for split in ("train", "valid", "test"):
         if split in counts:
-            path = os.path.join(bundle_dir, f"triples_{split}.tsv")
+            path = os.path.join(bundle_dir, f"triples_{split}.npy")
             rows = _read_ids(path, 3, counts[split])
             check_ids(rows, limits, path)
             bundle.splits[split] = rows
@@ -349,11 +310,11 @@ def load_bundle(bundle_dir):
 
     if task == "classify":
         bundle.class_names = _read_names(
-            os.path.join(bundle_dir, "classes.tsv"))
+            os.path.join(bundle_dir, "classes.tsv"), manifest["num_classes"])
         class_to_id = {n: i for i, n in enumerate(bundle.class_names)}
         for part in ("train", "valid", "test"):
             if f"labels_{part}" in counts:
-                path = os.path.join(bundle_dir, f"labels_{part}.tsv")
+                path = os.path.join(bundle_dir, f"labels_{part}.npy")
                 rows = _read_ids(path, 2, counts[f"labels_{part}"])
                 check_ids(rows, (bundle.num_entities, len(class_to_id)), path)
                 # a relabeled entity keeps its first position, last class

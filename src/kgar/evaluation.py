@@ -14,22 +14,11 @@ candidates looked up in a sorted-key `FilterIndex`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SETTINGS = ("raw", "filtered")
-SIDES = ("head", "tail")
 _QUERY_CHUNK = 256  # queries per score block (one GEMM)
 _KEY_SHIFT = 32  # key = fixed << 32 | relation; ids stay below 2**31
-
-
-@dataclass
-class RankingResult:
-    triple: tuple
-    side: str
-    raw_rank: float
-    filtered_rank: float
 
 
 def _as_triples(triples):
@@ -101,7 +90,8 @@ def _chunk_ranks(scores, targets, known_rows, known_cands):
 
 
 def evaluate_ranking(test_triples, scorer, known):
-    """Both-sides ranking of every test triple, in input order.
+    """(raw, filtered) rank arrays of both sides of every test triple:
+    query 2i ranks triple i's head, query 2i + 1 its tail.
 
     `scorer(queries)` maps an (q, 3) block of query rows to a (q, |V|)
     block of candidate scores; `known` is the positive set (a FilterIndex
@@ -122,31 +112,26 @@ def evaluate_ranking(test_triples, scorer, known):
         rows, cands = known.known_others(queries[block], targets[block])
         raw[block], filtered[block] = _chunk_ranks(scores, targets[block],
                                                    rows, cands)
-    return [RankingResult(triple=tuple(int(x) for x in test[i // 2]),
-                          side=SIDES[i % 2], raw_rank=float(raw[i]),
-                          filtered_rank=float(filtered[i]))
-            for i in range(len(queries))]
+    return raw, filtered
 
 
 def _ranks(results, setting):
+    """One setting's ranks from an `evaluate_ranking` (raw, filtered) pair."""
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
-    if setting == "raw":
-        return np.array([r.raw_rank for r in results])
-    return np.array([r.filtered_rank for r in results])
+    ranks = results[SETTINGS.index(setting)]
+    if not len(ranks):
+        raise ValueError("metrics of an empty result set are undefined")
+    return ranks
 
 
 def mrr(results, setting="filtered"):
-    if not results:
-        raise ValueError("mrr of an empty result set is undefined")
     return float((1.0 / _ranks(results, setting)).mean())
 
 
 def hits_at_k(results, k, setting="filtered"):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not results:
-        raise ValueError("hits@k of an empty result set is undefined")
     return float((_ranks(results, setting) <= k).mean())
 
 

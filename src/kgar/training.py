@@ -149,7 +149,7 @@ def evaluate_classification(graph, params, enc_cfg, labels):
 
 
 def evaluate_links(graph, params, enc_cfg, decoder, test_triples, known):
-    """Both-sides RankingResults for the given test triples."""
+    """(raw, filtered) rank arrays of both sides of the test triples."""
     feats = encode(graph, params, enc_cfg)
     scorer = decoders.query_scorer(feats.values, params, decoder)
     return evaluation.evaluate_ranking(test_triples, scorer, known)

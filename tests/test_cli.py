@@ -225,39 +225,100 @@ def test_snapshot_without_dtype_reads_as_f8(tmp_path):
     np.testing.assert_array_equal(arrays["w"], values)
 
 
+def edit_lines(edit):
+    """A corruption that rewrites a text file's lines with `edit(lines)`."""
+    def corrupt(path):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in edit(lines)))
+    return corrupt
+
+
+def edit_ids(edit):
+    """A corruption that saves `edit(rows)` over an id array file."""
+    def corrupt(path):
+        np.save(path, edit(np.load(path)))
+    return corrupt
+
+
+def first_row(row):
+    return edit_ids(lambda rows: np.concatenate([[row], rows[1:]]))
+
+
+def truncate_bytes(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-5])
+
+
+def text_ids(path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("0\t0\t3\n1\t0\t2\n")
+
+
+def tsv_id_bundle(path):
+    """Turn a bundle into the earlier layout, whose id splits were TSV text
+    files (`path` is the train split's array file)."""
+    bundle_dir = os.path.dirname(path)
+    for name in os.listdir(bundle_dir):
+        if name.endswith(".npy"):
+            rows = np.load(os.path.join(bundle_dir, name))
+            np.savetxt(os.path.join(bundle_dir, name[:-4] + ".tsv"), rows,
+                       fmt="%d", delimiter="\t")
+            os.remove(os.path.join(bundle_dir, name))
+
+
 @pytest.mark.parametrize("name, corrupt, detail", [
-    ("triples_test.tsv", lambda lines: ["-1\t0\t3"] + lines[1:], "row 1"),
-    ("triples_test.tsv", lambda lines: ["999\t0\t3"] + lines[1:], "row 1"),
-    ("triples_test.tsv", lambda lines: ["0\t99\t3"] + lines[1:], "row 1"),
-    ("triples_test.tsv", lambda lines: lines[:-1], "manifest counts"),
-    ("triples_test.tsv", lambda lines: lines[:1] + ["0\tx\t3"] + lines[2:],
-     "line 2, column 2"),
-    ("triples_test.tsv", lambda lines: lines[:1] + [""] + lines[1:],
-     "line 2 is empty"),
-    ("triples_test.tsv", lambda lines: lines + [""], "line {end} is empty"),
-    ("entities.tsv", lambda lines: ["x\te000"] + lines[1:], ":1:"),
-    ("manifest.json", lambda lines: lines[:-2], ""),
-    ("manifest.json",
-     lambda lines: [line.replace('"counts"', '"tallies"') for line in lines],
-     "counts"),
+    ("triples_test.npy", first_row([-1, 0, 3]), "row 1"),
+    ("triples_test.npy", first_row([999, 0, 3]), "row 1"),
+    ("triples_test.npy", first_row([0, 99, 3]), "row 1"),
+    ("triples_test.npy", edit_ids(lambda rows: rows[:-1]), "manifest counts"),
+    ("triples_test.npy", truncate_bytes, "not a readable .npy id array"),
+    ("triples_test.npy", text_ids, "magic string is not correct"),
+    ("triples_test.npy", lambda path: open(path, "w").close(),
+     "not a readable .npy id array"),
+    ("triples_test.npy", edit_ids(lambda rows: rows.astype(np.float64)),
+     "got float64 of shape (7, 3)"),
+    ("triples_test.npy", edit_ids(lambda rows: rows[:, :2]),
+     "expected an (n, 3) int64 array, got int64 of shape (7, 2)"),
+    ("triples_train.npy", tsv_id_bundle, "rerun `kgar preprocess`"),
+    ("entities.tsv", edit_lines(lambda lines: ["x\te000"] + lines[1:]),
+     ":1:"),
+    ("entities.tsv", edit_lines(lambda lines: lines[:5]),
+     "5 names, but the manifest counts 40"),
+    ("relations.tsv", edit_lines(lambda lines: lines[:2]),
+     "2 names, but the manifest counts 4"),
+    ("manifest.json", edit_lines(lambda lines: lines[:-2]), ""),
+    ("manifest.json", edit_lines(
+        lambda lines: [line.replace('"counts"', '"tallies"')
+                       for line in lines]), "counts"),
 ], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
-        "short-file", "non-integer-field", "blank-line", "blank-line-at-end",
-        "entity-names-bad-id",
-        "truncated-manifest", "manifest-without-counts"])
+        "short-file", "truncated-npy", "text-under-npy-name", "empty-npy",
+        "float64-ids", "two-column-triples", "tsv-id-bundle",
+        "entity-names-bad-id", "truncated-entity-names",
+        "truncated-relation-names", "truncated-manifest",
+        "manifest-without-counts"])
 def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
                                                detail):
-    path = os.path.join(lp_dir, "bundle", name)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in corrupt(lines)))
+    corrupt(os.path.join(lp_dir, "bundle", name))
     capsys.readouterr()
     # the bundle loads before the snapshot is read
     assert cli.main(["evaluate", "--snapshot", "absent.kgar",
                      "--dataset", lp_dir]) == 2
     err = capsys.readouterr().err
-    detail = detail.format(end=len(lines) + 1)
     assert "data error" in err and name in err and detail in err
+
+
+def test_repro_table_rebuilds_a_tsv_id_bundle(tmp_path):
+    bundle_dir = tmp_path / "synthetic" / "bundle"
+    _, bundle = cli._repro_prepare("synthetic", str(tmp_path))
+    tsv_id_bundle(str(bundle_dir / datasets.TRAIN_IDS))
+    _, rebuilt = cli._repro_prepare("synthetic", str(tmp_path))
+    np.testing.assert_array_equal(rebuilt.graph.triple_array(),
+                                  bundle.graph.triple_array())
+    assert (bundle_dir / datasets.TRAIN_IDS).exists()
 
 
 def rewrite_params(src, dst, edit):

@@ -189,7 +189,7 @@ def toy_dir(tmp_path):
 def test_drop_relations_removes_and_recompacts(tmp_path):
     d = toy_dir(tmp_path)
     kept = datasets.preprocess(d, drop_names=("p",))
-    assert kept["splits"]["train"] == [(1, 0, 2)]
+    assert kept["splits"]["train"].tolist() == [[1, 0, 2]]
     assert kept["manifest"]["num_relations"] == 1
     assert kept["relations"] == ["q"]
     # entity ids preserved
@@ -199,7 +199,8 @@ def test_drop_relations_removes_and_recompacts(tmp_path):
 
 def test_drop_relations_empty_set_identity(tmp_path):
     processed = datasets.preprocess(toy_dir(tmp_path), drop_names=())
-    assert processed["splits"]["train"] == [(0, 0, 1), (1, 1, 2), (2, 0, 0)]
+    assert processed["splits"]["train"].tolist() == [[0, 0, 1], [1, 1, 2],
+                                                [2, 0, 0]]
     assert processed["relations"] == ["p", "q"]
 
 
@@ -221,9 +222,9 @@ def test_dedup_triples(tmp_path):
                      valid="b\tr\ta\nb\tr\ta\n", test="a\tr\tb\n")
     splits = datasets.preprocess(d, dedup=True)["splits"]
     # first occurrences, in order, separately per split
-    assert splits["train"] == [(0, 0, 1), (1, 0, 0)]
-    assert splits["valid"] == [(1, 0, 0)]
-    assert splits["test"] == [(0, 0, 1)]
+    assert splits["train"].tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert splits["valid"].tolist() == [[1, 0, 0]]
+    assert splits["test"].tolist() == [[0, 0, 1]]
     assert len(datasets.preprocess(d)["splits"]["train"]) == 4
 
 
@@ -252,6 +253,13 @@ def test_load_labels_shared_class_map(tmp_path):
     assert labels["test"].entities.tolist() == [2]
     assert labels["test"].classes.tolist() == \
         [labels["train"].class_to_id["y"]]
+
+
+def test_load_labels_skip_comments_and_blank_lines_like_triples(tmp_path):
+    labels = classify_bundle(tmp_path, "a\t0\n  # note\n \t \nb\t1\n",
+                             "# header\nc\t0\n\n").labels
+    assert labels["train"].entities.tolist() == [0, 1]
+    assert labels["test"].entities.tolist() == [2]
 
 
 def test_load_labels_unknown_entity_names_line(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kgar import datasets
@@ -93,7 +94,7 @@ def test_preprocess_linkpred_counts(tmp_path):
     assert m["num_relations"] == m["num_relations_raw"] == 3
     assert m["counts"] == {"train": 4, "valid": 1, "test": 1}
     # first-appearance ids: a=0, b=1, c=2, d=3
-    assert processed["splits"]["test"] == [(1, 0, 0)]
+    assert processed["splits"]["test"].tolist() == [[1, 0, 0]]
 
 
 def test_preprocess_missing_split_names_file(tmp_path):
@@ -126,7 +127,7 @@ def test_preprocess_classify_labels(tmp_path):
     assert m["num_classes"] == 2
     assert m["counts"]["labels_train"] == 2
     assert m["counts"]["labels_test"] == 1
-    assert processed["labels"]["test"] == [(2, 0)]  # n2 -> red
+    assert processed["labels"]["test"].tolist() == [[2, 0]]  # n2 -> red
 
 
 def test_preprocess_unknown_label_entity(tmp_path):
@@ -176,6 +177,31 @@ def test_bundle_roundtrip_classify(tmp_path):
     assert bundle.labels["train"].num_classes == 2
     # drop list defaulted to the directory profile: 'cl' has none
     assert bundle.manifest["dropped_relations"] == []
+
+
+def test_load_bundle_returns_the_preprocessed_arrays(tmp_path):
+    d = make_linkpred_dir(tmp_path / "lp")
+    with open(os.path.join(d, "train.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("a\tr0\tb\nc\tr0\ta\n")  # duplicates
+    processed = datasets.preprocess(d, drop_names=("r1",), dedup=True)
+    assert processed["splits"]["train"].tolist() == [[0, 0, 1], [2, 0, 0],
+                                                     [3, 1, 0]]
+    datasets.write_bundle(str(tmp_path / "lp-bundle"), processed)
+    bundle = datasets.load_bundle(str(tmp_path / "lp-bundle"))
+    for split, rows in processed["splits"].items():
+        loaded = (bundle.graph.triple_array() if split == "train"
+                  else bundle.splits[split])
+        assert loaded.dtype == rows.dtype == np.int64
+        np.testing.assert_array_equal(loaded, rows)
+
+    processed = datasets.preprocess(make_classify_dir(tmp_path / "cl"))
+    datasets.write_bundle(str(tmp_path / "cl-bundle"), processed)
+    bundle = datasets.load_bundle(str(tmp_path / "cl-bundle"))
+    np.testing.assert_array_equal(bundle.graph.triple_array(),
+                                  processed["splits"]["train"])
+    for part, rows in processed["labels"].items():
+        np.testing.assert_array_equal(bundle.labels[part].entities, rows[:, 0])
+        np.testing.assert_array_equal(bundle.labels[part].classes, rows[:, 1])
 
 
 def test_load_bundle_missing(tmp_path):

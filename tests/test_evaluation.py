@@ -12,9 +12,11 @@ def static_scorer(scores):
 
 
 def rank_one(triple, side, scorer, known):
-    """One triple's RankingResult on one side, through the batched path."""
-    head, tail = ev.evaluate_ranking([triple], scorer, known)
-    return head if side == "head" else tail
+    """One triple's (raw, filtered) ranks on one side, through the batched
+    path."""
+    raw, filtered = ev.evaluate_ranking([triple], scorer, known)
+    query = ("head", "tail").index(side)
+    return raw[query], filtered[query]
 
 
 def brute_force_rank(scores, target, removed=()):
@@ -37,24 +39,24 @@ def brute_force_rank(scores, target, removed=()):
 
 def test_unique_top_score_rank_one():
     scores = [0.1, 0.9, 0.3]
-    res = rank_one((0, 0, 1), "tail", static_scorer(scores), set())
-    assert res.raw_rank == 1.0 and res.filtered_rank == 1.0
+    raw, filtered = rank_one((0, 0, 1), "tail", static_scorer(scores), set())
+    assert raw == 1.0 and filtered == 1.0
 
 
 def test_tie_policy_arithmetic():
     # target 0.5 against {0.9, 0.5, 0.1}: 1 + 1 strictly greater + 0.5 tie
     scores = [0.5, 0.9, 0.5, 0.1]
-    res = rank_one((0, 0, 1), "head", static_scorer(scores), set())
-    assert res.raw_rank == 2.5
+    raw, _ = rank_one((0, 0, 1), "head", static_scorer(scores), set())
+    assert raw == 2.5
 
 
 def test_known_competitor_filtered_out():
     # candidate 1 outranks the target 2 but forms a known positive
     scores = [0.0, 0.9, 0.5]
     known = {(0, 0, 1)}
-    res = rank_one((0, 0, 2), "tail", static_scorer(scores), known)
-    assert res.raw_rank == 2.0
-    assert res.filtered_rank == 1.0
+    raw, filtered = rank_one((0, 0, 2), "tail", static_scorer(scores), known)
+    assert raw == 2.0
+    assert filtered == 1.0
 
 
 def test_self_exclusion_guard():
@@ -62,7 +64,7 @@ def test_self_exclusion_guard():
     base = rank_one((0, 0, 2), "tail", static_scorer(scores), {(0, 0, 1)})
     plus_self = rank_one((0, 0, 2), "tail", static_scorer(scores),
                          {(0, 0, 1), (0, 0, 2)})
-    assert plus_self.filtered_rank == base.filtered_rank
+    assert plus_self[1] == base[1]
 
 
 def test_filtered_never_exceeds_raw_random():
@@ -74,8 +76,9 @@ def test_filtered_never_exceeds_raw_random():
                  for _ in range(n)}
         triple = (int(rng.integers(0, n)), 0, int(rng.integers(0, n)))
         for side in ("head", "tail"):
-            res = rank_one(triple, side, static_scorer(scores), known)
-            assert res.filtered_rank <= res.raw_rank
+            raw, filtered = rank_one(triple, side, static_scorer(scores),
+                                     known)
+            assert filtered <= raw
 
 
 def test_monotone_tie_policy():
@@ -97,12 +100,11 @@ def test_rank_matches_brute_force_with_filtering():
         scores = rng.integers(0, 5, n).astype(float)
         triple = (int(rng.integers(0, n)), 0, int(rng.integers(0, n)))
         known = {(triple[0], 0, int(rng.integers(0, n))) for _ in range(3)}
-        res = rank_one(triple, "tail", static_scorer(scores), known)
+        raw, filtered = rank_one(triple, "tail", static_scorer(scores), known)
         removed = {o for (s, r, o) in known if (s, r) == (triple[0], 0)
                    and o != triple[2]}
-        assert res.raw_rank == brute_force_rank(scores, triple[2])
-        assert res.filtered_rank == brute_force_rank(scores, triple[2],
-                                                     removed)
+        assert raw == brute_force_rank(scores, triple[2])
+        assert filtered == brute_force_rank(scores, triple[2], removed)
 
 
 def test_batched_ranks_match_brute_force():
@@ -123,19 +125,18 @@ def test_batched_ranks_match_brute_force():
         return table[queries[:, 1], queries[:, 0], queries[:, 2]]
 
     for known_set in (known, []):
-        results = ev.evaluate_ranking(test, scorer, known_set)
-        assert len(results) == 2 * n
-        for i, res in enumerate(results):
+        raw, filtered = ev.evaluate_ranking(test, scorer, known_set)
+        assert raw.shape == filtered.shape == (2 * n,)
+        for i in range(2 * n):
+            # query 2k ranks triple k's head, query 2k + 1 its tail
             s, r, o = (int(x) for x in test[i // 2])
             side = ("head", "tail")[i % 2]
-            assert res.triple == (s, r, o) and res.side == side
             fixed, target = (o, s) if side == "head" else (s, o)
             scores = table[r, fixed, i % 2]
             removed = {h if side == "head" else t for h, rr, t in known_set
                        if rr == r and (t if side == "head" else h) == fixed}
-            assert res.raw_rank == brute_force_rank(scores, target)
-            assert res.filtered_rank == brute_force_rank(scores, target,
-                                                         removed)
+            assert raw[i] == brute_force_rank(scores, target)
+            assert filtered[i] == brute_force_rank(scores, target, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,9 @@ def test_batched_ranks_match_brute_force():
 
 
 def make_results(rank_pairs):
-    return [ev.RankingResult((0, 0, 0), "tail", raw, filt)
-            for raw, filt in rank_pairs]
+    """The (raw, filtered) rank arrays of `evaluate_ranking`."""
+    return (np.array([raw for raw, _ in rank_pairs], dtype=float),
+            np.array([filt for _, filt in rank_pairs], dtype=float))
 
 
 def test_mrr_all_ones():
@@ -158,7 +160,7 @@ def test_mrr_hand_arithmetic():
 
 def test_mrr_empty_rejected():
     with pytest.raises(ValueError):
-        ev.mrr([], "raw")
+        ev.mrr(make_results([]), "raw")
 
 
 def test_hits_arithmetic_and_half_ranks():
