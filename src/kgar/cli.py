@@ -209,7 +209,7 @@ def cmd_train(args):
 def _check_meta(meta):
     """The snapshot's RunConfig; SnapshotError unless meta describes one
     valid config."""
-    missing = [k for k in ("task", "num_relations", "config") if k not in meta]
+    missing = [k for k in ("task", "config") if k not in meta]
     if missing:
         raise SnapshotError(f"snapshot meta lacks {', '.join(missing)}")
     config = meta["config"]
@@ -226,31 +226,6 @@ def _check_meta(meta):
         return RunConfig(**config).validate()
     except (TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot config is invalid: {exc}")
-
-
-def _check_shapes(meta, arrays, bundle, task):
-    """Check the dataset-sized dimensions of a snapshot against the bundle;
-    `rebuild_params` checks every other dimension."""
-    emb = arrays.get("embedding")
-    if emb is None:
-        raise SnapshotError("snapshot missing parameter 'embedding'")
-    if emb.shape[:1] != (bundle.num_entities,):
-        raise DataError(
-            f"parameter 'embedding' has shape {emb.shape} but the dataset "
-            f"has {bundle.num_entities} entities")
-    if meta["num_relations"] != bundle.num_relations:
-        raise DataError(
-            f"snapshot relation weights cover {meta['num_relations']} "
-            f"relations but the dataset has {bundle.num_relations} "
-            "(parameter 'layer0.forward.blocks')")
-    if task == "classify":
-        head = arrays.get("classify.head")
-        if head is None:
-            raise SnapshotError("snapshot missing parameter 'classify.head'")
-        if head.shape[1:2] != (bundle.manifest["num_classes"],):
-            raise DataError(
-                f"parameter 'classify.head' has shape {head.shape} but the "
-                f"dataset has {bundle.manifest['num_classes']} classes")
 
 
 def _evaluate_bundle(run, params, bundle, task, dataset):
@@ -271,7 +246,7 @@ def _evaluate_bundle(run, params, bundle, task, dataset):
 def cmd_evaluate(args):
     dataset_dir = _resolve(args)
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
-    meta, arrays, regularized = load_snapshot(args.snapshot)
+    meta, arrays, _ = load_snapshot(args.snapshot)
     run = _check_meta(meta)
     task = args.task or meta["task"]
     if task != meta["task"]:
@@ -280,9 +255,9 @@ def cmd_evaluate(args):
     if task != bundle.task:
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot evaluate a {task!r} snapshot on it")
-    _check_shapes(meta, arrays, bundle, task)
-    params = rebuild_params(arrays, regularized, run.encoder_config(),
-                            bundle.num_relations, task, run.decoder)
+    params = rebuild_params(arrays, run.encoder_config(), task, run.decoder,
+                            bundle.num_entities, bundle.num_relations,
+                            bundle.manifest.get("num_classes"))
     report = _evaluate_bundle(run, params, bundle, task,
                               bundle.manifest["dataset"])
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -301,7 +276,8 @@ def _repro_prepare(name, data_dir):
     if not os.path.isdir(path):
         raise DataError(f"dataset directory not found: {path}")
     bundle_dir = _bundle_dir(path)
-    if not os.path.exists(os.path.join(bundle_dir, datasets.TRAIN_IDS)):
+    if not all(os.path.exists(os.path.join(bundle_dir, name))
+               for name in (datasets.MANIFEST, datasets.TRAIN_IDS)):
         datasets.write_bundle(bundle_dir, datasets.preprocess(path))
     return path, datasets.load_bundle(bundle_dir)
 

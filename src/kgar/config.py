@@ -48,6 +48,11 @@ class RunConfig:
     leaky_slope: float = 0.2
 
     def validate(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                raise ValueError(f"{name} must be of type {kind}, got "
+                                 f"{value!r}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.decoder not in DECODERS:
@@ -67,6 +72,10 @@ class RunConfig:
         if self.learning_rate <= 0:
             raise ValueError(
                 f"learning_rate must be > 0, got {self.learning_rate}")
+        if (self.task == "linkpred" and self.decoder == "complex"
+                and self.embed_dim % 2):
+            raise ValueError("complex decoder needs an even embed_dim, got "
+                             f"{self.embed_dim}")
         # delegates block/dim divisibility and rate ranges
         self.encoder_config()
         return self
@@ -82,6 +91,15 @@ class RunConfig:
 # annotations are strings ("int", "float", "bool", "str") here, as this
 # module postpones their evaluation
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _has_type(value, kind):
+    """Whether `value` may fill a field annotated `kind`; a bool is no
+    number, and an int is a valid float."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "bool": bool}[kind])
 
 
 def coerce(field, raw):

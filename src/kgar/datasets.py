@@ -214,11 +214,17 @@ def _write_names(path, names):
 
 
 def write_bundle(bundle_dir, processed):
-    """Write a preprocessed dataset; byte-deterministic for identical input."""
+    """Write a preprocessed dataset; byte-deterministic for identical input.
+
+    Any old manifest is removed first and the new one renamed into place
+    last, so a write that fails part-way leaves a bundle that `load_bundle`
+    reports as not found instead of one that mixes old and new files. No
+    fsync: the bundle is a cache that `preprocess` rebuilds.
+    """
     os.makedirs(bundle_dir, exist_ok=True)
-    with open(os.path.join(bundle_dir, MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(processed["manifest"], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest_path = os.path.join(bundle_dir, MANIFEST)
+    if os.path.exists(manifest_path):
+        os.unlink(manifest_path)
     _write_names(os.path.join(bundle_dir, "entities.tsv"),
                  processed["entities"])
     _write_names(os.path.join(bundle_dir, "relations.tsv"),
@@ -232,6 +238,11 @@ def write_bundle(bundle_dir, processed):
     for part, rows in processed["labels"].items():
         np.save(os.path.join(bundle_dir, f"labels_{part}.npy"), rows,
                 allow_pickle=False)
+    tmp = f"{manifest_path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(processed["manifest"], fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, manifest_path)
     return bundle_dir
 
 

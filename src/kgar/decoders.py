@@ -42,7 +42,8 @@ def classification_loss(probs, class_ids, params=(), l2_coefficient=0.0):
     """
     loss = T.nll_true_class(probs, class_ids)
     if l2_coefficient:
-        loss = T.add(loss, T.l2_penalty(params, l2_coefficient))
+        loss = T.add(loss, T.l2_penalty([p for p in params if p.regularized],
+                                        l2_coefficient))
     return loss
 
 
@@ -179,7 +180,6 @@ def link_loss(scores, labels, params=(), feature_tensors=(),
     """
     loss = T.binary_cross_entropy_bits(scores, labels)
     if l2_coefficient:
-        loss = T.add(loss, T.l2_penalty(params, l2_coefficient))
-        for feats in feature_tensors:
-            loss = T.add(loss, T.scale(T.sum_squares(feats), l2_coefficient))
+        penalized = [p for p in params if p.regularized] + list(feature_tensors)
+        loss = T.add(loss, T.l2_penalty(penalized, l2_coefficient))
     return loss

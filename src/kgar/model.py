@@ -53,124 +53,112 @@ class ModelParams:
         return out
 
 
-def _draw(rng, shape, std, init):
-    if init == "std-normal":
-        return rng.standard_normal(shape)
-    return rng.normal(0.0, std, shape)
+def schema(num_entities, num_relations, config, task, decoder, num_classes):
+    """The model's parameters as (name, shape, init std, regularized)
+    entries, in `ModelParams.all_params()` order, which is also the order
+    `init_params` draws them in.
 
-
-def init_params(num_entities, num_relations, config, task, rng,
-                num_classes=None, decoder="complex", init="scaled"):
-    """Create freshly initialized ModelParams.
-
-    Default init scales normal draws by sqrt(2/(fan_in+fan_out)) for weight
-    matrices (per block for the stacked relation blocks) and 1/sqrt(width)
-    for embedding-like tables; `std-normal` draws every weight from N(0,1).
-    Fusion gates start at 1.0 under either mode, which reduces the fusion
-    readout to plain neighbor summation at initialization.
+    Weight matrices have std sqrt(2/(fan_in+fan_out)) (per block for the
+    stacked relation blocks), embedding-like tables 1/sqrt(width). The
+    fusion gates' std is "ones": they start at 1.0 under either init and
+    take no draw, which reduces the fusion readout to plain neighbor
+    summation at initialization. `num_classes` is read for classify only.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     if decoder not in DECODERS:
         raise ValueError(f"decoder must be one of {DECODERS}, got {decoder!r}")
-    if init not in INITS:
-        raise ValueError(f"init must be one of {INITS}, got {init!r}")
     if task == "classify" and not num_classes:
         raise ValueError("classify task needs num_classes")
-
     d, b = config.embed_dim, config.num_blocks
-
-    embedding = Parameter(
-        "embedding", _draw(rng, (num_entities, d), 1.0 / np.sqrt(d), init))
-    layers = []
+    w_std = np.sqrt(2.0 / (d + d))
+    q_std = np.sqrt(2.0 / (d // b + d // b))
+    out = [("embedding", (num_entities, d), 1.0 / np.sqrt(d), False)]
     for layer in range(config.num_layers):
-        w_std = np.sqrt(2.0 / (d + d))
-        att_W = Parameter(f"layer{layer}.att_w",
-                          _draw(rng, (d, d), w_std, init))
-        self_W = Parameter(f"layer{layer}.self_w",
-                           _draw(rng, (d, d), w_std, init))
-        q_std = np.sqrt(2.0 / (d // b + d // b))
-        blocks = {
-            direction: Parameter(
-                f"layer{layer}.{direction}.blocks",
-                _draw(rng, (num_relations * d, d // b), q_std, init),
-                regularized=task == "classify")
-            for direction in DIRECTIONS}
-        layers.append(LayerWeights(att_W, self_W, blocks))
-    gates = Parameter("fusion.gates", np.ones((num_relations, 1)))
-
-    kwargs = {}
+        out += [(f"layer{layer}.att_w", (d, d), w_std, False),
+                (f"layer{layer}.self_w", (d, d), w_std, False)]
+        out += [(f"layer{layer}.{direction}.blocks",
+                 (num_relations * d, d // b), q_std, task == "classify")
+                for direction in DIRECTIONS]
+    out.append(("fusion.gates", (num_relations, 1), "ones", False))
     if task == "classify":
-        kwargs["head"] = Parameter(
-            "classify.head",
-            _draw(rng, (d, num_classes), np.sqrt(2.0 / (d + num_classes)), init))
+        out.append(("classify.head", (d, num_classes),
+                    np.sqrt(2.0 / (d + num_classes)), False))
     elif decoder == "complex":
-        if d % 2:
-            raise ValueError(f"complex decoder needs an even embed_dim, got {d}")
-        half = d // 2
-        std = 1.0 / np.sqrt(half)
-        kwargs["rel_re"] = Parameter(
-            "decoder.rel_re", _draw(rng, (num_relations, half), std, init),
-            regularized=True)
-        kwargs["rel_im"] = Parameter(
-            "decoder.rel_im", _draw(rng, (num_relations, half), std, init),
-            regularized=True)
+        std = 1.0 / np.sqrt(d // 2)
+        out += [(name, (num_relations, d // 2), std, True)
+                for name in ("decoder.rel_re", "decoder.rel_im")]
     else:
-        kwargs["rel_diag"] = Parameter(
-            "decoder.rel_diag",
-            _draw(rng, (num_relations, d), 1.0 / np.sqrt(d), init),
-            regularized=True)
-    return ModelParams(embedding, layers, gates, **kwargs)
+        out.append(("decoder.rel_diag", (num_relations, d), 1.0 / np.sqrt(d),
+                    True))
+    return out
 
 
-def rebuild_params(arrays, regularized, config, num_relations, task,
-                   decoder):
+def _assemble(params, num_layers):
+    """ModelParams from a name -> Parameter mapping of schema names."""
+    layers = [LayerWeights(params[f"layer{layer}.att_w"],
+                           params[f"layer{layer}.self_w"],
+                           {direction: params[f"layer{layer}.{direction}.blocks"]
+                            for direction in DIRECTIONS})
+              for layer in range(num_layers)]
+    return ModelParams(params["embedding"], layers, params["fusion.gates"],
+                       head=params.get("classify.head"),
+                       rel_re=params.get("decoder.rel_re"),
+                       rel_im=params.get("decoder.rel_im"),
+                       rel_diag=params.get("decoder.rel_diag"))
+
+
+def init_params(num_entities, num_relations, config, task, rng,
+                num_classes=None, decoder="complex", init="scaled"):
+    """Create freshly initialized ModelParams from `schema`.
+
+    `scaled` draws each weight from N(0, std^2) with the schema's std;
+    `std-normal` draws every weight from N(0,1).
+    """
+    if init not in INITS:
+        raise ValueError(f"init must be one of {INITS}, got {init!r}")
+    params = {}
+    for name, shape, std, regularized in schema(
+            num_entities, num_relations, config, task, decoder, num_classes):
+        if std == "ones":
+            values = np.ones(shape)
+        elif init == "std-normal":
+            values = rng.standard_normal(shape)
+        else:
+            values = rng.normal(0.0, std, shape)
+        params[name] = Parameter(name, values, regularized)
+    return _assemble(params, config.num_layers)
+
+
+def _checked(arrays, name, shape):
+    if name not in arrays:
+        raise SnapshotError(f"snapshot missing parameter {name!r}")
+    values = arrays[name]
+    if values.shape != shape:
+        raise SnapshotError(f"parameter {name!r} has shape {values.shape}, "
+                            f"expected {shape}")
+    return values
+
+
+def rebuild_params(arrays, config, task, decoder, num_entities, num_relations,
+                   num_classes):
     """Reassemble a ModelParams from a name->array mapping (see snapshot).
 
     Raises SnapshotError for a parameter that is missing or whose shape
-    differs from the one config and num_relations fix. Embedding rows and
-    classification-head columns are the dataset's to check.
+    differs from its `schema` shape, dataset counts included. The
+    `regularized` flags come from the schema.
     """
-    def array(name, shape):
-        if name not in arrays:
-            raise SnapshotError(f"snapshot missing parameter {name!r}")
-        values = arrays[name]
-        if len(values.shape) != len(shape) or any(
-                want is not None and want != got
-                for got, want in zip(values.shape, shape)):
-            want = ", ".join("*" if n is None else str(n) for n in shape)
-            raise SnapshotError(f"parameter {name!r} has shape "
-                                f"{values.shape}, expected ({want})")
-        return values
-
-    def param(name, shape):
-        return Parameter(name, array(name, shape),
-                         regularized=regularized[name])
-
-    d, b = config.embed_dim, config.num_blocks
-
-    def stacked_blocks(prefix):
-        name = f"{prefix}.blocks"
-        if name in arrays or f"{prefix}.rel0.blocks" not in arrays:
-            return param(name, (num_relations * d, d // b))
-        # a snapshot written before the relation weights were stacked
-        rels = [f"{prefix}.rel{r}.blocks" for r in range(num_relations)]
-        return Parameter(name, np.concatenate(
-            [array(n, (d, d // b)) for n in rels]), regularized[rels[0]])
-
-    layers = []
-    for layer in range(config.num_layers):
-        blocks = {direction: stacked_blocks(f"layer{layer}.{direction}")
-                  for direction in DIRECTIONS}
-        layers.append(LayerWeights(param(f"layer{layer}.att_w", (d, d)),
-                                   param(f"layer{layer}.self_w", (d, d)),
-                                   blocks))
-    if task == "classify":
-        heads = {"head": param("classify.head", (d, None))}
-    elif decoder == "complex":
-        heads = {"rel_re": param("decoder.rel_re", (num_relations, d // 2)),
-                 "rel_im": param("decoder.rel_im", (num_relations, d // 2))}
-    else:
-        heads = {"rel_diag": param("decoder.rel_diag", (num_relations, d))}
-    return ModelParams(param("embedding", (None, d)), layers,
-                       param("fusion.gates", (num_relations, 1)), **heads)
+    params = {}
+    for name, shape, _, regularized in schema(
+            num_entities, num_relations, config, task, decoder, num_classes):
+        if name.endswith(".blocks") and name not in arrays \
+                and name.replace(".blocks", ".rel0.blocks") in arrays:
+            # a snapshot written before the relation weights were stacked
+            values = np.concatenate([
+                _checked(arrays, name.replace(".blocks", f".rel{r}.blocks"),
+                         (config.embed_dim, shape[1]))
+                for r in range(num_relations)])
+        else:
+            values = _checked(arrays, name, shape)
+        params[name] = Parameter(name, values, regularized)
+    return _assemble(params, config.num_layers)

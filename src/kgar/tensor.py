@@ -161,27 +161,6 @@ def add(a, b):
     return out
 
 
-def scale(a, c):
-    c = float(c)
-    out = Tensor(a.values * c)
-
-    def bw(g):
-        _acc(a, g * c)
-
-    _record(out, bw)
-    return out
-
-
-def sum_squares(a):
-    out = Tensor([[float(np.square(a.values).sum())]])
-
-    def bw(g):
-        _acc(a, (2.0 * g[0, 0]) * a.values)
-
-    _record(out, bw)
-    return out
-
-
 # rows per tile: the encoder's fused ops walk their edges, and
 # scatter_rows its rows, in tiles this long, so that one tile's (rows x D)
 # temporaries stay in cache (512 x D=100 float64 is 400 kB)
@@ -400,18 +379,17 @@ def binary_cross_entropy_bits(scores, labels):
     return out
 
 
-def l2_penalty(params, coefficient):
-    """coefficient * sum of squared entries over regularized parameters."""
+def l2_penalty(tensors, coefficient):
+    """coefficient * sum of squared entries over all the given tensors."""
     if coefficient < 0:
         raise ValueError(f"l2 coefficient must be >= 0, got {coefficient}")
-    targets = [p for p in params if p.regularized]
-    total = sum(float(np.square(p.values).sum()) for p in targets)
+    total = sum(float(np.square(t.values).sum()) for t in tensors)
     out = Tensor([[coefficient * total]])
 
     def bw(g):
         c = 2.0 * coefficient * g[0, 0]
-        for p in targets:
-            _acc(p, c * p.values)
+        for t in tensors:
+            _acc(t, c * t.values)
 
     _record(out, bw)
     return out

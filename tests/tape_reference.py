@@ -3,8 +3,9 @@
 The encoder multiplies relation blocks and scatters edge messages inside
 its fused ops, and the decoder scores triples in one fused op; these
 composable versions (block-diagonal matmul, row scatter-add, dense block
-assembly, sigmoid, elementwise sub/mul, row and total sums) let the tests
-check those fused ops and the tape against independent routes.
+assembly, sigmoid, elementwise sub/mul, scaling, row and total sums, sum
+of squares) let the tests check those fused ops and the tape against
+independent routes.
 `grad_check` compares every gradient the tape computes with central
 differences.
 """
@@ -143,6 +144,27 @@ def sum_all(a):
 
     def bw(g):
         _acc(a, np.full_like(a.values, g[0, 0]))
+
+    _record(out, bw)
+    return out
+
+
+def scale(a, c):
+    c = float(c)
+    out = Tensor(a.values * c)
+
+    def bw(g):
+        _acc(a, g * c)
+
+    _record(out, bw)
+    return out
+
+
+def sum_squares(a):
+    out = Tensor([[float(np.square(a.values).sum())]])
+
+    def bw(g):
+        _acc(a, (2.0 * g[0, 0]) * a.values)
 
     _record(out, bw)
     return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgar import cli, datasets, synthetic
+from kgar.data import DataError
 from kgar.model import init_params
 from kgar.snapshot import load_snapshot, save_snapshot
 from kgar.tensor import Parameter
@@ -176,7 +177,40 @@ def test_evaluate_shape_mismatch_names_parameter(lp_dir, tmp_path, capsys):
     snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
     assert cli.main(["evaluate", "--snapshot", snap,
                      "--dataset", other]) == 2
-    assert "embedding" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "snapshot error" in err
+    assert "'embedding' has shape (40, 8), expected (41, 8)" in err
+
+
+def append_to(name, text):
+    """An edit that appends `text` to a raw dataset file."""
+    def edit(root):
+        with open(os.path.join(root, name), "a", encoding="utf-8") as fh:
+            fh.write(text)
+    return edit
+
+
+@pytest.mark.parametrize("make, edit, named", [
+    (small_linkpred, append_to("train.tsv", "e000\tnew_rel\te001\n"),
+     "'layer0.forward.blocks' has shape (32, 4), expected (40, 4)"),
+    (small_classify, append_to("labels_train.tsv", "n2\tgreen\n"),
+     "'classify.head' has shape (8, 2), expected (8, 3)"),
+], ids=["relations", "classes"])
+def test_evaluate_count_mismatch_names_parameter_and_shapes(
+        tmp_path, capsys, make, edit, named):
+    trained, other = make(tmp_path / "a"), make(tmp_path / "b")
+    edit(other)
+    for d in (trained, other):
+        assert cli.main(["preprocess", "--dataset", d]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", trained, "--out", str(out)]
+                    + FAST) == 0
+    (snap,) = out.glob("snapshot-*.kgar")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--snapshot", str(snap),
+                     "--dataset", other]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot error" in err and named in err
 
 
 def rewrite_header(src, dst, edit):
@@ -200,8 +234,15 @@ def rewrite_header(src, dst, edit):
      "config is invalid"),
     (lambda h: h["meta"]["config"].update(num_blocks=3), "num_blocks 3"),
     (lambda h: h["params"][0].update(dtype="<f4"), "'<f4'"),
+    (lambda h: h["meta"]["config"].update(num_layers=1.0),
+     "num_layers must be of type int, got 1.0"),
+    (lambda h: h["meta"]["config"].update(embed_dim=8.0),
+     "embed_dim must be of type int, got 8.0"),
+    (lambda h: h["meta"]["config"].update(embed_dim=9, num_blocks=1),
+     "even embed_dim"),
 ], ids=["unknown-config-key", "no-params", "missing-config-key",
-        "mistyped-config-value", "invalid-config-value", "wrong-dtype"])
+        "mistyped-config-value", "invalid-config-value", "wrong-dtype",
+        "float-num-layers", "float-embed-dim", "odd-complex-embed-dim"])
 def test_evaluate_bad_snapshot_header_is_snapshot_error(
         lp_dir, tmp_path, capsys, edit, named):
     out = str(tmp_path / "run")
@@ -319,6 +360,32 @@ def test_repro_table_rebuilds_a_tsv_id_bundle(tmp_path):
     np.testing.assert_array_equal(rebuilt.graph.triple_array(),
                                   bundle.graph.triple_array())
     assert (bundle_dir / datasets.TRAIN_IDS).exists()
+
+
+def test_failed_bundle_write_leaves_no_bundle(tmp_path, monkeypatch,
+                                              capsys):
+    path, bundle = cli._repro_prepare("synthetic", str(tmp_path))
+    bundle_dir = os.path.join(path, "bundle")
+    save, saved = np.save, []
+
+    def save_then_fail(file, *args, **kwargs):
+        saved.append(file)
+        if len(saved) == 2:
+            raise OSError("disk full")
+        save(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "save", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        datasets.write_bundle(bundle_dir, datasets.preprocess(path))
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="bundle not found"):
+        datasets.load_bundle(bundle_dir)
+    assert cli.main(["evaluate", "--snapshot", "absent.kgar",
+                     "--dataset", path]) == 2
+    assert "bundle not found" in capsys.readouterr().err
+    _, rebuilt = cli._repro_prepare("synthetic", str(tmp_path))
+    np.testing.assert_array_equal(rebuilt.graph.triple_array(),
+                                  bundle.graph.triple_array())
 
 
 def rewrite_params(src, dst, edit):

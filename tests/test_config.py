@@ -45,6 +45,24 @@ def test_validation_rejects_bad_fields():
         C.resolve_config("classify", cli_values={"embedd_im": 4})
 
 
+def test_validation_rejects_mistyped_values():
+    for field, value in (("num_layers", 1.0), ("embed_dim", 100.0),
+                         ("seed", True), ("l2", False), ("l2", "0.1"),
+                         ("filtered_negatives", 1), ("decoder", None)):
+        with pytest.raises(ValueError, match=f"{field} must be of type"):
+            C.RunConfig(**{field: value}).validate()
+    assert C.resolve_config("linkpred", cli_values={"l2": 0}).l2 == 0
+
+
+def test_complex_link_prediction_needs_even_embed_dim():
+    odd = {"embed_dim": 9, "num_blocks": 3}
+    with pytest.raises(ValueError, match="even embed_dim"):
+        C.resolve_config("linkpred", cli_values=odd)
+    assert C.resolve_config("linkpred", cli_values=dict(
+        odd, decoder="distmult")).embed_dim == 9
+    assert C.resolve_config("classify", cli_values=odd).embed_dim == 9
+
+
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\nembed_dim = 40\nl2=0.02\n"

@@ -189,7 +189,7 @@ def test_score_triples_grad_check():
 
         def loss():
             scores, _ = dec.score_triples(params, feats, triples, decoder)
-            return T.sum_squares(scores)
+            return R.sum_squares(scores)
 
         assert R.grad_check(loss, [feats, *relations]) < 1e-4, decoder
 

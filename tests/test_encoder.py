@@ -131,12 +131,12 @@ def test_edge_inner_product_parity(toy_graph):
     plan = toy_graph.plan("forward")
 
     def fused():
-        return T.sum_squares(E.edge_inner_product(hw, plan.src, plan.dst))
+        return R.sum_squares(E.edge_inner_product(hw, plan.src, plan.dst))
 
     def composed():
         d = T.gather_rows(hw, plan.dst)
         s = T.gather_rows(hw, plan.src)
-        return T.sum_squares(R.row_sum(R.mul(d, s)))
+        return R.sum_squares(R.row_sum(R.mul(d, s)))
 
     v1, (g1,) = grads_of(fused, [hw])
     v2, (g2,) = grads_of(composed, [hw])
@@ -159,7 +159,7 @@ def aggregate_parity(graph, direction, seed):
     def fused():
         alpha = Tensor(alpha_vals)
         agg = E.attention_relational_aggregate(h, alpha, plan, q, b, n)
-        return T.sum_squares(agg)
+        return R.sum_squares(agg)
 
     def composed():
         total = None
@@ -172,7 +172,7 @@ def aggregate_parity(graph, direction, seed):
             w = Tensor(alpha_vals[lo:hi])
             part = R.scatter_add_rows(R.mul(ys, w), plan.dst[lo:hi], n)
             total = part if total is None else T.add(total, part)
-        return T.sum_squares(total)
+        return R.sum_squares(total)
 
     v1, (gh1, gq1) = grads_of(fused, [h, q])
     v2, (gh2, *gqs) = grads_of(composed, [h] + qs)
@@ -195,7 +195,7 @@ def test_attention_aggregate_alpha_gradient(toy_graph):
     alpha = Parameter("alpha", rng.random((plan.num_edges, 1)))
 
     def loss():
-        return T.sum_squares(
+        return R.sum_squares(
             E.attention_relational_aggregate(h, alpha, plan, q, 2, 6))
 
     assert R.grad_check(loss, [alpha]) < 1e-6
@@ -208,7 +208,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
     plan = toy_graph.plan("backward")
 
     def fused():
-        return T.sum_squares(E.gated_neighbor_sum(h, gates, plan, 6))
+        return R.sum_squares(E.gated_neighbor_sum(h, gates, plan, 6))
 
     def composed():
         total = None
@@ -220,7 +220,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
             w = T.gather_rows(gates, np.full(hi - lo, r))
             part = R.scatter_add_rows(R.mul(xs, w), plan.dst[lo:hi], 6)
             total = part if total is None else T.add(total, part)
-        return T.sum_squares(total)
+        return R.sum_squares(total)
 
     v1, grads1 = grads_of(fused, [h, gates])
     v2, grads2 = grads_of(composed, [h, gates])
@@ -435,7 +435,7 @@ def test_encoder_grad_check(toy_graph):
     params = toy_params(cfg, seed=19)
 
     def loss():
-        return T.sum_squares(E.encode(toy_graph, params, cfg))
+        return R.sum_squares(E.encode(toy_graph, params, cfg))
 
     assert R.grad_check(loss, params.all_params()) < 1e-4
 
@@ -476,7 +476,7 @@ def test_tiled_encoder_grad_check(split_graph, monkeypatch, tile):
     params = toy_params(cfg, seed=22, num_relations=4)
 
     def loss():
-        return T.sum_squares(E.encode(split_graph, params, cfg))
+        return R.sum_squares(E.encode(split_graph, params, cfg))
 
     assert R.grad_check(loss, params.all_params()) < 1e-4
 

@@ -169,10 +169,11 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
             np.testing.assert_array_equal(arrays[p.name], p.values)
             assert regularized[p.name] == p.regularized
         # rebuild into a structured ModelParams and re-encode identically
-        rebuilt = rebuild_params(arrays, regularized, cfg.encoder_config(), 3,
-                                 task, decoder)
-        assert ([p.name for p in rebuilt.all_params()]
-                == [p.name for p in result.params.all_params()])
+        rebuilt = rebuild_params(arrays, cfg.encoder_config(), task, decoder,
+                                 6, 3, 4)
+        assert ([(p.name, p.regularized) for p in rebuilt.all_params()]
+                == [(p.name, p.regularized)
+                    for p in result.params.all_params()])
         f1 = encode(graph, result.params, cfg.encoder_config()).values
         f2 = encode(graph, rebuilt, cfg.encoder_config()).values
         np.testing.assert_array_equal(f1, f2)
@@ -181,6 +182,19 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
             if original is not None:
                 np.testing.assert_array_equal(
                     getattr(rebuilt, name).values, original.values)
+
+
+@pytest.mark.parametrize("task, decoder", [
+    ("classify", "complex"), ("linkpred", "complex"),
+    ("linkpred", "distmult")])
+def test_schema_lists_parameters_in_all_params_order(task, decoder):
+    from kgar.model import init_params, schema
+    cfg = toy_run_config(task).encoder_config()
+    params = init_params(6, 3, cfg, task, np.random.default_rng(0),
+                         num_classes=4, decoder=decoder)
+    assert [(name, shape, regularized) for name, shape, _, regularized
+            in schema(6, 3, cfg, task, decoder, 4)] == [
+        (p.name, p.shape, p.regularized) for p in params.all_params()]
 
 
 def test_snapshot_corruption_detected(tmp_path):
