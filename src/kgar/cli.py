@@ -10,14 +10,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import datasets, evaluation, synthetic, training
-from .config import RunConfig, parse_config_file, resolve_config
+from .config import (CHOICES, FIELD_TYPES, LINKPRED_DEFAULTS, RunConfig,
+                     parse_config_file, resolve_config)
 from .data import DataError
-from .model import rebuild_params
+from .model import DECODERS, rebuild_params
 from .snapshot import SnapshotError, load_snapshot, save_snapshot
 from .tensor import NumericFailure
 
@@ -42,67 +43,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _help(setting):
+    """A setting's description and its default under each protocol."""
+    text = setting.metadata["help"]
+    if setting.name == "task":  # the bundle's task unless given
+        return text
+    classify = setting.default
+    linkpred = LINKPRED_DEFAULTS.get(setting.name, classify)
+    if classify == linkpred:
+        return f"{text} (default {classify})"
+    return (f"{text} (default {classify} classification / {linkpred} link "
+            "prediction)")
+
+
 def _add_config_flags(parser):
+    """One flag per RunConfig field but `dataset_dir`, which --dataset
+    sets."""
     g = parser.add_argument_group(
         "run configuration",
         "precedence: flag > config file > dataset default > task default")
-    arg = g.add_argument
-    arg("--task", choices=("classify", "linkpred"),
-        help="objective; defaults to the dataset's usual task")
-    arg("--embed-dim", type=int, metavar="M",
-        help="entity embedding width (default 500, both protocols)")
-    arg("--num-layers", type=int, metavar="C",
-        help="graph convolution layers (default 2, the link-prediction "
-             "protocol's tuned depth)")
-    arg("--num-blocks", type=int, metavar="B",
-        help="diagonal blocks per relation weight; must divide the layer "
-             "widths (default 10)")
-    arg("--dropout-attention", type=float, metavar="RATE",
-        help="dropout on attention coefficients (default 0.6, tuned on the "
-             "classification protocol and reused for link prediction)")
-    arg("--dropout-conv", type=float, metavar="RATE",
-        help="dropout on pre-activation aggregates (default 0.4 "
-             "classification / 0.5 link prediction)")
-    arg("--l2", type=float, metavar="COEFF",
-        help="L2 penalty coefficient (default 0.0005 classification / "
-             "0.01 link prediction)")
-    arg("--learning-rate", type=float, metavar="LR",
-        help="step size (default 0.01, both protocols)")
-    arg("--batch-size", type=int, metavar="N",
-        help="sampled positives per iteration for link prediction; "
-             "classification always trains full-batch (default 50)")
-    arg("--iterations", type=int, metavar="N",
-        help="training iterations (default 200 classification / 6000 link "
-             "prediction)")
-    arg("--seed", type=int, help="RNG seed for init and sampling (default 0)")
-    arg("--decoder", choices=("complex", "distmult"),
-        help="link-prediction scoring function (default complex)")
-    arg("--init", choices=("scaled", "std-normal"),
-        help="weight init: variance-scaled normals, or literal N(0,1) "
-             "(default scaled)")
-    arg("--filtered-negatives", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="resample corruptions that collide with known triples "
-             "(default off)")
-    arg("--optimizer", choices=("gd", "adam"),
-        help="plain gradient descent or the adam variant (default gd)")
-    arg("--eval-interval", type=int, metavar="N",
-        help="iterations between validation metrics (default 100)")
-    arg("--leaky-slope", type=float, metavar="S",
-        help="negative slope of the attention LeakyReLU (default 0.2)")
+    for setting in fields(RunConfig):
+        if setting.name == "dataset_dir":
+            continue
+        flag = "--" + setting.name.replace("_", "-")
+        kind = FIELD_TYPES[setting.name]
+        if kind is bool:
+            g.add_argument(flag, action=argparse.BooleanOptionalAction,
+                           default=None, help=_help(setting))
+        else:
+            g.add_argument(flag, type=kind, choices=CHOICES.get(setting.name),
+                           help=_help(setting))
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value config file")
 
 
-_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
-
-
 def _cli_values(args):
-    out = {}
-    for name in _CONFIG_FIELDS:
-        if hasattr(args, name) and getattr(args, name) is not None:
-            out[name] = getattr(args, name)
-    return out
+    return {name: getattr(args, name) for name in FIELD_TYPES
+            if getattr(args, name, None) is not None}
 
 
 def _bundle_dir(dataset_dir):
@@ -122,16 +99,21 @@ def _build_config(args, dataset_dir, task):
         datasets.dataset_name(dataset_dir)), file_values, cli_values)
 
 
+def _nonempty(rows, split, command):
+    if not len(rows):
+        raise DataError(f"the {split} split is empty; {command} needs at "
+                        "least one row")
+
+
 def _train_splits(bundle):
     if bundle.task == "classify":
+        _nonempty(bundle.labels["train"].entities, "labels_train", "train")
         splits = {"labels_train": bundle.labels["train"]}
         if "valid" in bundle.labels:
             splits["labels_valid"] = bundle.labels["valid"]
         return splits
-    valid = bundle.splits["valid"]
-    return {"valid": valid,
-            "filter_triples": np.concatenate(
-                [bundle.graph.triple_array(), valid])}
+    _nonempty(bundle.graph.triple_array(), "train", "train")
+    return {"valid": bundle.splits["valid"]}
 
 
 def _progress(stream):
@@ -173,8 +155,7 @@ def _snapshot_meta(config, bundle):
             "dataset": bundle.manifest["dataset"],
             "num_entities": bundle.num_entities,
             "num_relations": bundle.num_relations,
-            "config": {name: getattr(config, name)
-                       for name in _CONFIG_FIELDS}}
+            "config": asdict(config)}
     if bundle.task == "classify":
         meta["num_classes"] = bundle.manifest["num_classes"]
     return meta
@@ -188,6 +169,7 @@ def cmd_train(args):
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot train {task!r} on it")
     config = _build_config(args, dataset_dir, task)
+    splits = _train_splits(bundle)
 
     out = args.out or os.path.join(dataset_dir, "runs")
     os.makedirs(out, exist_ok=True)
@@ -195,7 +177,7 @@ def cmd_train(args):
     if task == "linkpred":
         tag += f"-{config.decoder}"
     log_path = os.path.join(out, f"loss-{tag}.csv")
-    result = training.train(bundle.graph, _train_splits(bundle), config, task,
+    result = training.train(bundle.graph, splits, config, task,
                             seed=config.seed, log_path=log_path,
                             progress=_progress(sys.stderr))
     snapshot_path = os.path.join(out, f"snapshot-{tag}.kgar")
@@ -215,8 +197,8 @@ def _check_meta(meta):
     config = meta["config"]
     if not isinstance(config, dict):
         raise SnapshotError("snapshot config is not a key/value object")
-    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
-    absent = [name for name in _CONFIG_FIELDS if name not in config]
+    unknown = sorted(set(config) - set(FIELD_TYPES))
+    absent = [name for name in FIELD_TYPES if name not in config]
     if unknown or absent:
         raise SnapshotError(
             f"snapshot config does not match this version's fields "
@@ -230,11 +212,13 @@ def _check_meta(meta):
 
 def _evaluate_bundle(run, params, bundle, task, dataset):
     if task == "classify":
+        test = bundle.labels["test"]
+        _nonempty(test.entities, "labels_test", "evaluate")
         accuracy = training.evaluate_classification(
-            bundle.graph, params, run.encoder_config(),
-            bundle.labels["test"])
+            bundle.graph, params, run.encoder_config(), test)
         return evaluation.classify_report(accuracy, dataset)
     test = bundle.splits["test"]
+    _nonempty(test, "test", "evaluate")
     known = evaluation.FilterIndex(np.concatenate(
         [bundle.graph.triple_array(), bundle.splits["valid"], test]))
     results = training.evaluate_links(bundle.graph, params,
@@ -246,7 +230,7 @@ def _evaluate_bundle(run, params, bundle, task, dataset):
 def cmd_evaluate(args):
     dataset_dir = _resolve(args)
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
-    meta, arrays, _ = load_snapshot(args.snapshot)
+    meta, arrays = load_snapshot(args.snapshot)
     run = _check_meta(meta)
     task = args.task or meta["task"]
     if task != meta["task"]:
@@ -282,7 +266,7 @@ def _repro_prepare(name, data_dir):
     return path, datasets.load_bundle(bundle_dir)
 
 
-def _repro_train_eval(path, bundle, task, seed, decoder="complex"):
+def _repro_train_eval(path, bundle, task, seed, decoder=None):
     config = resolve_config(
         task, datasets.dataset_defaults(datasets.dataset_name(path)),
         None, {"dataset_dir": path, "seed": seed, "decoder": decoder})
@@ -324,7 +308,7 @@ def _table4_rows(scale, data_dir, seed):
                   file=sys.stderr)
             continue
         reference = TABLE4_REFERENCE.get(name, {})
-        for decoder in ("complex", "distmult"):
+        for decoder in DECODERS:
             report = _repro_train_eval(path, bundle, "linkpred", seed,
                                        decoder)
             measured = [f"{report[m]:.6f}" for m in LINK_METRICS]
@@ -393,7 +377,7 @@ def build_parser():
                    "`kgar train`")
     p.add_argument("--dataset", required=True,
                    help="dataset directory or name under $KGAR_DATA_DIR")
-    p.add_argument("--task", choices=("classify", "linkpred"),
+    p.add_argument("--task", choices=CHOICES["task"],
                    help="must match the snapshot's task (default: from the "
                         "snapshot)")
     p.add_argument("--csv", metavar="FILE", help="also write the report as "
@@ -406,11 +390,11 @@ def build_parser():
                    "(classification) or 4 (link prediction)")
     p.add_argument("--scale", choices=("desk", "full"), default="desk",
                    help="desk = AIFB, MUTAG, bundled synthetic graph; "
-                        "full adds BGS, AM, FB15K-237 (default desk)")
+                        "full adds BGS, AM, FB15K-237 (default %(default)s)")
     p.add_argument("--data-dir", help="dataset root (default: "
                    "$KGAR_DATA_DIR, else the working directory)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="training seed for every row (default 0)")
+    p.add_argument("--seed", type=int, default=RunConfig.seed,
+                   help="training seed for every row (default %(default)s)")
     p.add_argument("--out", help="CSV path (default: "
                    "table<N>-<scale>.csv)")
     p.set_defaults(func=cmd_repro_table)

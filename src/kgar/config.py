@@ -1,4 +1,11 @@
-"""Run configuration: per-task defaults, file parsing, and precedence.
+"""Run configuration: each setting stated once, file parsing, precedence.
+
+A `RunConfig` field states the setting's type, its default and, in its
+metadata, a one-line description; `CHOICES` lists the allowed values of
+the settings that have them. The class defaults are the classification
+protocol's tuned values, and `LINKPRED_DEFAULTS` the link-prediction
+protocol's values where they differ. The CLI builds its flags and their
+help from these.
 
 Precedence, lowest to highest: per-task global defaults, per-dataset
 defaults, config file, command-line flags. Config files are flat
@@ -7,64 +14,76 @@ defaults, config file, command-line flags. Config files are flat
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .encoder import EncoderConfig
 from .model import DECODERS, INITS, TASKS
 
 OPTIMIZERS = ("gd", "adam")
+CHOICES = {"task": TASKS, "decoder": DECODERS, "init": INITS,
+           "optimizer": OPTIMIZERS}
 
-# tuned values for the classification protocol
-CLASSIFY_DEFAULTS = dict(
-    l2=0.0005, dropout_attention=0.6, dropout_conv=0.4, batch_size=50,
-    iterations=200, learning_rate=0.01,
-)
-# tuned values for the link-prediction protocol
-LINKPRED_DEFAULTS = dict(
-    l2=0.01, dropout_attention=0.6, dropout_conv=0.5, batch_size=50,
-    iterations=6000, learning_rate=0.01,
-)
+# tuned values for the link-prediction protocol that differ from the
+# classification protocol's
+LINKPRED_DEFAULTS = dict(l2=0.01, dropout_conv=0.5, iterations=6000)
+
+
+def _setting(default, description):
+    return field(default=default, metadata={"help": description})
 
 
 @dataclass
 class RunConfig:
-    dataset_dir: str = "."
-    task: str = "classify"
-    embed_dim: int = 500
-    num_layers: int = 2
-    num_blocks: int = 10
-    dropout_attention: float = 0.6
-    dropout_conv: float = 0.4
-    l2: float = 0.0005
-    learning_rate: float = 0.01
-    batch_size: int = 50
-    iterations: int = 200
-    seed: int = 0
-    decoder: str = "complex"
-    init: str = "scaled"
-    filtered_negatives: bool = False
-    optimizer: str = "gd"
-    eval_interval: int = 100
-    leaky_slope: float = 0.2
+    dataset_dir: str = _setting(".", "dataset directory the run reads")
+    task: str = _setting("classify", "objective; defaults to the dataset's "
+                                     "usual task")
+    embed_dim: int = _setting(EncoderConfig.embed_dim,
+                              "entity embedding width")
+    num_layers: int = _setting(EncoderConfig.num_layers,
+                               "graph convolution layers, the "
+                               "link-prediction protocol's tuned depth")
+    num_blocks: int = _setting(EncoderConfig.num_blocks,
+                               "diagonal blocks per relation weight; must "
+                               "divide the layer widths")
+    dropout_attention: float = _setting(
+        EncoderConfig.dropout_attention,
+        "dropout on attention coefficients, tuned on the classification "
+        "protocol and reused for link prediction")
+    dropout_conv: float = _setting(EncoderConfig.dropout_conv,
+                                   "dropout on pre-activation aggregates")
+    l2: float = _setting(0.0005, "L2 penalty coefficient")
+    learning_rate: float = _setting(0.01, "step size")
+    batch_size: int = _setting(50, "sampled positives per iteration for link "
+                                   "prediction; classification always trains "
+                                   "full-batch")
+    iterations: int = _setting(200, "training iterations")
+    seed: int = _setting(0, "RNG seed for init and sampling")
+    decoder: str = _setting("complex", "link-prediction scoring function")
+    init: str = _setting("scaled", "weight init: variance-scaled normals, or "
+                                   "literal N(0,1)")
+    filtered_negatives: bool = _setting(
+        False, "resample corruptions that collide with known triples")
+    optimizer: str = _setting("gd", "plain gradient descent or the adam "
+                                    "variant")
+    eval_interval: int = _setting(100, "iterations between validation "
+                                       "metrics")
+    leaky_slope: float = _setting(EncoderConfig.leaky_slope,
+                                  "negative slope of the attention LeakyReLU")
 
     def validate(self):
-        for name, kind in _FIELD_TYPES.items():
+        for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if not _has_type(value, kind):
-                raise ValueError(f"{name} must be of type {kind}, got "
-                                 f"{value!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.decoder not in DECODERS:
-            raise ValueError(
-                f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        for name in ("embed_dim", "num_layers", "num_blocks", "batch_size",
-                     "iterations", "eval_interval"):
+                raise ValueError(f"{name} must be of type {kind.__name__}, "
+                                 f"got {value!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got "
+                                 f"{getattr(self, name)!r}")
+        # checks the encoder's fields
+        self.encoder_config()
+        for name in ("batch_size", "iterations", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.l2 < 0:
@@ -76,8 +95,6 @@ class RunConfig:
                 and self.embed_dim % 2):
             raise ValueError("complex decoder needs an even embed_dim, got "
                              f"{self.embed_dim}")
-        # delegates block/dim divisibility and rate ranges
-        self.encoder_config()
         return self
 
     def encoder_config(self):
@@ -88,33 +105,31 @@ class RunConfig:
             dropout_conv=self.dropout_conv, leaky_slope=self.leaky_slope)
 
 
-# annotations are strings ("int", "float", "bool", "str") here, as this
-# module postpones their evaluation
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# field name -> type (int, float, str or bool), in field order
+FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _has_type(value, kind):
-    """Whether `value` may fill a field annotated `kind`; a bool is no
+    """Whether `value` may fill a field of type `kind`; a bool is no
     number, and an int is a valid float."""
-    if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "str": str,
-                              "bool": bool}[kind])
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def coerce(field, raw):
     """Parse a string value from a config file into the field's type."""
-    if field not in _FIELD_TYPES:
+    if field not in FIELD_TYPES:
         raise ValueError(f"unknown config key {field!r}")
-    kind = _FIELD_TYPES[field]
-    if kind == "bool":
+    kind = FIELD_TYPES[field]
+    if kind is bool:
         low = str(raw).strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{field}: expected a boolean, got {raw!r}")
-    return {"int": int, "float": float, "str": str}[kind](raw)
+    return kind(raw)
 
 
 def parse_config_file(path):
@@ -140,11 +155,12 @@ def resolve_config(task, dataset_defaults=None, file_values=None,
                    cli_values=None):
     """Layer the four sources and validate the result."""
     merged = {"task": task}
-    merged.update(CLASSIFY_DEFAULTS if task == "classify" else LINKPRED_DEFAULTS)
+    if task == "linkpred":
+        merged.update(LINKPRED_DEFAULTS)
     for layer in (dataset_defaults, file_values, cli_values):
         if layer:
             merged.update({k: v for k, v in layer.items() if v is not None})
-    unknown = set(merged) - set(_FIELD_TYPES)
+    unknown = set(merged) - set(FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**merged).validate()

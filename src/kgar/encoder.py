@@ -46,6 +46,8 @@ class EncoderConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.num_blocks < 1:

@@ -24,39 +24,38 @@ class LayerWeights:
 
 
 class ModelParams:
-    """All learned weights for one task.
+    """All learned weights for one task, from a name -> Parameter mapping
+    built in `schema` order.
 
     `head` is the classification weight (D x K); `rel_re`/`rel_im` the
     complex relation embeddings; `rel_diag` the diagonal relation vectors
     of the DistMult baseline. Exactly the fields the task needs are set.
     """
 
-    def __init__(self, embedding, layers, gates, head=None,
-                 rel_re=None, rel_im=None, rel_diag=None):
-        self.embedding = embedding
-        self.layers = layers
-        self.gates = gates
-        self.head = head
-        self.rel_re = rel_re
-        self.rel_im = rel_im
-        self.rel_diag = rel_diag
+    def __init__(self, params, num_layers):
+        self._params = list(params.values())
+        self.embedding = params["embedding"]
+        self.layers = [
+            LayerWeights(params[f"layer{layer}.att_w"],
+                         params[f"layer{layer}.self_w"],
+                         {direction: params[f"layer{layer}.{direction}.blocks"]
+                          for direction in DIRECTIONS})
+            for layer in range(num_layers)]
+        self.gates = params["fusion.gates"]
+        self.head = params.get("classify.head")
+        self.rel_re = params.get("decoder.rel_re")
+        self.rel_im = params.get("decoder.rel_im")
+        self.rel_diag = params.get("decoder.rel_diag")
 
     def all_params(self):
-        """Every parameter in a fixed, documented order."""
-        out = [self.embedding]
-        for lw in self.layers:
-            out += [lw.att_W, lw.self_W] + [lw.blocks[d] for d in DIRECTIONS]
-        out.append(self.gates)
-        for p in (self.head, self.rel_re, self.rel_im, self.rel_diag):
-            if p is not None:
-                out.append(p)
-        return out
+        """Every parameter, in `schema` order."""
+        return list(self._params)
 
 
 def schema(num_entities, num_relations, config, task, decoder, num_classes):
     """The model's parameters as (name, shape, init std, regularized)
-    entries, in `ModelParams.all_params()` order, which is also the order
-    `init_params` draws them in.
+    entries, in the order `init_params` draws them in, which
+    `ModelParams.all_params()` keeps.
 
     Weight matrices have std sqrt(2/(fan_in+fan_out)) (per block for the
     stacked relation blocks), embedding-like tables 1/sqrt(width). The
@@ -94,20 +93,6 @@ def schema(num_entities, num_relations, config, task, decoder, num_classes):
     return out
 
 
-def _assemble(params, num_layers):
-    """ModelParams from a name -> Parameter mapping of schema names."""
-    layers = [LayerWeights(params[f"layer{layer}.att_w"],
-                           params[f"layer{layer}.self_w"],
-                           {direction: params[f"layer{layer}.{direction}.blocks"]
-                            for direction in DIRECTIONS})
-              for layer in range(num_layers)]
-    return ModelParams(params["embedding"], layers, params["fusion.gates"],
-                       head=params.get("classify.head"),
-                       rel_re=params.get("decoder.rel_re"),
-                       rel_im=params.get("decoder.rel_im"),
-                       rel_diag=params.get("decoder.rel_diag"))
-
-
 def init_params(num_entities, num_relations, config, task, rng,
                 num_classes=None, decoder="complex", init="scaled"):
     """Create freshly initialized ModelParams from `schema`.
@@ -127,7 +112,7 @@ def init_params(num_entities, num_relations, config, task, rng,
         else:
             values = rng.normal(0.0, std, shape)
         params[name] = Parameter(name, values, regularized)
-    return _assemble(params, config.num_layers)
+    return ModelParams(params, config.num_layers)
 
 
 def _checked(arrays, name, shape):
@@ -161,4 +146,4 @@ def rebuild_params(arrays, config, task, decoder, num_entities, num_relations,
         else:
             values = _checked(arrays, name, shape)
         params[name] = Parameter(name, values, regularized)
-    return _assemble(params, config.num_layers)
+    return ModelParams(params, config.num_layers)

@@ -71,7 +71,7 @@ def _check_header(path, header):
 
 
 def load_snapshot(path):
-    """Read a snapshot; returns (meta, name->array, name->regularized)."""
+    """Read a snapshot; returns (meta, name->array)."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise SnapshotError(f"{path}: not a parameter snapshot")
@@ -85,7 +85,6 @@ def load_snapshot(path):
             raise SnapshotError(f"{path}: bad header ({exc})")
         _check_header(path, header)
         arrays = {}
-        regularized = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
@@ -95,7 +94,6 @@ def load_snapshot(path):
                     f"{path}: truncated data for {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(
                 buf, dtype="<f8").reshape(shape).copy()
-            regularized[entry["name"]] = bool(entry.get("regularized", False))
         if fh.read(1):
             raise SnapshotError(f"{path}: trailing bytes after parameters")
-    return header["meta"], arrays, regularized
+    return header["meta"], arrays

@@ -51,8 +51,8 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
 
     `splits` carries task inputs: classification wants `labels_train` (and
     optionally `labels_valid`); link prediction trains on the graph's own
-    triples and optionally validates on `valid` (an id-triple array), with
-    `filter_triples` defining the filtered-metric positive set.
+    triples and optionally validates on `valid` (an id-triple array),
+    filtering the training and validation triples from its ranking.
     """
     config.validate()
     enc_cfg = config.encoder_config()
@@ -61,9 +61,8 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
     valid_fn = None
     if task == "classify":
         labels = splits["labels_train"]
-        num_classes = splits.get("num_classes", labels.num_classes)
         params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
-                             task, rng, num_classes=num_classes,
+                             task, rng, num_classes=labels.num_classes,
                              decoder=config.decoder, init=config.init)
 
         def step():
@@ -71,7 +70,7 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
                                   labels.entities, labels.classes, rng)
 
         valid_labels = splits.get("labels_valid")
-        if valid_labels is not None:
+        if valid_labels is not None and len(valid_labels.entities):
             def valid_fn():
                 return evaluate_classification(graph, params, enc_cfg,
                                                valid_labels)
@@ -89,10 +88,8 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
 
         valid_triples = splits.get("valid")
         if valid_triples is not None and len(valid_triples):
-            filter_triples = splits.get("filter_triples")
-            if filter_triples is None:
-                filter_triples = np.concatenate([triples, valid_triples])
-            filter_index = evaluation.FilterIndex(filter_triples)
+            filter_index = evaluation.FilterIndex(
+                np.concatenate([triples, valid_triples]))
 
             def valid_fn():
                 results = evaluate_links(graph, params, enc_cfg,

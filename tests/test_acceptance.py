@@ -206,9 +206,7 @@ def test_criterion_5_synthetic_link_prediction(tmp_path):
     train = bundle.graph.triple_array()
     known = evaluation.FilterIndex(
         np.concatenate([train, bundle.splits["valid"], test]))
-    splits = {"valid": bundle.splits["valid"],
-              "filter_triples": np.concatenate(
-                  [train, bundle.splits["valid"]])}
+    splits = {"valid": bundle.splits["valid"]}
 
     metrics = {}
     for decoder in ("complex", "distmult"):

@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from kgar import cli, datasets, synthetic
+from kgar.config import RunConfig, resolve_config
 from kgar.data import DataError
 from kgar.model import init_params
 from kgar.snapshot import load_snapshot, save_snapshot
@@ -119,7 +121,7 @@ def test_train_with_relation_absent_from_train(tmp_path, capsys, optimizer):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--dataset", d, "--out", out, "--seed", "4"]
                     + FAST + ["--optimizer", optimizer]) == 0
-    meta, arrays, _ = load_snapshot(
+    meta, arrays = load_snapshot(
         os.path.join(out, "snapshot-linkpred-seed4-complex.kgar"))
     run = cli._check_meta(meta)
     bundle = datasets.load_bundle(os.path.join(d, "bundle"))
@@ -262,7 +264,7 @@ def test_snapshot_without_dtype_reads_as_f8(tmp_path):
     values = np.arange(6.0).reshape(2, 3)
     save_snapshot(snap, [Parameter("w", values)], {})
     rewrite_header(snap, plain, lambda h: h["params"][0].pop("dtype"))
-    _, arrays, _ = load_snapshot(plain)
+    _, arrays = load_snapshot(plain)
     np.testing.assert_array_equal(arrays["w"], values)
 
 
@@ -390,9 +392,9 @@ def test_failed_bundle_write_leaves_no_bundle(tmp_path, monkeypatch,
 
 def rewrite_params(src, dst, edit):
     """Copy a snapshot with `edit(arrays)` applied to its name->array map."""
-    meta, arrays, regularized = load_snapshot(src)
+    meta, arrays = load_snapshot(src)
     edit(arrays)
-    save_snapshot(dst, [Parameter(name, values, regularized.get(name, False))
+    save_snapshot(dst, [Parameter(name, values)
                         for name, values in arrays.items()], meta)
 
 
@@ -493,16 +495,100 @@ def test_usage_errors(capsys):
     assert "table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--embed-dim", "x", "argument --embed-dim: invalid int value: 'x'"),
+    ("--l2", "x", "argument --l2: invalid float value: 'x'"),
+    ("--decoder", "transe", "argument --decoder: invalid choice: 'transe' "
+                            "(choose from 'complex', 'distmult')"),
+], ids=["int", "float", "choice"])
+def test_bad_flag_value_is_usage_error(capsys, flag, value, message):
+    assert cli.main(["train", "--dataset", ".", flag, value]) == 1
+    assert message in capsys.readouterr().err
+
+
+def flag_help(out):
+    """`--help` output -> {flag: its help text on one line}."""
+    blocks = {}
+    for line in out.splitlines():
+        if line.startswith("  --"):
+            flag = line.split()[0].rstrip(",")
+            blocks[flag] = line
+        elif line.startswith("   ") and blocks:
+            blocks[flag] += line
+    return {flag: " ".join(text.split()) for flag, text in blocks.items()}
+
+
 def test_help_lists_config_fields(capsys):
+    """Every field but `dataset_dir` has one flag, whose help carries its
+    description and the default each protocol resolves to."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--embed-dim", "--num-layers", "--num-blocks", "--l2",
-                 "--dropout-attention", "--dropout-conv", "--learning-rate",
-                 "--batch-size", "--iterations", "--seed", "--decoder",
-                 "--init", "--filtered-negatives", "--optimizer"):
-        assert flag in out
+    helps = flag_help(out)
+    classify, linkpred = (resolve_config(task)
+                          for task in ("classify", "linkpred"))
+    for setting in fields(RunConfig):
+        flag = "--" + setting.name.replace("_", "-")
+        if setting.name == "dataset_dir":
+            assert flag not in out
+            continue
+        assert out.count(f"  {flag} ") + out.count(f"  {flag},") == 1
+        assert " ".join(setting.metadata["help"].split()) in helps[flag]
+        if setting.name == "task":
+            continue
+        ours, theirs = (getattr(c, setting.name) for c in (classify, linkpred))
+        assert (f"(default {ours})" if ours == theirs else
+                f"(default {ours} classification / {theirs} link prediction)"
+                ) in helps[flag]
+
+
+def empty_file(name):
+    """An edit that truncates a raw dataset file to nothing."""
+    def edit(root):
+        open(os.path.join(root, name), "w").close()
+    return edit
+
+
+@pytest.mark.parametrize("make, emptied, command, split", [
+    (small_linkpred, "train.tsv", "train", "train"),
+    (small_classify, "labels_train.tsv", "train", "labels_train"),
+    (small_linkpred, "test.tsv", "evaluate", "test"),
+    (small_classify, "labels_test.tsv", "evaluate", "labels_test"),
+], ids=["linkpred-train", "classify-train", "linkpred-test",
+        "classify-test"])
+def test_empty_needed_split_is_data_error(tmp_path, capsys, make, emptied,
+                                          command, split):
+    d = make(tmp_path / "d")
+    empty_file(emptied)(d)
+    assert cli.main(["preprocess", "--dataset", d]) == 0
+    out = tmp_path / "run"
+    code = cli.main(["train", "--dataset", d, "--out", str(out)] + FAST)
+    if command == "evaluate":
+        assert code == 0
+        (snap,) = out.glob("snapshot-*.kgar")
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--snapshot", str(snap), "--dataset", d])
+    else:
+        assert not out.exists()
+    assert code == 2
+    assert (f"data error: the {split} split is empty; {command} needs at "
+            "least one row") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, emptied", [
+    (small_linkpred, "valid.tsv"), (small_classify, "labels_valid.tsv"),
+], ids=["linkpred", "classify"])
+def test_empty_valid_split_trains_without_validation(tmp_path, make,
+                                                     emptied):
+    d = make(tmp_path / "d")
+    empty_file(emptied)(d)
+    assert cli.main(["preprocess", "--dataset", d]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", d, "--out", str(out)] + FAST) == 0
+    (log,) = out.glob("loss-*.csv")
+    rows = log.read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["", ""]
 
 
 def test_repro_table_2_desk_missing_dataset_fails(tmp_path, capsys,

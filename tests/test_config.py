@@ -43,6 +43,16 @@ def test_validation_rejects_bad_fields():
         C.resolve_config("linkpred", cli_values={"decoder": "transe"})
     with pytest.raises(ValueError, match="unknown config keys"):
         C.resolve_config("classify", cli_values={"embedd_im": 4})
+    with pytest.raises(ValueError, match="embed_dim must be >= 1, got -1"):
+        C.resolve_config("linkpred", cli_values={"embed_dim": -1})
+
+
+@pytest.mark.parametrize("name", sorted(C.CHOICES))
+def test_validation_rejects_values_outside_choices(name):
+    for value in C.CHOICES[name]:
+        C.RunConfig(**{name: value}).validate()
+    with pytest.raises(ValueError, match=f"{name} must be one of"):
+        C.RunConfig(**{name: "bogus"}).validate()
 
 
 def test_validation_rejects_mistyped_values():

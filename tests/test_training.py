@@ -163,11 +163,10 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
         path = tmp_path / f"{task}-{decoder}.kgar"
         meta = {"task": task, "num_relations": 3}
         save_snapshot(path, result.params.all_params(), meta)
-        got_meta, arrays, regularized = load_snapshot(path)
+        got_meta, arrays = load_snapshot(path)
         assert got_meta == meta
         for p in result.params.all_params():
             np.testing.assert_array_equal(arrays[p.name], p.values)
-            assert regularized[p.name] == p.regularized
         # rebuild into a structured ModelParams and re-encode identically
         rebuilt = rebuild_params(arrays, cfg.encoder_config(), task, decoder,
                                  6, 3, 4)
@@ -229,7 +228,7 @@ def test_failed_snapshot_save_keeps_the_previous_file(tmp_path):
         save_snapshot(path, [T.Parameter("w", np.ones((2, 2))), bad],
                       {"round": 2})
     assert path.read_bytes() == before
-    meta, arrays, _ = load_snapshot(path)
+    meta, arrays = load_snapshot(path)
     assert meta == {"round": 1}
     np.testing.assert_array_equal(arrays["w"], np.arange(4.0).reshape(2, 2))
     assert [f.name for f in tmp_path.iterdir()] == ["run.kgar"]
