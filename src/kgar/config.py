@@ -59,8 +59,8 @@ class RunConfig:
                                    "full-batch")
     iterations: int = _setting(200, "training iterations")
     seed: int = _setting(0, "RNG seed for init and sampling")
-    decoder: str = _setting("complex", "link-prediction scoring function")
-    init: str = _setting("scaled", "weight init: variance-scaled normals, or "
+    decoder: str = _setting(DECODERS[0], "link-prediction scoring function")
+    init: str = _setting(INITS[0], "weight init: variance-scaled normals, or "
                                    "literal N(0,1)")
     filtered_negatives: bool = _setting(
         False, "resample corruptions that collide with known triples")

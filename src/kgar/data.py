@@ -67,10 +67,6 @@ class DirectionPlan:
     rel_starts: np.ndarray
     seg_starts: np.ndarray
 
-    @property
-    def num_edges(self):
-        return self.src.size
-
 
 def _build_plan(src, dst, rel, num_relations):
     order = np.lexsort((dst, rel))  # stable: rel major, dst minor
@@ -112,10 +108,6 @@ class KnowledgeGraph:
         self.heads, self.rels, self.tails = arr.T
         self._plans = {}
 
-    @property
-    def num_triples(self):
-        return self._triples.shape[0]
-
     def triple_array(self):
         """The triples as the read-only (n, 3) int64 array of rows."""
         return self._triples
@@ -137,11 +129,7 @@ class KnowledgeGraph:
 
 @dataclass
 class LabelSet:
-    """Labeled entity ids, their class ids, and the class-name vocabulary."""
+    """Labeled entity ids, their class ids, and the number of classes."""
     entities: np.ndarray
     classes: np.ndarray
-    class_to_id: dict
-
-    @property
-    def num_classes(self):
-        return len(self.class_to_id)
+    num_classes: int

@@ -322,16 +322,16 @@ def load_bundle(bundle_dir):
     if task == "classify":
         bundle.class_names = _read_names(
             os.path.join(bundle_dir, "classes.tsv"), manifest["num_classes"])
-        class_to_id = {n: i for i, n in enumerate(bundle.class_names)}
+        num_classes = len(bundle.class_names)
         for part in ("train", "valid", "test"):
             if f"labels_{part}" in counts:
                 path = os.path.join(bundle_dir, f"labels_{part}.npy")
                 rows = _read_ids(path, 2, counts[f"labels_{part}"])
-                check_ids(rows, (bundle.num_entities, len(class_to_id)), path)
+                check_ids(rows, (bundle.num_entities, num_classes), path)
                 # a relabeled entity keeps its first position, last class
                 pairs = dict(rows.tolist())
                 bundle.labels[part] = LabelSet(
                     entities=np.array(list(pairs), dtype=np.int64),
                     classes=np.array(list(pairs.values()), dtype=np.int64),
-                    class_to_id=class_to_id)
+                    num_classes=num_classes)
     return bundle

@@ -136,14 +136,15 @@ def query_scorer(feats, params, decoder):
 # negative sampling and the link loss
 
 
-def sample_negatives(positives, num_entities, rng, known=None, filtered=False):
-    """1:1 corruption: each positive is followed by one negative.
+def sample_negatives(positives, num_entities, rng, known=None):
+    """1:1 corruption of an (m, 3) int64 array: each positive is followed
+    by one negative.
 
     The corrupted side is a fair coin; the replacement entity is uniform
-    over the ids different from the original. With `filtered`, corruptions
-    that collide with a known positive are resampled (bounded retries).
+    over the ids different from the original. With a `known` set of
+    (head, relation, tail) tuples, corruptions that collide with one are
+    resampled (bounded retries).
     """
-    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if num_entities < 2:
         raise ValueError("negative sampling needs at least 2 entities")
     m = positives.shape[0]
@@ -157,7 +158,7 @@ def sample_negatives(positives, num_entities, rng, known=None, filtered=False):
 
     pending = np.arange(m)
     corrupt(pending)
-    if filtered and known is not None:
+    if known is not None:
         for _ in range(99):
             pending = pending[[tuple(t) in known
                                for t in negatives[pending].tolist()]]

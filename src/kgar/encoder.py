@@ -84,7 +84,7 @@ def edge_inner_product(hw, src, dst):
     e = np.empty(n_edges)
     for _, lo, hi in _tiles((0, n_edges)):
         e[lo:hi] = np.einsum("ij,ij->i", v[dst[lo:hi]], v[src[lo:hi]])
-    out = Tensor(e[:, None] if n_edges else np.zeros((0, 1)))
+    out = Tensor(e[:, None])
 
     def bw(g):
         if hw.grad is None:
@@ -98,8 +98,7 @@ def edge_inner_product(hw, src, dst):
     return out
 
 
-def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
-                                   num_nodes):
+def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
     """sum_r sum_{edges k of r} alpha_k * (h[src_k] @ W_r) scattered to dst.
 
     `blocks` holds every relation's weight, (R*D_in, D_out/B): rows
@@ -109,7 +108,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
     din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
     hv, av = h.values, alpha.values
-    res = np.zeros((num_nodes, num_blocks * dout_b))
+    res = np.zeros((h.shape[0], num_blocks * dout_b))
     for r, lo, hi in _tiles(plan.rel_starts):
         ys = _block_forward(hv[plan.src[lo:hi]], q[r])
         ys *= av[lo:hi]
@@ -141,11 +140,11 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
     return out
 
 
-def gated_neighbor_sum(h, gates, plan, num_nodes):
+def gated_neighbor_sum(h, gates, plan):
     """sum over edges of gates[rel_k] * h[src_k], scattered to dst."""
     hv = h.values
     gv = gates.values
-    res = np.zeros((num_nodes, h.shape[1]))
+    res = np.zeros(h.shape)
     for r, lo, hi in _tiles(plan.rel_starts):
         scatter_rows(res, plan.dst[lo:hi], gv[r, 0] * hv[plan.src[lo:hi]])
     out = Tensor(res)
@@ -174,20 +173,17 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
     """One directional pass; returns the (|V|, D) directional hidden state.
 
     hw (h @ attention_W) and self_pre (h @ self_W) are computed once per
-    layer and shared by its two directions.
+    layer and shared by its two directions. A direction without edges
+    gives ReLU(self_pre): its fused ops walk no tile.
     """
     plan = graph.plan(direction)
-    if plan.num_edges == 0:
-        pre = self_pre
-    else:
-        scores = edge_inner_product(hw, plan.src, plan.dst)
-        scores = T.leaky_relu(scores, config.leaky_slope)
-        alpha = T.segment_softmax(scores, plan.seg_starts)
-        alpha = T.dropout(alpha, config.dropout_attention, training, rng)
-        agg = attention_relational_aggregate(
-            h, alpha, plan, weights.blocks[direction], config.num_blocks,
-            graph.num_entities)
-        pre = T.add(agg, self_pre)
+    scores = edge_inner_product(hw, plan.src, plan.dst)
+    scores = T.leaky_relu(scores, config.leaky_slope)
+    alpha = T.segment_softmax(scores, plan.seg_starts)
+    alpha = T.dropout(alpha, config.dropout_attention, training, rng)
+    agg = attention_relational_aggregate(
+        h, alpha, plan, weights.blocks[direction], config.num_blocks)
+    pre = T.add(agg, self_pre)
     pre = T.dropout(pre, config.dropout_conv, training, rng)
     # checked before the ReLU, which would silently zero NaNs
     bad = ~np.isfinite(pre.values)
@@ -206,7 +202,7 @@ def conv_stack(graph, params, config, training=False, rng=None):
         raise ValueError("training mode with dropout needs an rng")
     h = params.embedding
     for layer_index, lw in enumerate(params.layers):
-        hw = T.matmul(h, lw.att_W) if graph.num_triples else None
+        hw = T.matmul(h, lw.att_W)
         self_pre = T.matmul(h, lw.self_W)
         h_fwd = conv_layer_forward(h, graph, lw, config, "forward", training,
                                    rng, hw=hw, self_pre=self_pre,
@@ -221,8 +217,6 @@ def conv_stack(graph, params, config, training=False, rng=None):
 def encode(graph, params, config, training=False, rng=None):
     """Full encoder: embeddings -> stacked conv layers -> fusion readout."""
     h = conv_stack(graph, params, config, training, rng)
-    f_fwd = gated_neighbor_sum(h, params.gates, graph.plan("forward"),
-                               graph.num_entities)
-    f_bwd = gated_neighbor_sum(h, params.gates, graph.plan("backward"),
-                               graph.num_entities)
+    f_fwd = gated_neighbor_sum(h, params.gates, graph.plan("forward"))
+    f_bwd = gated_neighbor_sum(h, params.gates, graph.plan("backward"))
     return T.add(f_fwd, f_bwd)

@@ -21,12 +21,6 @@ _QUERY_CHUNK = 256  # queries per score block (one GEMM)
 _KEY_SHIFT = 32  # key = fixed << 32 | relation; ids stay below 2**31
 
 
-def _as_triples(triples):
-    if not isinstance(triples, np.ndarray):
-        triples = list(triples)
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-
-
 def _key(fixed, rel):
     return (fixed << _KEY_SHIFT) | rel
 
@@ -34,14 +28,14 @@ def _key(fixed, rel):
 class FilterIndex:
     """Known positives as sorted (fixed entity, relation) keys per side.
 
-    For side 0 (head queries) the fixed entity is the tail and the
-    candidates are heads; for side 1 the reverse. `keys[side]` is sorted
-    and `candidates[side]` holds the matching candidate ids, with
-    duplicate triples stored once.
+    Built from an (n, 3) int64 array of (head, relation, tail) rows. For
+    side 0 (head queries) the fixed entity is the tail and the candidates
+    are heads; for side 1 the reverse. `keys[side]` is sorted and
+    `candidates[side]` holds the matching candidate ids, with duplicate
+    triples stored once.
     """
 
     def __init__(self, triples):
-        triples = _as_triples(triples)
         heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
         self.keys, self.candidates = [], []
         for fixed, cand in ((tails, heads), (heads, tails)):
@@ -89,17 +83,15 @@ def _chunk_ranks(scores, targets, known_rows, known_cands):
     return raw, 1.0 + greater + 0.5 * equal
 
 
-def evaluate_ranking(test_triples, scorer, known):
-    """(raw, filtered) rank arrays of both sides of every test triple:
-    query 2i ranks triple i's head, query 2i + 1 its tail.
+def evaluate_ranking(test, scorer, known):
+    """(raw, filtered) rank arrays of both sides of every row of the (n, 3)
+    int64 array `test`: query 2i ranks triple i's head, query 2i + 1 its
+    tail.
 
     `scorer(queries)` maps an (q, 3) block of query rows to a (q, |V|)
-    block of candidate scores; `known` is the positive set (a FilterIndex
-    or anything FilterIndex accepts).
+    block of candidate scores; `known` is the FilterIndex of the positive
+    set.
     """
-    if not isinstance(known, FilterIndex):
-        known = FilterIndex(known)
-    test = _as_triples(test_triples)
     # head then tail query per triple: (fixed, relation, side), target
     queries = np.stack([test[:, [2, 0]].reshape(-1), np.repeat(test[:, 1], 2),
                         np.tile([0, 1], len(test))], axis=1)

@@ -9,6 +9,8 @@ from .snapshot import SnapshotError
 from .tensor import Parameter
 
 TASKS = ("classify", "linkpred")
+# the first entry of DECODERS and of INITS is the default, for
+# init_params and RunConfig alike
 DECODERS = ("complex", "distmult")
 INITS = ("scaled", "std-normal")
 
@@ -94,7 +96,7 @@ def schema(num_entities, num_relations, config, task, decoder, num_classes):
 
 
 def init_params(num_entities, num_relations, config, task, rng,
-                num_classes=None, decoder="complex", init="scaled"):
+                num_classes=None, decoder=DECODERS[0], init=INITS[0]):
     """Create freshly initialized ModelParams from `schema`.
 
     `scaled` draws each weight from N(0, std^2) with the schema's std;
@@ -117,11 +119,15 @@ def init_params(num_entities, num_relations, config, task, rng,
 
 def _checked(arrays, name, shape):
     if name not in arrays:
-        raise SnapshotError(f"snapshot missing parameter {name!r}")
+        raise SnapshotError(f"snapshot missing parameter {name!r}; a "
+                            "snapshot of another model layout must be "
+                            "retrained")
     values = arrays[name]
     if values.shape != shape:
         raise SnapshotError(f"parameter {name!r} has shape {values.shape}, "
                             f"expected {shape}")
+    if not np.isfinite(values).all():
+        raise SnapshotError(f"parameter {name!r} has non-finite values")
     return values
 
 
@@ -129,21 +135,14 @@ def rebuild_params(arrays, config, task, decoder, num_entities, num_relations,
                    num_classes):
     """Reassemble a ModelParams from a name->array mapping (see snapshot).
 
-    Raises SnapshotError for a parameter that is missing or whose shape
-    differs from its `schema` shape, dataset counts included. The
-    `regularized` flags come from the schema.
+    Raises SnapshotError for a parameter that is missing, whose shape
+    differs from its `schema` shape (dataset counts included) or that
+    holds a NaN or an infinity. The `regularized` flags come from the
+    schema.
     """
     params = {}
     for name, shape, _, regularized in schema(
             num_entities, num_relations, config, task, decoder, num_classes):
-        if name.endswith(".blocks") and name not in arrays \
-                and name.replace(".blocks", ".rel0.blocks") in arrays:
-            # a snapshot written before the relation weights were stacked
-            values = np.concatenate([
-                _checked(arrays, name.replace(".blocks", f".rel{r}.blocks"),
-                         (config.embed_dim, shape[1]))
-                for r in range(num_relations)])
-        else:
-            values = _checked(arrays, name, shape)
-        params[name] = Parameter(name, values, regularized)
+        params[name] = Parameter(name, _checked(arrays, name, shape),
+                                 regularized)
     return ModelParams(params, config.num_layers)

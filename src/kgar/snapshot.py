@@ -11,6 +11,7 @@ failed save leaves any earlier snapshot at that path as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -79,6 +80,11 @@ def load_snapshot(path):
         if len(raw_len) != 4:
             raise SnapshotError(f"{path}: truncated header")
         (header_len,) = struct.unpack("<I", raw_len)
+        # each size the file states is checked against its length before
+        # the read, which would allocate the bytes asked for
+        size = os.fstat(fh.fileno()).st_size
+        if fh.tell() + header_len > size:
+            raise SnapshotError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -87,13 +93,12 @@ def load_snapshot(path):
         arrays = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            nbytes = 8 * math.prod(shape)
+            if fh.tell() + nbytes > size:
                 raise SnapshotError(
                     f"{path}: truncated data for {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(
-                buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
+                fh.read(nbytes), dtype="<f8").reshape(shape).copy()
+        if fh.tell() != size:
             raise SnapshotError(f"{path}: trailing bytes after parameters")
     return header["meta"], arrays

@@ -37,8 +37,7 @@ def _linkpred_step(graph, params, enc_cfg, config, triples, known, rng):
     batch = min(config.batch_size, len(triples))
     positives = triples[rng.integers(0, len(triples), batch)]
     samples, labels = decoders.sample_negatives(
-        positives, graph.num_entities, rng, known=known,
-        filtered=config.filtered_negatives)
+        positives, graph.num_entities, rng, known=known)
     feats = encode(graph, params, enc_cfg, training=True, rng=rng)
     scores, used = decoders.score_triples(params, feats, samples,
                                           config.decoder)

@@ -283,7 +283,9 @@ def test_criterion_6_metric_laws():
                   int(rng.integers(v))) for _ in range(int(rng.integers(8)))]
         known = set(test) | set(extra)
 
-        results = evaluation.evaluate_ranking(test, scorer, known)
+        results = evaluation.evaluate_ranking(
+            np.array(test), scorer,
+            evaluation.FilterIndex(np.array(list(known))))
         m_raw, m_filt = (evaluation.mrr(results, s) for s in
                          ("raw", "filtered"))
         assert m_filt >= m_raw
@@ -316,7 +318,7 @@ def test_criterion_7_structural_invariants():
     # attention rows: softmax over every (destination, relation) segment
     for direction in ("forward", "backward"):
         plan = graph.plan(direction)
-        raw = Tensor(rng.normal(size=(plan.num_edges, 1)))
+        raw = Tensor(rng.normal(size=(plan.src.size, 1)))
         alpha = segment_softmax(raw, plan.seg_starts).values[:, 0]
         sums = np.add.reduceat(alpha, plan.seg_starts)
         assert np.abs(sums - 1.0).max() < 1e-9

@@ -1,8 +1,11 @@
 """RunConfig defaults, validation, file parsing, and precedence."""
 
+import inspect
+
 import pytest
 
 from kgar import config as C
+from kgar.model import init_params
 
 
 def test_task_defaults_differ():
@@ -14,6 +17,14 @@ def test_task_defaults_differ():
     assert linkpred.iterations == 6000 and linkpred.learning_rate == 0.01
     assert classify.dropout_attention == linkpred.dropout_attention == 0.6
     assert classify.embed_dim == 500 and classify.num_layers == 2
+
+
+def test_model_and_run_defaults_agree():
+    # a direct init_params call draws the model a default run trains
+    keywords = inspect.signature(init_params).parameters
+    run = C.RunConfig()
+    assert keywords["decoder"].default == run.decoder
+    assert keywords["init"].default == run.init
 
 
 def test_precedence_cli_over_file_over_dataset():

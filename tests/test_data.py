@@ -101,7 +101,7 @@ def test_star_graph_ordinals():
     # one attention group, neighbors in triple-file order
     assert incident(g, "forward", center) == [(k, 0) for k in range(1, 6)]
     assert g.plan("forward").seg_starts.tolist() == [0]
-    assert g.plan("forward").num_edges == 5 == g.plan("backward").num_edges
+    assert g.plan("forward").src.size == 5 == g.plan("backward").src.size
 
 
 def test_index_out_of_range_entity():
@@ -131,7 +131,7 @@ def test_graph_is_one_read_only_array():
     arr = g.triple_array()
     np.testing.assert_array_equal(arr, triples)
     assert arr.dtype == np.int64 and arr.flags.c_contiguous
-    assert not arr.flags.writeable and g.num_triples == 2
+    assert not arr.flags.writeable and len(arr) == 2
     for column in (g.heads, g.rels, g.tails):
         assert np.shares_memory(column, arr)
     assert g.tails.tolist() == [2, 1]
@@ -249,10 +249,10 @@ def test_load_labels_basic(tmp_path):
 
 
 def test_load_labels_shared_class_map(tmp_path):
-    labels = classify_bundle(tmp_path, "a\tx\nb\ty\n", "c\ty\n").labels
+    bundle = classify_bundle(tmp_path, "a\tx\nb\ty\n", "c\ty\n")
+    labels = bundle.labels
     assert labels["test"].entities.tolist() == [2]
-    assert labels["test"].classes.tolist() == \
-        [labels["train"].class_to_id["y"]]
+    assert labels["test"].classes.tolist() == [bundle.class_names.index("y")]
 
 
 def test_load_labels_skip_comments_and_blank_lines_like_triples(tmp_path):
@@ -284,7 +284,7 @@ def test_plan_orders_by_relation_then_dst():
         assert list(p.dst[lo:hi]) == sorted(p.dst[lo:hi])
     # every (rel, dst) change is a segment start
     starts = set(p.seg_starts.tolist())
-    for k in range(1, p.num_edges):
+    for k in range(1, p.src.size):
         changed = rel[k] != rel[k - 1] or p.dst[k] != p.dst[k - 1]
         assert (k in starts) == changed
     assert 0 in starts
@@ -307,7 +307,7 @@ def test_backward_plan_swaps_roles():
 def test_plan_empty_graph():
     g = D.KnowledgeGraph([], 3, 2)
     p = g.plan("forward")
-    assert p.num_edges == 0
+    assert p.src.size == 0
     assert p.seg_starts.size == 0
     assert list(p.rel_starts) == [0, 0, 0]
 

@@ -154,7 +154,7 @@ def test_bundle_roundtrip_and_idempotence(tmp_path):
     first = checksum_dir(out)
     bundle = datasets.load_bundle(str(out))
     assert bundle.task == "linkpred"
-    assert bundle.graph.num_triples == 4
+    assert len(bundle.graph.triple_array()) == 4
     assert bundle.entity_names.index("d") == 3
     assert [tuple(t) for t in bundle.splits["valid"]] == [(0, 1, 2)]
 

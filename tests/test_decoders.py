@@ -256,7 +256,7 @@ def test_negative_sampling_counts_and_interleaving():
 def test_negative_differs_from_original_and_two_entity_case():
     rng = np.random.default_rng(8)
     for _ in range(200):
-        samples, labels = dec.sample_negatives([(0, 0, 1)], 2, rng)
+        samples, labels = dec.sample_negatives(np.array([(0, 0, 1)]), 2, rng)
         neg = tuple(samples[1])
         assert neg in {(1, 0, 1), (0, 0, 0)}  # corrupted side flipped
 
@@ -276,8 +276,8 @@ def test_filtered_negative_sampling_avoids_known():
     # mark (0,0,2) known so only (0,0,0) remains
     known = {(0, 0, 2), (2, 0, 1)}
     for _ in range(100):
-        samples, _ = dec.sample_negatives([(0, 0, 1)], 3, rng,
-                                          known=known, filtered=True)
+        samples, _ = dec.sample_negatives(np.array([(0, 0, 1)]), 3, rng,
+                                          known=known)
         assert tuple(samples[1]) not in known
 
 

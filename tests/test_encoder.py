@@ -2,6 +2,8 @@
 the fused tape ops with composable ops, scalar-oracle agreement, and
 structural invariants."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,7 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
 def fuse(H, graph, node, direction, gates):
     """Gated sum of one node's neighbor rows in one direction."""
     gates = Tensor(np.asarray(gates, dtype=np.float64)[:, None])
-    out = E.gated_neighbor_sum(Tensor(H), gates, graph.plan(direction),
-                               graph.num_entities)
+    out = E.gated_neighbor_sum(Tensor(H), gates, graph.plan(direction))
     return out.values[node]
 
 
@@ -154,11 +155,11 @@ def aggregate_parity(graph, direction, seed):
     q = Parameter("q", rng.standard_normal((nr * d, d // b)))
     # the composed route gives each relation its own rows of q
     qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(nr)]
-    alpha_vals = rng.random((plan.num_edges, 1))
+    alpha_vals = rng.random((plan.src.size, 1))
 
     def fused():
         alpha = Tensor(alpha_vals)
-        agg = E.attention_relational_aggregate(h, alpha, plan, q, b, n)
+        agg = E.attention_relational_aggregate(h, alpha, plan, q, b)
         return R.sum_squares(agg)
 
     def composed():
@@ -192,11 +193,11 @@ def test_attention_aggregate_alpha_gradient(toy_graph):
     plan = toy_graph.plan("forward")
     h = Tensor(rng.standard_normal((6, 4)))
     q = Parameter("q", rng.standard_normal((3 * 4, 2)))
-    alpha = Parameter("alpha", rng.random((plan.num_edges, 1)))
+    alpha = Parameter("alpha", rng.random((plan.src.size, 1)))
 
     def loss():
         return R.sum_squares(
-            E.attention_relational_aggregate(h, alpha, plan, q, 2, 6))
+            E.attention_relational_aggregate(h, alpha, plan, q, 2))
 
     assert R.grad_check(loss, [alpha]) < 1e-6
 
@@ -208,7 +209,7 @@ def test_gated_neighbor_sum_parity(toy_graph):
     plan = toy_graph.plan("backward")
 
     def fused():
-        return R.sum_squares(E.gated_neighbor_sum(h, gates, plan, 6))
+        return R.sum_squares(E.gated_neighbor_sum(h, gates, plan))
 
     def composed():
         total = None
@@ -235,9 +236,9 @@ def test_gated_sum_matches_per_node_fuse(toy_graph):
     H = rng.standard_normal((6, 4))
     gates = rng.standard_normal(3)
     fwd = E.gated_neighbor_sum(Tensor(H), Tensor(gates[:, None]),
-                               toy_graph.plan("forward"), 6)
+                               toy_graph.plan("forward"))
     bwd = E.gated_neighbor_sum(Tensor(H), Tensor(gates[:, None]),
-                               toy_graph.plan("backward"), 6)
+                               toy_graph.plan("backward"))
     expected = np.zeros((6, 4))
     for h, r, t in TOY_TRIPLES:
         expected[t] += gates[r] * H[h]
@@ -274,6 +275,24 @@ def test_conv_self_loop_only():
     cfg = toy_config(embed_dim=4, num_layers=1)
     out = conv(h, g, lw, cfg, "forward")
     np.testing.assert_array_equal(out.values, np.maximum(h.values, 0.0))
+
+
+def test_edgeless_graph_runs_the_self_loop_recurrence():
+    # with no edges each fused op walks no tile: every direction of every
+    # layer gives ReLU(h W_self), and the fusion readout sums nothing
+    g = KnowledgeGraph([], 5, 2)
+    cfg = toy_config(embed_dim=4, num_layers=2)
+    params = toy_params(cfg, num_entities=5, num_relations=2)
+    h = params.embedding.values
+    for lw in params.layers:
+        h = 2.0 * np.maximum(h @ lw.self_W.values, 0.0)
+    assert h.any()
+    for tape in (contextlib.nullcontext(), T.Tape()):
+        with tape:
+            np.testing.assert_array_equal(E.conv_stack(g, params, cfg).values,
+                                          h)
+            np.testing.assert_array_equal(E.encode(g, params, cfg).values,
+                                          np.zeros((5, 4)))
 
 
 def test_conv_one_neighbor_identity_weights():

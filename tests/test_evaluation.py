@@ -11,10 +11,16 @@ def static_scorer(scores):
     return lambda queries: np.tile(arr, (len(queries), 1))
 
 
+def filter_index(known):
+    """The FilterIndex of a collection of (head, relation, tail) tuples."""
+    return ev.FilterIndex(np.array(list(known), dtype=np.int64).reshape(-1, 3))
+
+
 def rank_one(triple, side, scorer, known):
     """One triple's (raw, filtered) ranks on one side, through the batched
     path."""
-    raw, filtered = ev.evaluate_ranking([triple], scorer, known)
+    raw, filtered = ev.evaluate_ranking(np.array([triple]), scorer,
+                                        filter_index(known))
     query = ("head", "tail").index(side)
     return raw[query], filtered[query]
 
@@ -125,7 +131,8 @@ def test_batched_ranks_match_brute_force():
         return table[queries[:, 1], queries[:, 0], queries[:, 2]]
 
     for known_set in (known, []):
-        raw, filtered = ev.evaluate_ranking(test, scorer, known_set)
+        raw, filtered = ev.evaluate_ranking(test, scorer,
+                                            filter_index(known_set))
         assert raw.shape == filtered.shape == (2 * n,)
         for i in range(2 * n):
             # query 2k ranks triple k's head, query 2k + 1 its tail

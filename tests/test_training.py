@@ -1,6 +1,8 @@
 """Training loop behavior: loss decrease, determinism, abort-on-NaN,
 logging, and the small-step descent property."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from kgar import tensor as T
 from kgar.config import resolve_config
 from kgar.data import KnowledgeGraph, LabelSet
 from kgar.encoder import encode
-from kgar.snapshot import load_snapshot, save_snapshot
+from kgar.snapshot import MAGIC, load_snapshot, save_snapshot
 from kgar.tensor import NumericFailure
 
 
@@ -23,10 +25,9 @@ def toy_run_config(task, **kw):
 
 
 def toy_labelset():
-    class_to_id = {str(k): k for k in range(4)}
     return LabelSet(entities=np.array(list(TOY_LABELS)),
                     classes=np.array(list(TOY_LABELS.values())),
-                    class_to_id=class_to_id)
+                    num_classes=4)
 
 
 @pytest.fixture
@@ -206,6 +207,10 @@ def test_snapshot_corruption_detected(tmp_path):
     save_snapshot(q, [T.Parameter("w", np.ones((2, 2)))], {})
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(SnapshotError, match="truncated"):
+        load_snapshot(q)
+    # a header length past the end of the file is refused before the read
+    q.write_bytes(MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
+    with pytest.raises(SnapshotError, match="truncated header"):
         load_snapshot(q)
 
 
