@@ -276,17 +276,26 @@ def _repro_train_eval(path, bundle, task, seed, decoder=None):
                             bundle.manifest["dataset"])
 
 
-def _table2_rows(scale, data_dir, seed):
-    rows = []
-    for name in TABLE2_DATASETS[scale]:
+def _repro_datasets(names, scale, data_dir):
+    """(name, path, bundle) for each table dataset, in order. At full scale
+    a dataset whose directory is absent is skipped with a warning; any
+    other data error stands."""
+    for name in names:
         try:
             path, bundle = _repro_prepare(name, data_dir)
         except DataError:
-            if scale == "desk":
+            if scale == "desk" or os.path.isdir(os.path.join(data_dir, name)):
                 raise
             print(f"warning: skipping {name} (dataset not found)",
                   file=sys.stderr)
             continue
+        yield name, path, bundle
+
+
+def _table2_rows(scale, data_dir, seed):
+    rows = []
+    for name, path, bundle in _repro_datasets(TABLE2_DATASETS[scale], scale,
+                                              data_dir):
         report = _repro_train_eval(path, bundle, "classify", seed)
         rows.append((name, f"{report['accuracy']:.2f}",
                      f"{TABLE2_REFERENCE[name]:.2f}"))
@@ -298,15 +307,8 @@ def _table4_rows(scale, data_dir, seed):
     header = ("dataset,decoder," + ",".join(LINK_METRICS) + ","
               + ",".join(f"reference_{m}" for m in LINK_METRICS))
     rows = []
-    for name in TABLE4_DATASETS[scale]:
-        try:
-            path, bundle = _repro_prepare(name, data_dir)
-        except DataError:
-            if scale == "desk":
-                raise
-            print(f"warning: skipping {name} (dataset not found)",
-                  file=sys.stderr)
-            continue
+    for name, path, bundle in _repro_datasets(TABLE4_DATASETS[scale], scale,
+                                              data_dir):
         reference = TABLE4_REFERENCE.get(name, {})
         for decoder in DECODERS:
             report = _repro_train_eval(path, bundle, "linkpred", seed,
@@ -325,12 +327,8 @@ def _table4_rows(scale, data_dir, seed):
 
 def cmd_repro_table(args):
     data_dir = args.data_dir or os.environ.get(datasets.DATA_DIR_ENV) or "."
-    if args.table == "2":
-        lines = _table2_rows(args.scale, data_dir, args.seed)
-    elif args.table == "4":
-        lines = _table4_rows(args.scale, data_dir, args.seed)
-    else:
-        raise UsageError(f"unknown table {args.table!r}: choose 2 or 4")
+    rows = _table2_rows if args.table == "2" else _table4_rows
+    lines = rows(args.scale, data_dir, args.seed)
     out = args.out or f"table{args.table}-{args.scale}.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -386,8 +384,8 @@ def build_parser():
 
     p = sub.add_parser("repro-table", help="retrain and tabulate published "
                        "results at desk or full scale")
-    p.add_argument("table", help="which table to reproduce: 2 "
-                   "(classification) or 4 (link prediction)")
+    p.add_argument("table", choices=("2", "4"), help="which table to "
+                   "reproduce: 2 (classification) or 4 (link prediction)")
     p.add_argument("--scale", choices=("desk", "full"), default="desk",
                    help="desk = AIFB, MUTAG, bundled synthetic graph; "
                         "full adds BGS, AM, FB15K-237 (default %(default)s)")

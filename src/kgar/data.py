@@ -60,12 +60,14 @@ class DirectionPlan:
     updated. Edges with equal relation are contiguous
     (rel_starts[r]:rel_starts[r+1]); within that, runs of equal dst form
     the attention groups whose first positions are seg_starts. The sort is
-    stable, so edges inside a group keep their triple-file order.
+    stable, so edges inside a group keep their triple-file order. Plan edge
+    k is triple row order[k].
     """
     src: np.ndarray
     dst: np.ndarray
     rel_starts: np.ndarray
     seg_starts: np.ndarray
+    order: np.ndarray
 
 
 def _build_plan(src, dst, rel, num_relations):
@@ -80,7 +82,7 @@ def _build_plan(src, dst, rel, num_relations):
     else:
         seg_starts = np.zeros(0, dtype=np.int64)
     return DirectionPlan(src=s, dst=d, rel_starts=rel_starts,
-                         seg_starts=seg_starts)
+                         seg_starts=seg_starts, order=order)
 
 
 class KnowledgeGraph:

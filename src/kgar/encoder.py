@@ -1,7 +1,11 @@
 """Attention-weighted relational graph convolution encoder.
 
-Each layer runs two directional passes over the graph. Per direction, an
-edge (j -> i) gets a score LeakyReLU(<W h_i, W h_j>), scores are softmax-
+Each layer scores every triple (h, r, t) once, LeakyReLU(<W h_t, W h_h>),
+in triple order, and then runs two directional passes over the graph. The
+score is symmetric in the triple's two ends, so both directions read the
+same column, each gathered into its plan's `order`; in the backward pass
+their score gradients add up in that column before one inner-product
+backward. Per direction, the score of each edge (j -> i) is softmax-
 normalized within the group of i's neighbors sharing one relation, and the
 node update is
 
@@ -169,17 +173,18 @@ def gated_neighbor_sum(h, gates, plan):
 
 
 def conv_layer_forward(h, graph, weights, config, direction, training=False,
-                       rng=None, *, hw, self_pre, layer):
+                       rng=None, *, scores, self_pre, layer):
     """One directional pass; returns the (|V|, D) directional hidden state.
 
-    hw (h @ attention_W) and self_pre (h @ self_W) are computed once per
-    layer and shared by its two directions. A direction without edges
-    gives ReLU(self_pre): its fused ops walk no tile.
+    scores (one LeakyReLU edge score per triple, in triple order) and
+    self_pre (h @ self_W) are computed once per layer and shared by its two
+    directions; each direction gathers the scores into its plan's order.
+    A direction without edges gives ReLU(self_pre): its fused ops walk no
+    tile.
     """
     plan = graph.plan(direction)
-    scores = edge_inner_product(hw, plan.src, plan.dst)
-    scores = T.leaky_relu(scores, config.leaky_slope)
-    alpha = T.segment_softmax(scores, plan.seg_starts)
+    alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
+                              plan.seg_starts)
     alpha = T.dropout(alpha, config.dropout_attention, training, rng)
     agg = attention_relational_aggregate(
         h, alpha, plan, weights.blocks[direction], config.num_blocks)
@@ -202,13 +207,18 @@ def conv_stack(graph, params, config, training=False, rng=None):
         raise ValueError("training mode with dropout needs an rng")
     h = params.embedding
     for layer_index, lw in enumerate(params.layers):
+        # only the scores read hw = h @ att_W, so without a tape it is
+        # freed before the directional passes
         hw = T.matmul(h, lw.att_W)
+        scores = T.leaky_relu(edge_inner_product(hw, graph.heads, graph.tails),
+                              config.leaky_slope)
+        del hw
         self_pre = T.matmul(h, lw.self_W)
         h_fwd = conv_layer_forward(h, graph, lw, config, "forward", training,
-                                   rng, hw=hw, self_pre=self_pre,
+                                   rng, scores=scores, self_pre=self_pre,
                                    layer=layer_index)
         h_bwd = conv_layer_forward(h, graph, lw, config, "backward", training,
-                                   rng, hw=hw, self_pre=self_pre,
+                                   rng, scores=scores, self_pre=self_pre,
                                    layer=layer_index)
         h = T.add(h_fwd, h_bwd)
     return h

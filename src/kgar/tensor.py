@@ -281,20 +281,19 @@ def segment_softmax(scores, seg_starts):
     """Softmax over contiguous row segments of a column vector.
 
     ``seg_starts`` are the first row of each segment (seg_starts[0] == 0);
-    every segment is nonempty.
+    every segment is nonempty, so an empty column has no segments.
     """
     if scores.shape[1] != 1:
         raise ShapeError(f"segment_softmax expects a column, got {scores.shape}")
     starts = np.asarray(seg_starts, dtype=np.int64)
     v = scores.values[:, 0]
-    if v.size == 0:
-        return Tensor(np.zeros((0, 1)))
-    if starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts) <= 0) \
-            or starts[-1] >= v.size:
+    bounds = np.append(starts, v.size)
+    lengths = np.diff(bounds)
+    if bounds[0] != 0 or np.any(lengths <= 0):
         raise ShapeError("segment starts must begin at 0, increase strictly "
-                         "and stay in range")
+                         "and stay in range, and be empty for an empty "
+                         "column only")
     seg_max = np.maximum.reduceat(v, starts)
-    lengths = np.diff(np.append(starts, v.size))
     e = np.exp(v - np.repeat(seg_max, lengths))
     z = np.add.reduceat(e, starts)
     res = e / np.repeat(z, lengths)
@@ -410,11 +409,13 @@ def sgd_step(params, learning_rate):
         p.grad = None
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """First/second moment buffers for the optional Adam variant."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.t = 0
         self.m = {}
         self.v = {}
@@ -426,7 +427,7 @@ def adam_step(params, state, learning_rate):
         if p.grad is None:
             raise GradientMissing(f"parameter {p.name!r} has no gradient")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     for p in params:
@@ -436,5 +437,5 @@ def adam_step(params, state, learning_rate):
         m += (1 - b1) * p.grad
         v *= b2
         v += (1 - b2) * np.square(p.grad)
-        p.values -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        p.values -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         p.grad = None

@@ -601,6 +601,28 @@ def test_repro_table_2_desk_missing_dataset_fails(tmp_path, capsys,
     assert cli.main(["repro-table", "2", "--data-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("broken, code", [(False, 0), (True, 2)],
+                         ids=["absent", "broken"])
+def test_repro_table_full_skips_only_absent_datasets(tmp_path, capsys,
+                                                     monkeypatch, broken,
+                                                     code):
+    # a full-scale table skips a dataset whose directory is absent; one
+    # that is present but does not parse is a data error
+    monkeypatch.chdir(tmp_path)
+    if broken:
+        (tmp_path / "aifb").mkdir()
+        (tmp_path / "aifb" / "train.tsv").write_text("a\tb\n")
+    assert cli.main(["repro-table", "2", "--scale", "full",
+                     "--data-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert ("skipping aifb" in err) is not broken
+    if broken:
+        assert "aifb" in err and not (tmp_path / "table2-full.csv").exists()
+    else:
+        assert (tmp_path / "table2-full.csv").read_text() \
+            == "dataset,accuracy,reference_accuracy\n"
+
+
 def test_repro_table_4_desk_layout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
 

@@ -312,6 +312,23 @@ def test_plan_empty_graph():
     assert list(p.rel_starts) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("triples", [
+    [(0, 1, 2), (1, 0, 2), (3, 0, 2), (0, 0, 1), (2, 1, 1), (3, 0, 2)], []],
+    ids=["toy", "empty"])
+def test_plan_order_maps_edges_to_triple_rows(triples):
+    # plan edge k is triple row order[k]: the forward plan reads heads into
+    # tails, the backward plan the other way round
+    g = D.KnowledgeGraph(triples, 4, 2)
+    for direction, src, dst in (("forward", g.heads, g.tails),
+                                ("backward", g.tails, g.heads)):
+        p = g.plan(direction)
+        np.testing.assert_array_equal(src[p.order], p.src)
+        np.testing.assert_array_equal(dst[p.order], p.dst)
+        np.testing.assert_array_equal(np.sort(p.order),
+                                      np.arange(len(triples)))
+        np.testing.assert_array_equal(g.rels[p.order], edge_relations(p))
+
+
 def test_known_triples(monkeypatch):
     # filtered negative sampling checks corruptions against the training
     # triples, as a set built from the graph's array

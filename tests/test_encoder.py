@@ -262,9 +262,12 @@ def one_node_setup(self_w, blocks_value, embed):
 
 
 def conv(h, g, lw, cfg, direction):
-    """One directional pass of layer 0 with its projections computed here."""
-    return E.conv_layer_forward(h, g, lw, cfg, direction,
-                                hw=T.matmul(h, lw.att_W),
+    """One directional pass of layer 0 with its shared inputs, the triple
+    scores and the self projection, computed here."""
+    hw = T.matmul(h, lw.att_W)
+    scores = T.leaky_relu(E.edge_inner_product(hw, g.heads, g.tails),
+                          cfg.leaky_slope)
+    return E.conv_layer_forward(h, g, lw, cfg, direction, scores=scores,
                                 self_pre=T.matmul(h, lw.self_W), layer=0)
 
 
@@ -447,6 +450,41 @@ def test_forward_backward_symmetry():
     h_fwd = conv(h, g, lw, cfg, "forward")
     h_bwd = conv(h, g, lw, cfg, "backward")
     np.testing.assert_allclose(h_fwd.values, h_bwd.values, atol=1e-9)
+
+
+def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
+    # one edge_inner_product per layer, over the triples in file order;
+    # each direction's softmax reads that LeakyReLU column gathered into
+    # its plan's order
+    inner, leaky, softmax = (E.edge_inner_product, T.leaky_relu,
+                             T.segment_softmax)
+    scored, scores, softmax_inputs = [], [], []
+
+    def spy_inner(hw, src, dst):
+        scored.append((src, dst))
+        return inner(hw, src, dst)
+
+    def spy_leaky(a, slope):
+        scores.append(leaky(a, slope))
+        return scores[-1]
+
+    def spy_softmax(a, seg_starts):
+        softmax_inputs.append(a.values)
+        return softmax(a, seg_starts)
+
+    monkeypatch.setattr(E, "edge_inner_product", spy_inner)
+    monkeypatch.setattr(T, "leaky_relu", spy_leaky)
+    monkeypatch.setattr(T, "segment_softmax", spy_softmax)
+    cfg = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
+    E.encode(toy_graph, toy_params(cfg, seed=24), cfg)
+    assert len(scored) == len(scores) == 2 and len(softmax_inputs) == 4
+    for src, dst in scored:
+        assert src is toy_graph.heads and dst is toy_graph.tails
+    for layer, column in enumerate(scores):
+        for k, direction in enumerate(("forward", "backward")):
+            order = toy_graph.plan(direction).order
+            np.testing.assert_array_equal(softmax_inputs[2 * layer + k],
+                                          column.values[order])
 
 
 def test_encoder_grad_check(toy_graph):

@@ -103,6 +103,20 @@ def test_segment_softmax_segments_sum_to_one():
     assert single.values[0, 0] == 1.0
 
 
+def test_segment_softmax_empty_column():
+    # an empty column has no segments; its softmax is recorded like any
+    # other, so the scores still receive a (zero-row) gradient
+    s = T.Parameter("s", np.zeros((0, 1)))
+    with T.Tape() as tape:
+        out = T.segment_softmax(s, [])
+        loss = R.sum_all(out)
+    tape.backward(loss)
+    assert out.shape == (0, 1) and s.grad.shape == (0, 1)
+    for scores, starts in (([[1.0]], []), (np.zeros((0, 1)), [0])):
+        with pytest.raises(T.ShapeError, match="empty column only"):
+            T.segment_softmax(T.Tensor(scores), starts)
+
+
 def test_block_matmul_equals_dense_blockdiag():
     rng = np.random.default_rng(0)
     b, din_b, dout_b, n = 3, 4, 2, 5

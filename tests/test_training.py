@@ -136,6 +136,30 @@ def test_small_step_never_increases_full_batch_loss(graph):
         assert after <= before + 1e-12
 
 
+def test_edgeless_graph_trains_with_zero_attention_gradient(monkeypatch):
+    # with no triples the attention weights score nothing, yet every step
+    # still hands them a gradient: zero
+    grads = []
+    sgd_step = T.sgd_step
+
+    def spy(params, learning_rate):
+        params = list(params)
+        grads.append({p.name: p.grad for p in params})
+        sgd_step(params, learning_rate)
+
+    monkeypatch.setattr(T, "sgd_step", spy)
+    labels = LabelSet(entities=np.array([0, 1, 2]),
+                      classes=np.array([0, 1, 0]), num_classes=2)
+    cfg = toy_run_config("classify", iterations=2)
+    result = training.train(KnowledgeGraph([], 4, 2),
+                            {"labels_train": labels}, cfg, "classify", seed=0)
+    assert len(result.log) == len(grads) == 2
+    for step in grads:
+        for layer in range(cfg.num_layers):
+            grad = step[f"layer{layer}.att_w"]
+            assert grad.shape == (8, 8) and not grad.any()
+
+
 def test_adam_optimizer_variant_runs(graph):
     cfg = toy_run_config("classify", iterations=30, optimizer="adam",
                          learning_rate=0.005)
