@@ -25,7 +25,6 @@ mkdir -p "$RESULTS_DIR"
 kgar preprocess --dataset fb15k-237
 
 kgar train \
-  --task linkpred \
   --dataset fb15k-237 \
   --seed "$SEED" \
   --decoder complex \

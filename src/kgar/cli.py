@@ -46,8 +46,6 @@ class _Parser(argparse.ArgumentParser):
 def _help(setting):
     """A setting's description and its default under each protocol."""
     text = setting.metadata["help"]
-    if setting.name == "task":  # the bundle's task unless given
-        return text
     classify = setting.default
     linkpred = LINKPRED_DEFAULTS.get(setting.name, classify)
     if classify == linkpred:
@@ -56,14 +54,18 @@ def _help(setting):
             "prediction)")
 
 
+# the RunConfig fields that --dataset sets: the directory and its
+# bundle's task
+DATASET_FIELDS = ("dataset_dir", "task")
+
+
 def _add_config_flags(parser):
-    """One flag per RunConfig field but `dataset_dir`, which --dataset
-    sets."""
+    """One flag per RunConfig field but the DATASET_FIELDS."""
     g = parser.add_argument_group(
         "run configuration",
         "precedence: flag > config file > dataset default > task default")
     for setting in fields(RunConfig):
-        if setting.name == "dataset_dir":
+        if setting.name in DATASET_FIELDS:
             continue
         flag = "--" + setting.name.replace("_", "-")
         kind = FIELD_TYPES[setting.name]
@@ -91,10 +93,12 @@ def _resolve(args):
 
 
 def _build_config(args, dataset_dir, task):
-    file_values = parse_config_file(args.config) if args.config else None
-    cli_values = _cli_values(args)
-    cli_values["dataset_dir"] = dataset_dir
-    cli_values["task"] = task
+    file_values = parse_config_file(args.config) if args.config else {}
+    for name in DATASET_FIELDS:
+        if name in file_values:
+            raise UsageError(f"{args.config}: a config file may not set "
+                             f"{name}; --dataset sets it")
+    cli_values = dict(_cli_values(args), dataset_dir=dataset_dir, task=task)
     return resolve_config(task, datasets.dataset_defaults(
         datasets.dataset_name(dataset_dir)), file_values, cli_values)
 
@@ -116,11 +120,17 @@ def _train_splits(bundle):
     return {"valid": bundle.splits["valid"]}
 
 
-def _progress(stream):
+def _progress(stream, log=None):
+    """The training record's one sink: a progress line on `stream` and,
+    given an open loss log, the same interval as a flushed CSV row."""
     def report(iteration, loss, metric):
         extra = "" if metric is None else f"  valid {metric:.4f}"
         print(f"iteration {iteration}  loss {loss:.4f}{extra}", file=stream,
               flush=True)
+        if log is not None:
+            valid = "" if metric is None else f"{metric:.6f}"
+            log.write(f"{iteration},{loss:.6f},{valid}\n")
+            log.flush()
     return report
 
 
@@ -150,39 +160,29 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _snapshot_meta(config, bundle):
-    meta = {"format": 1, "task": config.task,
-            "dataset": bundle.manifest["dataset"],
-            "num_entities": bundle.num_entities,
-            "num_relations": bundle.num_relations,
-            "config": asdict(config)}
-    if bundle.task == "classify":
-        meta["num_classes"] = bundle.manifest["num_classes"]
-    return meta
-
-
 def cmd_train(args):
     dataset_dir = _resolve(args)
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
-    task = args.task or bundle.task
-    if task != bundle.task:
-        raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
-                        f"cannot train {task!r} on it")
-    config = _build_config(args, dataset_dir, task)
+    config = _build_config(args, dataset_dir, bundle.task)
     splits = _train_splits(bundle)
 
     out = args.out or os.path.join(dataset_dir, "runs")
     os.makedirs(out, exist_ok=True)
-    tag = f"{task}-seed{config.seed}"
-    if task == "linkpred":
+    tag = f"{config.task}-seed{config.seed}"
+    if config.task == "linkpred":
         tag += f"-{config.decoder}"
+    # the log records each finished interval as it goes; only the
+    # snapshot marks a finished run
     log_path = os.path.join(out, f"loss-{tag}.csv")
-    result = training.train(bundle.graph, splits, config, task,
-                            seed=config.seed, log_path=log_path,
-                            progress=_progress(sys.stderr))
+    with open(log_path, "w", encoding="utf-8") as log:
+        log.write("iteration,loss,valid_metric\n")
+        result = training.train(bundle.graph, splits, config, config.task,
+                                seed=config.seed,
+                                progress=_progress(sys.stderr, log))
     snapshot_path = os.path.join(out, f"snapshot-{tag}.kgar")
     save_snapshot(snapshot_path, result.params.all_params(),
-                  _snapshot_meta(config, bundle))
+                  {"dataset": bundle.manifest["dataset"],
+                   "config": asdict(config)})
     print(f"snapshot: {snapshot_path}")
     print(f"loss log: {log_path}")
     return EXIT_OK
@@ -191,9 +191,8 @@ def cmd_train(args):
 def _check_meta(meta):
     """The snapshot's RunConfig; SnapshotError unless meta describes one
     valid config."""
-    missing = [k for k in ("task", "config") if k not in meta]
-    if missing:
-        raise SnapshotError(f"snapshot meta lacks {', '.join(missing)}")
+    if "config" not in meta:
+        raise SnapshotError("snapshot meta lacks config")
     config = meta["config"]
     if not isinstance(config, dict):
         raise SnapshotError("snapshot config is not a key/value object")
@@ -210,8 +209,9 @@ def _check_meta(meta):
         raise SnapshotError(f"snapshot config is invalid: {exc}")
 
 
-def _evaluate_bundle(run, params, bundle, task, dataset):
-    if task == "classify":
+def _evaluate_bundle(run, params, bundle):
+    dataset = bundle.manifest["dataset"]
+    if run.task == "classify":
         test = bundle.labels["test"]
         _nonempty(test.entities, "labels_test", "evaluate")
         accuracy = training.evaluate_classification(
@@ -232,18 +232,14 @@ def cmd_evaluate(args):
     bundle = datasets.load_bundle(_bundle_dir(dataset_dir))
     meta, arrays = load_snapshot(args.snapshot)
     run = _check_meta(meta)
-    task = args.task or meta["task"]
-    if task != meta["task"]:
-        raise DataError(f"snapshot was trained for task {meta['task']!r}; "
-                        f"cannot evaluate it as {task!r}")
-    if task != bundle.task:
+    if run.task != bundle.task:
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
-                        f"cannot evaluate a {task!r} snapshot on it")
-    params = rebuild_params(arrays, run.encoder_config(), task, run.decoder,
-                            bundle.num_entities, bundle.num_relations,
+                        f"cannot evaluate a {run.task!r} snapshot on it")
+    params = rebuild_params(arrays, run.encoder_config(), run.task,
+                            run.decoder, bundle.num_entities,
+                            bundle.num_relations,
                             bundle.manifest.get("num_classes"))
-    report = _evaluate_bundle(run, params, bundle, task,
-                              bundle.manifest["dataset"])
+    report = _evaluate_bundle(run, params, bundle)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -267,13 +263,15 @@ def _repro_prepare(name, data_dir):
 
 
 def _repro_train_eval(path, bundle, task, seed, decoder=None):
+    if bundle.task != task:
+        raise DataError(f"{path}: the table needs a {task!r} dataset; its "
+                        f"bundle was preprocessed for {bundle.task!r}")
     config = resolve_config(
         task, datasets.dataset_defaults(datasets.dataset_name(path)),
         None, {"dataset_dir": path, "seed": seed, "decoder": decoder})
     result = training.train(bundle.graph, _train_splits(bundle), config, task,
                             seed=seed, progress=_progress(sys.stderr))
-    return _evaluate_bundle(config, result.params, bundle, task,
-                            bundle.manifest["dataset"])
+    return _evaluate_bundle(config, result.params, bundle)
 
 
 def _repro_datasets(names, scale, data_dir):
@@ -375,9 +373,6 @@ def build_parser():
                    "`kgar train`")
     p.add_argument("--dataset", required=True,
                    help="dataset directory or name under $KGAR_DATA_DIR")
-    p.add_argument("--task", choices=CHOICES["task"],
-                   help="must match the snapshot's task (default: from the "
-                        "snapshot)")
     p.add_argument("--csv", metavar="FILE", help="also write the report as "
                    "a CSV row")
     p.set_defaults(func=cmd_evaluate)

@@ -36,8 +36,8 @@ def _setting(default, description):
 @dataclass
 class RunConfig:
     dataset_dir: str = _setting(".", "dataset directory the run reads")
-    task: str = _setting("classify", "objective; defaults to the dataset's "
-                                     "usual task")
+    task: str = _setting("classify", "objective; the CLI takes it from the "
+                                     "dataset's bundle")
     embed_dim: int = _setting(EncoderConfig.embed_dim,
                               "entity embedding width")
     num_layers: int = _setting(EncoderConfig.num_layers,

@@ -18,11 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, KnowledgeGraph, LabelSet, check_ids, load_triples
+from .model import TASKS
 
 DATA_DIR_ENV = "KGAR_DATA_DIR"
 BUNDLE_DIR = "bundle"
 MANIFEST = "manifest.json"
 TRAIN_IDS = "triples_train.npy"  # in every bundle of the current format
+# the splits a manifest must count for each task; a classification bundle
+# may also count labels_valid, a validation split
+NEEDED_SPLITS = {"linkpred": ("train", "valid", "test"),
+                 "classify": ("train", "labels_train", "labels_test")}
 
 # relations whose triples leak the classification target (local names;
 # matched against full IRIs by suffix), per the usual protocol for these
@@ -282,6 +287,32 @@ def _read_names(path, count):
     return names
 
 
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _check_manifest(path, manifest):
+    """DataError naming the key unless `manifest` states a task, its sizes
+    and the row count of every split the task needs."""
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: a manifest is a JSON object")
+    task = manifest.get("task")
+    if task not in TASKS:
+        raise DataError(f"{path}: task must be one of {TASKS}, got {task!r}")
+    classes = ("num_classes",) if task == "classify" else ()
+    for key in ("num_entities", "num_relations") + classes:
+        if not _is_count(manifest.get(key)):
+            raise DataError(f"{path}: {key} must be a non-negative int, got "
+                            f"{manifest.get(key)!r}")
+    counts = manifest.get("counts")
+    if not isinstance(counts, dict):
+        raise DataError(f"{path}: counts must be an object, got {counts!r}")
+    for split in NEEDED_SPLITS[task] + tuple(counts):
+        if not _is_count(counts.get(split)):
+            raise DataError(f"{path}: counts.{split} must be a non-negative "
+                            f"int, got {counts.get(split)!r}")
+
+
 def load_bundle(bundle_dir):
     """Rehydrate a Bundle; the graph holds the training triples only."""
     manifest_path = os.path.join(bundle_dir, MANIFEST)
@@ -293,13 +324,7 @@ def load_bundle(bundle_dir):
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}: {exc}")
-    required = ("task", "num_entities", "num_relations", "counts")
-    if isinstance(manifest, dict) and manifest.get("task") == "classify":
-        required += ("num_classes",)
-    if not (isinstance(manifest, dict) and all(k in manifest
-                                               for k in required)):
-        raise DataError(f"{manifest_path}: a manifest needs the keys "
-                        f"{', '.join(required)}")
+    _check_manifest(manifest_path, manifest)
     task = manifest["task"]
     entities = _read_names(os.path.join(bundle_dir, "entities.tsv"),
                            manifest["num_entities"])

@@ -183,7 +183,7 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
     tile.
     """
     plan = graph.plan(direction)
-    alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
+    alpha = T.segment_softmax(T.permute_rows(scores, plan.order),
                               plan.seg_starts)
     alpha = T.dropout(alpha, config.dropout_attention, training, rng)
     agg = attention_relational_aggregate(

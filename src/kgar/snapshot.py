@@ -1,9 +1,11 @@
 """Bit-exact parameter snapshots.
 
-Layout: magic line, 4-byte little-endian header length, UTF-8 JSON header,
-then the raw row-major little-endian float64 bytes of every parameter in
-header order. No timestamps or other nondeterminism: identical parameters
-and metadata produce identical files. A save writes a temp file next to
+Layout: magic line (the format version), 4-byte little-endian header
+length, UTF-8 JSON header (meta, then each parameter's name, shape and
+dtype; other keys are ignored), then the raw row-major little-endian
+float64 bytes of every parameter in header order. No timestamps or
+other nondeterminism: identical parameters and metadata produce
+identical files. A save writes a temp file next to
 its target and renames it over the target only once complete, so a
 failed save leaves any earlier snapshot at that path as it was.
 """
@@ -26,10 +28,8 @@ class SnapshotError(ValueError):
 
 def save_snapshot(path, params, meta):
     """Write parameters (a list of Parameter) and a JSON-able meta dict."""
-    entries = []
-    for p in params:
-        entries.append({"name": p.name, "shape": list(p.values.shape),
-                        "dtype": "<f8", "regularized": bool(p.regularized)})
+    entries = [{"name": p.name, "shape": list(p.values.shape), "dtype": "<f8"}
+               for p in params]
     header = json.dumps({"meta": meta, "params": entries},
                         sort_keys=True).encode("utf-8")
     # same directory, so the rename cannot cross file systems; opened like

@@ -188,18 +188,40 @@ def scatter_rows(out, idx, vals):
         out[rows] += sums.reshape(rows.size, d)
 
 
-def gather_rows(a, idx):
+def _row_index(a, idx, op):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows: index must be 1-D")
+        raise ShapeError(f"{op}: index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError("gather_rows: index out of range")
+        raise ShapeError(f"{op}: index out of range")
+    return idx
+
+
+def gather_rows(a, idx):
+    idx = _row_index(a, idx, "gather_rows")
     out = Tensor(a.values[idx])
 
     def bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
         scatter_rows(a.grad, idx, g)
+
+    _record(out, bw)
+    return out
+
+
+def permute_rows(a, order):
+    """a's rows in the order `order`, which must be a permutation of
+    range(len(a)); this is not checked. The forward is gather_rows'; as
+    no row repeats, the backward writes each gradient row once instead of
+    scatter-adding."""
+    order = _row_index(a, order, "permute_rows")
+    out = Tensor(a.values[order])
+
+    def bw(g):
+        ga = np.empty_like(a.values)
+        ga[order] = g
+        _acc(a, ga)
 
     _record(out, bw)
     return out

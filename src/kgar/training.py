@@ -23,7 +23,6 @@ from .tensor import NumericFailure, Tape
 @dataclass
 class TrainResult:
     params: object
-    log: list  # (iteration, loss, valid_metric or None)
 
 
 def _classify_step(graph, params, enc_cfg, config, ids, classes, rng):
@@ -45,13 +44,17 @@ def _linkpred_step(graph, params, enc_cfg, config, triples, known, rng):
                               config.l2)
 
 
-def train(graph, splits, config, task, seed, log_path=None, progress=None):
-    """Train a model; returns TrainResult(params, log).
+def train(graph, splits, config, task, seed, progress=None):
+    """Train a model; returns TrainResult(params).
 
     `splits` carries task inputs: classification wants `labels_train` (and
     optionally `labels_valid`); link prediction trains on the graph's own
     triples and optionally validates on `valid` (an id-triple array),
     filtering the training and validation triples from its ranking.
+    Every `eval_interval` iterations and at the last one, the run reports
+    `progress(iteration, loss, metric)`, where `metric` is the validation
+    metric, or None without a validation split. Without a `progress` the
+    run validates nothing.
     """
     config.validate()
     enc_cfg = config.encoder_config()
@@ -98,39 +101,31 @@ def train(graph, splits, config, task, seed, log_path=None, progress=None):
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    log = []
-    log_lines = ["iteration,loss,valid_metric\n"]
+    adam_state = T.AdamState()
     for iteration in range(1, config.iterations + 1):
+        # a failure in the step, the update or the validation names the
+        # iteration
         try:
             with Tape() as tape:
                 loss = step()
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                raise NumericFailure("non-finite loss")
+            tape.backward(loss)
+            if config.optimizer == "adam":
+                T.adam_step(params.all_params(), adam_state,
+                            config.learning_rate)
+            else:
+                T.sgd_step(params.all_params(), config.learning_rate)
+            report = progress is not None and (
+                iteration % config.eval_interval == 0
+                or iteration == config.iterations)
+            metric = valid_fn() if report and valid_fn is not None else None
         except NumericFailure as exc:
             raise NumericFailure(f"iteration {iteration}: {exc}") from exc
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise NumericFailure(
-                f"non-finite loss at iteration {iteration}")
-        tape.backward(loss)
-        if config.optimizer == "adam":
-            if iteration == 1:
-                adam_state = T.AdamState()
-            T.adam_step(params.all_params(), adam_state, config.learning_rate)
-        else:
-            T.sgd_step(params.all_params(), config.learning_rate)
-
-        at_interval = (iteration % config.eval_interval == 0
-                       or iteration == config.iterations)
-        metric = valid_fn() if (valid_fn is not None and at_interval) else None
-        log.append((iteration, loss_value, metric))
-        if at_interval:
-            metric_str = "" if metric is None else f"{metric:.6f}"
-            log_lines.append(f"{iteration},{loss_value:.6f},{metric_str}\n")
-        if progress is not None and at_interval:
+        if report:
             progress(iteration, loss_value, metric)
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.writelines(log_lines)
-    return TrainResult(params=params, log=log)
+    return TrainResult(params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import fields
 
@@ -10,7 +11,7 @@ import pytest
 from kgar import cli, datasets, synthetic
 from kgar.config import RunConfig, resolve_config
 from kgar.data import DataError
-from kgar.model import init_params
+from kgar.model import init_params, schema
 from kgar.snapshot import load_snapshot, save_snapshot
 from kgar.tensor import Parameter
 
@@ -161,10 +162,111 @@ def test_evaluate_task_mismatch(lp_dir, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0
     snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
-    code = cli.main(["evaluate", "--snapshot", snap, "--dataset", lp_dir,
-                     "--task", "classify"])
-    assert code == 2
-    assert "linkpred" in capsys.readouterr().err
+    cl_dir = small_classify(tmp_path / "cl")
+    assert cli.main(["preprocess", "--dataset", cl_dir]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--snapshot", snap, "--dataset", cl_dir]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'classify'" in err and "'linkpred'" in err
+
+
+def test_task_comes_from_the_bundle(lp_dir, capsys):
+    assert cli.main(["train", "--dataset", lp_dir, "--task", "classify"]
+                    + FAST) == 1
+    assert "unrecognized arguments: --task classify" in capsys.readouterr().err
+    for command in ("train", "evaluate"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert "--task" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, key", [
+    ("task=classify", "task"), ("dataset_dir=elsewhere", "dataset_dir"),
+], ids=["task", "dataset-dir"])
+def test_config_file_may_not_set_dataset_fields(lp_dir, tmp_path, capsys,
+                                                line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", lp_dir, "--out", str(out),
+                     "--config", str(cfg)] + FAST) == 1
+    assert (f"a config file may not set {key}; --dataset sets it"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_snapshot_header_states_each_fact_once(lp_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", lp_dir, "--out", str(out),
+                     "--seed", "3"] + FAST) == 0
+    snap = str(out / "snapshot-linkpred-seed3-complex.kgar")
+    with open(snap, "rb") as fh:
+        fh.readline()
+        (length,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(length))
+    assert set(header["meta"]) == {"dataset", "config"}
+    assert header["meta"]["config"]["task"] == "linkpred"
+    assert all(set(entry) == {"name", "shape", "dtype"}
+               for entry in header["params"])
+
+    run = cli._check_meta(header["meta"])
+    flags = {name: regularized for name, _, _, regularized in schema(
+        40, 4, run.encoder_config(), "linkpred", run.decoder, None)}
+
+    def earlier_layout(h):
+        h["meta"].update(format=1, task="linkpred", num_entities=40,
+                         num_relations=4)
+        for entry in h["params"]:
+            entry["regularized"] = flags[entry["name"]]
+
+    old = str(tmp_path / "old.kgar")
+    rewrite_header(snap, old, earlier_layout)
+    capsys.readouterr()
+    reports = []
+    for path in (snap, old):
+        assert cli.main(["evaluate", "--snapshot", path,
+                         "--dataset", lp_dir]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_loss_log_records_each_interval(tmp_path, capsys):
+    d = small_classify(tmp_path / "cl")
+    (tmp_path / "cl" / "labels_valid.tsv").write_text("n3\tblue\n",
+                                                      encoding="utf-8")
+    assert cli.main(["preprocess", "--dataset", d]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--dataset", d, "--out", str(out)] + FAST
+                    + ["--iterations", "10", "--eval-interval", "4"]) == 0
+    lines = (out / "loss-classify-seed0.csv").read_text().splitlines()
+    assert lines[0] == "iteration,loss,valid_metric"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [4, 8, 10]
+    progress = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("iteration ")]
+    for (iteration, loss, metric), line in zip(rows, progress, strict=True):
+        # valid metric present when labels_valid is given; the stderr line
+        # reports the same interval
+        assert line == (f"iteration {iteration}  loss {float(loss):.4f}  "
+                        f"valid {float(metric):.4f}")
+
+
+def test_diverging_train_keeps_finished_intervals(lp_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--dataset", lp_dir, "--out", str(out)]
+                        + FAST + ["--eval-interval", "1",
+                                  "--learning-rate", "1e30"])
+    assert code == 3
+    failed = int(re.search(r"numeric failure: iteration (\d+)",
+                           capsys.readouterr().err).group(1))
+    assert failed > 1
+    assert not list(out.glob("snapshot-*"))
+    lines = (out / "loss-linkpred-seed0-complex.csv").read_text().splitlines()
+    assert lines[0] == "iteration,loss,valid_metric"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+        range(1, failed))
 
 
 def test_evaluate_shape_mismatch_names_parameter(lp_dir, tmp_path, capsys):
@@ -358,6 +460,64 @@ def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
     assert "data error" in err and name in err and detail in err
 
 
+def edit_manifest(edit):
+    """A corruption that applies `edit(manifest)` to a bundle's manifest."""
+    def corrupt(root):
+        path = os.path.join(root, "bundle", datasets.MANIFEST)
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+    return corrupt
+
+
+def drop_count(split):
+    return edit_manifest(lambda m: m["counts"].pop(split))
+
+
+def set_key(key, value):
+    return edit_manifest(lambda m: m.update({key: value}))
+
+
+@pytest.mark.parametrize("make, corrupt, named", [
+    (small_linkpred, drop_count("train"), "counts.train"),
+    (small_linkpred, drop_count("valid"), "counts.valid"),
+    (small_linkpred, drop_count("test"), "counts.test"),
+    (small_classify, drop_count("labels_train"), "counts.labels_train"),
+    (small_classify, drop_count("labels_test"), "counts.labels_test"),
+    (small_linkpred, edit_manifest(lambda m: m["counts"].update(train="75")),
+     "counts.train must be a non-negative int, got '75'"),
+    (small_linkpred, edit_manifest(lambda m: m["counts"].update(extra=-1)),
+     "counts.extra must be a non-negative int, got -1"),
+    (small_linkpred, set_key("counts", [75, 4, 7]),
+     "counts must be an object"),
+    (small_linkpred, set_key("task", "bogus"),
+     "task must be one of ('classify', 'linkpred'), got 'bogus'"),
+    (small_linkpred, set_key("num_entities", "40"),
+     "num_entities must be a non-negative int, got '40'"),
+    (small_linkpred, set_key("num_relations", True),
+     "num_relations must be a non-negative int, got True"),
+    (small_linkpred, set_key("num_entities", -1),
+     "num_entities must be a non-negative int, got -1"),
+    (small_classify, set_key("num_classes", 2.0),
+     "num_classes must be a non-negative int, got 2.0"),
+], ids=["no-train-count", "no-valid-count", "no-test-count",
+        "no-labels-train-count", "no-labels-test-count", "string-count",
+        "negative-count", "counts-list", "unknown-task", "string-entities",
+        "bool-relations", "negative-entities", "float-classes"])
+def test_corrupt_manifest_is_data_error(tmp_path, capsys, make, corrupt,
+                                        named):
+    d = make(tmp_path / "d")
+    assert cli.main(["preprocess", "--dataset", d]) == 0
+    corrupt(d)
+    capsys.readouterr()
+    assert cli.main(["train", "--dataset", d, "--out",
+                     str(tmp_path / "run")] + FAST) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and datasets.MANIFEST in err and named in err
+
+
 def test_repro_table_rebuilds_a_tsv_id_bundle(tmp_path):
     bundle_dir = tmp_path / "synthetic" / "bundle"
     _, bundle = cli._repro_prepare("synthetic", str(tmp_path))
@@ -523,8 +683,9 @@ def flag_help(out):
 
 
 def test_help_lists_config_fields(capsys):
-    """Every field but `dataset_dir` has one flag, whose help carries its
-    description and the default each protocol resolves to."""
+    """Every field but `dataset_dir` and `task`, which the dataset sets,
+    has one flag, whose help carries its description and the default each
+    protocol resolves to."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--help"])
     assert exc.value.code == 0
@@ -534,13 +695,11 @@ def test_help_lists_config_fields(capsys):
                           for task in ("classify", "linkpred"))
     for setting in fields(RunConfig):
         flag = "--" + setting.name.replace("_", "-")
-        if setting.name == "dataset_dir":
+        if setting.name in ("dataset_dir", "task"):
             assert flag not in out
             continue
         assert out.count(f"  {flag} ") + out.count(f"  {flag},") == 1
         assert " ".join(setting.metadata["help"].split()) in helps[flag]
-        if setting.name == "task":
-            continue
         ours, theirs = (getattr(c, setting.name) for c in (classify, linkpred))
         assert (f"(default {ours})" if ours == theirs else
                 f"(default {ours} classification / {theirs} link prediction)"
@@ -621,6 +780,15 @@ def test_repro_table_full_skips_only_absent_datasets(tmp_path, capsys,
     else:
         assert (tmp_path / "table2-full.csv").read_text() \
             == "dataset,accuracy,reference_accuracy\n"
+
+
+def test_repro_table_refuses_a_dataset_of_the_other_task(tmp_path, capsys):
+    small_linkpred(tmp_path / "aifb")
+    assert cli.main(["repro-table", "2", "--data-dir", str(tmp_path),
+                     "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ("the table needs a 'classify' dataset; its bundle was "
+            "preprocessed for 'linkpred'") in err
 
 
 def test_repro_table_4_desk_layout(tmp_path, capsys, monkeypatch):

@@ -294,6 +294,32 @@ def test_grad_gather_scatter():
     assert_grad_matches(loss, [a])
 
 
+@pytest.mark.parametrize("held", [False, True],
+                         ids=["fresh-grad", "existing-grad"])
+def test_permute_rows_matches_gather_rows_bitwise(held):
+    # the encoder reads its score column through a permutation; the
+    # one-write backward must give gather_rows' bits, also when the
+    # gradient already holds a value (the other direction's)
+    rng = np.random.default_rng(11)
+    n = 3 * T._TILE + 7  # several scatter tiles
+    order = rng.permutation(n)
+    values = rng.standard_normal((n, 2))
+    upstream = rng.standard_normal((n, 2))
+    held_grad = rng.standard_normal((n, 2))
+    results = []
+    for op in (T.gather_rows, T.permute_rows):
+        a = T.Parameter("a", values.copy())
+        if held:
+            a.grad = held_grad.copy()
+        with T.Tape() as tape:
+            out = op(a, order)
+            loss = R.sum_all(R.mul(out, T.Tensor(upstream)))
+        tape.backward(loss)
+        results.append((out.values, a.grad))
+    for got, want in zip(results[1], results[0]):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_grad_block_matmul():
     rng = np.random.default_rng(10)
     x = T.Parameter("x", rng.standard_normal((4, 6)))

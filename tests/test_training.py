@@ -1,5 +1,5 @@
 """Training loop behavior: loss decrease, determinism, abort-on-NaN,
-logging, and the small-step descent property."""
+progress reports, and the small-step descent property."""
 
 import struct
 
@@ -35,21 +35,31 @@ def graph():
     return KnowledgeGraph(TOY_TRIPLES, 6, 3)
 
 
+def train_recorded(graph, splits, cfg, task, seed):
+    """Train; returns the (iteration, loss, metric) of every progress
+    report."""
+    record = []
+    training.train(graph, splits, cfg, task, seed=seed,
+                   progress=lambda *report: record.append(report))
+    return record
+
+
 def test_classify_loss_decreases(graph):
-    cfg = toy_run_config("classify")
-    result = training.train(graph, {"labels_train": toy_labelset()},
+    cfg = toy_run_config("classify", eval_interval=1)
+    record = train_recorded(graph, {"labels_train": toy_labelset()},
                             cfg, "classify", seed=1)
-    first, last = result.log[0][1], result.log[-1][1]
+    first, last = record[0][1], record[-1][1]
     assert last < first
-    assert len(result.log) == 200
+    assert [r[0] for r in record] == list(range(1, 201))
 
 
 def test_linkpred_loss_decreases(graph):
-    cfg = toy_run_config("linkpred", iterations=200, batch_size=10)
-    result = training.train(graph, {}, cfg, "linkpred", seed=2)
+    cfg = toy_run_config("linkpred", iterations=200, batch_size=10,
+                         eval_interval=1)
+    record = train_recorded(graph, {}, cfg, "linkpred", seed=2)
     # sampled batches make single iterations noisy; compare averaged ends
-    head = np.mean([loss for _, loss, _ in result.log[:20]])
-    tail = np.mean([loss for _, loss, _ in result.log[-20:]])
+    head = np.mean([loss for _, loss, _ in record[:20]])
+    tail = np.mean([loss for _, loss, _ in record[-20:]])
     assert tail < head
 
 
@@ -96,21 +106,6 @@ def test_numeric_failure_names_iteration(graph):
                        cfg, "classify", seed=3)
 
 
-def test_loss_log_file_format(graph, tmp_path):
-    cfg = toy_run_config("classify", iterations=100, eval_interval=40)
-    log_path = tmp_path / "loss.csv"
-    splits = {"labels_train": toy_labelset(), "labels_valid": toy_labelset()}
-    training.train(graph, splits, cfg, "classify", seed=4,
-                   log_path=str(log_path))
-    lines = log_path.read_text().strip().split("\n")
-    assert lines[0] == "iteration,loss,valid_metric"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(r[0]) for r in rows] == [40, 80, 100]
-    for r in rows:
-        float(r[1])
-        float(r[2])  # valid metric present when labels_valid given
-
-
 def test_small_step_never_increases_full_batch_loss(graph):
     # descent property of one sgd_step at tiny lr on the same batch
     cfg = toy_run_config("classify", iterations=1)
@@ -150,10 +145,10 @@ def test_edgeless_graph_trains_with_zero_attention_gradient(monkeypatch):
     monkeypatch.setattr(T, "sgd_step", spy)
     labels = LabelSet(entities=np.array([0, 1, 2]),
                       classes=np.array([0, 1, 0]), num_classes=2)
-    cfg = toy_run_config("classify", iterations=2)
-    result = training.train(KnowledgeGraph([], 4, 2),
+    cfg = toy_run_config("classify", iterations=2, eval_interval=1)
+    record = train_recorded(KnowledgeGraph([], 4, 2),
                             {"labels_train": labels}, cfg, "classify", seed=0)
-    assert len(result.log) == len(grads) == 2
+    assert len(record) == len(grads) == 2
     for step in grads:
         for layer in range(cfg.num_layers):
             grad = step[f"layer{layer}.att_w"]
@@ -162,19 +157,19 @@ def test_edgeless_graph_trains_with_zero_attention_gradient(monkeypatch):
 
 def test_adam_optimizer_variant_runs(graph):
     cfg = toy_run_config("classify", iterations=30, optimizer="adam",
-                         learning_rate=0.005)
-    result = training.train(graph, {"labels_train": toy_labelset()},
+                         learning_rate=0.005, eval_interval=1)
+    record = train_recorded(graph, {"labels_train": toy_labelset()},
                             cfg, "classify", seed=6)
-    assert result.log[-1][1] < result.log[0][1]
+    assert record[-1][1] < record[0][1]
 
 
 def test_linkpred_valid_metric_logged(graph):
     cfg = toy_run_config("linkpred", iterations=20, eval_interval=10,
                          batch_size=5)
     valid = np.array(TOY_TRIPLES[:3])
-    result = training.train(graph, {"valid": valid}, cfg, "linkpred", seed=8)
-    metrics = [m for _, _, m in result.log if m is not None]
-    assert metrics and all(0.0 < m <= 1.0 for m in metrics)
+    record = train_recorded(graph, {"valid": valid}, cfg, "linkpred", seed=8)
+    assert [r[0] for r in record] == [10, 20]
+    assert all(0.0 < m <= 1.0 for _, _, m in record)
 
 
 def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
