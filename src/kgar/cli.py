@@ -7,6 +7,7 @@ directories are taken as given paths or resolved under $KGAR_DATA_DIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -172,14 +173,17 @@ def cmd_train(args):
     if config.task == "linkpred":
         tag += f"-{config.decoder}"
     # the log records each finished interval as it goes; only the
-    # snapshot marks a finished run
+    # snapshot marks a finished run; a snapshot left from an earlier run
+    # would sit beside this run's log as if this run had finished
     log_path = os.path.join(out, f"loss-{tag}.csv")
+    snapshot_path = os.path.join(out, f"snapshot-{tag}.kgar")
     with open(log_path, "w", encoding="utf-8") as log:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(snapshot_path)
         log.write("iteration,loss,valid_metric\n")
         result = training.train(bundle.graph, splits, config, config.task,
                                 seed=config.seed,
                                 progress=_progress(sys.stderr, log))
-    snapshot_path = os.path.join(out, f"snapshot-{tag}.kgar")
     save_snapshot(snapshot_path, result.params.all_params(),
                   {"dataset": bundle.manifest["dataset"],
                    "config": asdict(config)})

@@ -10,6 +10,7 @@ tails. Every array that enters the model has its ids range-checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -21,24 +22,47 @@ class DataError(ValueError):
 
 
 def load_triples(path, width=3):
-    """Read raw string rows of `width` tab-separated fields from a TSV file:
-    (head, relation, tail) triples, or (entity, class) labels at width 2.
+    """Read `width` string columns of tab-separated rows from a TSV file:
+    (heads, relations, tails) of triples, or (entities, classes) of labels
+    at width 2.
 
     Blank lines and `#` comments are skipped; line order is preserved.
     """
-    raw = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} tab-separated "
-                    f"fields, got {len(parts)}")
-            raw.append(tuple(parts))
-    return raw
+        lines = fh.read().split("\n")
+    rows = [line for line in lines if (text := line.lstrip())
+            and text[0] != "#"]
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if tabs.count(width - 1) != len(tabs):
+        bad = next(k for k, n in enumerate(tabs) if n != width - 1)
+        # an equal earlier line would be a malformed row too
+        raise DataError(f"{path}:{lines.index(rows[bad]) + 1}: expected "
+                        f"{width} tab-separated fields, got {tabs[bad] + 1}")
+    fields = "\t".join(rows).split("\t") if rows else []
+    return tuple(fields[i::width] for i in range(width))
+
+
+def stable_order(*keys):
+    """The permutation `np.lexsort(keys)` returns for equal-length
+    non-negative integer keys: the last key is primary, and ties keep their
+    input order.
+
+    Least-significant-digit radix passes over 16-bit digits, each a stable
+    `np.argsort` of uint16 values, which numpy runs as a radix sort.
+    """
+    size = len(keys[0])
+    order = np.arange(size)
+    for key in keys:
+        if len(key) != size:
+            raise ValueError(f"keys of unequal length: {len(key)} and {size}")
+        if not size:
+            continue
+        if key.min() < 0:
+            raise ValueError("stable_order sorts non-negative keys only")
+        for shift in range(0, int(key.max()).bit_length(), 16):
+            digit = (key[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def check_ids(rows, limits, source):
@@ -71,7 +95,7 @@ class DirectionPlan:
 
 
 def _build_plan(src, dst, rel, num_relations):
-    order = np.lexsort((dst, rel))  # stable: rel major, dst minor
+    order = stable_order(dst, rel)  # rel major, dst minor
     s, d, r = src[order], dst[order], rel[order]
     rel_starts = np.searchsorted(r, np.arange(num_relations + 1))
     if r.size:

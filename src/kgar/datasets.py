@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -133,6 +134,17 @@ class Bundle:
         return self.manifest["num_relations"]
 
 
+def _vocab(names):
+    """Ids of the distinct names, numbered by first appearance."""
+    return {name: i for i, name in enumerate(dict.fromkeys(names))}
+
+
+def _ids(vocab, names):
+    """The int64 array of each name's id."""
+    return np.fromiter(map(vocab.__getitem__, names), dtype=np.int64,
+                       count=len(names))
+
+
 def preprocess(dataset_dir, drop_names=None, dedup=False):
     """Read raw files, apply the drop list, and id-map everything."""
     task = detect_task(dataset_dir)
@@ -144,13 +156,20 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
         raw["train"] = load_triples(_require(dataset_dir, "train.tsv"))
 
     # ids by first appearance: train, then valid, then test; h, r, t
-    entity_vocab, relation_vocab, id_splits = {}, {}, {}
-    for split, triples in raw.items():
-        rows = [(entity_vocab.setdefault(h, len(entity_vocab)),
-                 relation_vocab.setdefault(r, len(relation_vocab)),
-                 entity_vocab.setdefault(t, len(entity_vocab)))
-                for h, r, t in triples]
-        id_splits[split] = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    entity_names = {}
+    for split, (heads, _, tails) in raw.items():
+        names = entity_names[split] = [None] * (2 * len(heads))
+        names[::2], names[1::2] = heads, tails
+    entity_vocab = _vocab(chain.from_iterable(entity_names.values()))
+    relation_vocab = _vocab(chain.from_iterable(
+        rels for _, rels, _ in raw.values()))
+    id_splits = {}
+    for split, (_, rels, _) in raw.items():
+        ends = _ids(entity_vocab, entity_names[split])
+        rows = np.empty((len(rels), 3), dtype=np.int64)
+        rows[:, 0], rows[:, 2] = ends[::2], ends[1::2]
+        rows[:, 1] = _ids(relation_vocab, rels)
+        id_splits[split] = rows
 
     if drop_names is None:
         drop_names = default_drop(dataset_name(dataset_dir))
@@ -179,7 +198,7 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
             elif not os.path.exists(path):
                 continue
             pairs = []
-            for ent, cls in load_triples(path, width=2):
+            for ent, cls in zip(*load_triples(path, width=2)):
                 if ent not in entity_vocab:
                     raise DataError(f"{path}: entity {ent!r} absent from the "
                                     "graph")

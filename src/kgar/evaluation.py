@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import stable_order
+
 SETTINGS = ("raw", "filtered")
 _QUERY_CHUNK = 256  # queries per score block (one GEMM)
 _KEY_SHIFT = 32  # key = fixed << 32 | relation; ids stay below 2**31
@@ -39,9 +41,8 @@ class FilterIndex:
         heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
         self.keys, self.candidates = [], []
         for fixed, cand in ((tails, heads), (heads, tails)):
-            key = _key(fixed, rels)
-            order = np.lexsort((cand, key))
-            key, cand = key[order], cand[order]
+            order = stable_order(cand, rels, fixed)
+            key, cand = _key(fixed[order], rels[order]), cand[order]
             fresh = np.ones(key.size, dtype=bool)
             fresh[1:] = (key[1:] != key[:-1]) | (cand[1:] != cand[:-1])
             self.keys.append(key[fresh])

@@ -269,6 +269,20 @@ def test_diverging_train_keeps_finished_intervals(lp_dir, tmp_path, capsys):
         range(1, failed))
 
 
+def test_failed_rerun_leaves_no_earlier_snapshot(lp_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["train", "--dataset", lp_dir, "--out", str(out)] + FAST
+    assert cli.main(args) == 0
+    assert (out / "snapshot-linkpred-seed0-complex.kgar").exists()
+    with np.errstate(all="ignore"):
+        code = cli.main(args + ["--learning-rate", "1e30"])
+    assert code == 3
+    # the log and the snapshot beside it describe the same run
+    assert not list(out.glob("snapshot-*"))
+    lines = (out / "loss-linkpred-seed0-complex.csv").read_text().splitlines()
+    assert lines[0] == "iteration,loss,valid_metric"
+
+
 def test_evaluate_shape_mismatch_names_parameter(lp_dir, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import preprocess_reference as reference
 from kgar import data as D
 from kgar import datasets, decoders, training
 from kgar.config import resolve_config
@@ -23,12 +24,11 @@ def write(tmp_path, name, text):
 
 def test_load_triples_order_and_comments(tmp_path):
     path = write(tmp_path, "t.tsv", "a\tr\tb\n\n# comment\nb\tr\tc\n")
-    raw = D.load_triples(path)
-    assert raw == [("a", "r", "b"), ("b", "r", "c")]
+    assert D.load_triples(path) == (["a", "b"], ["r", "r"], ["b", "c"])
 
 
 def test_load_triples_empty_file(tmp_path):
-    assert D.load_triples(write(tmp_path, "e.tsv", "")) == []
+    assert D.load_triples(write(tmp_path, "e.tsv", "")) == ([], [], [])
 
 
 def test_load_triples_malformed_names_line(tmp_path):
@@ -46,6 +46,42 @@ def linkpred_dir(tmp_path, train, valid="", test=""):
     for name, text in (("train", train), ("valid", valid), ("test", test)):
         write(tmp_path, f"{name}.tsv", text)
     return str(tmp_path)
+
+
+# every kind of line the reader skips, CRLF and lone CR line ends, names
+# with inner and outer spaces, and a last row without a newline
+AWKWARD = ("# header\r\na\tr\tb\r\n\n   \n\t\n  # indented\n"
+           "\u3000\n\x85\x0b\x0c\n\u2003# em-space comment\n"
+           "  c\tq r\t d \rb\tr\ta\nb\tr\tc")
+
+
+def test_preprocess_matches_the_line_reference(tmp_path):
+    (tmp_path / "train.tsv").write_bytes(AWKWARD.encode("utf-8"))
+    write(tmp_path, "valid.tsv", "# v\nc\tr\tz\n\n")
+    write(tmp_path, "test.tsv", "z\tq r\ta")
+    d = str(tmp_path)
+    processed = datasets.preprocess(d)
+    entities, relations, splits = reference.id_map(d)
+    assert processed["entities"] == entities
+    assert "  c" in entities and " d " in entities
+    assert processed["relations"] == relations
+    for split, rows in splits.items():
+        got = processed["splits"][split]
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, rows)
+
+
+def test_malformed_row_after_comments_names_its_line(tmp_path):
+    text = AWKWARD.replace("\nb\tr\tc", "\nb\tr\n# after\nb\tr\tc\tx")
+    path = tmp_path / "t.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(D.DataError) as want:
+        reference.read_rows(str(path))
+    with pytest.raises(D.DataError) as got:
+        D.load_triples(str(path))
+    assert str(got.value) == str(want.value)
+    assert f"{path}:12: expected 3 tab-separated fields, got 2" == \
+        str(got.value)
 
 
 def test_build_vocab_first_appearance(tmp_path):
@@ -226,6 +262,41 @@ def test_dedup_triples(tmp_path):
     assert splits["valid"].tolist() == [[1, 0, 0]]
     assert splits["test"].tolist() == [[0, 0, 1]]
     assert len(datasets.preprocess(d)["splits"]["train"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# stable_order
+
+
+def tied_keys(rng, count, high, size=600):
+    """`count` keys of `size` values drawn from a few spread over
+    [0, high), 0 and high - 1 among them."""
+    values = np.append(rng.integers(0, high, 4), [0, high - 1])
+    return [rng.choice(values, size) for _ in range(count)]
+
+
+@pytest.mark.parametrize("high", [5, 2**16 + 3, 2**32 + 9, 2**45])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_stable_order_is_lexsort(count, high):
+    keys = tied_keys(np.random.default_rng(count), count, high)
+    got, want = D.stable_order(*keys), np.lexsort(keys)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("keys", [[[]], [[], []], [[7]], [[3], [2**40]]])
+def test_stable_order_of_empty_and_single(keys):
+    keys = [np.array(key, dtype=np.int64) for key in keys]
+    got, want = D.stable_order(*keys), np.lexsort(keys)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_stable_order_rejects_negative_and_unequal_keys():
+    with pytest.raises(ValueError, match="non-negative"):
+        D.stable_order(np.array([3, 0]), np.array([1, -1]))
+    with pytest.raises(ValueError, match="unequal length"):
+        D.stable_order(np.array([3, 0]), np.array([1, 2, 0]))
 
 
 # ---------------------------------------------------------------------------

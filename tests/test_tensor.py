@@ -565,3 +565,14 @@ def test_every_scatter_goes_through_scatter_rows():
                 if isinstance(getattr(np, name or "", None), np.ufunc):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_id_sort_goes_through_stable_order():
+    # np.lexsort is a comparison sort; the package sorts its id keys with
+    # data.stable_order, a radix sort with the same result
+    package = Path(T.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "lexsort"]
+    assert found == []
