@@ -3,8 +3,9 @@
 A graph is one read-only (n, 3) int64 array of (head, relation, tail)
 rows. Message passing reads it through two cached DirectionPlans:
 "forward" updates each tail from its heads, "backward" each head from its
-tails. Every array that enters the model has its ids range-checked by
-`check_ids` first.
+tails. Sums that need no relation weight read it through one cached
+Incidence list, both ends of every triple sorted by node. Every array
+that enters the model has its ids range-checked by `check_ids` first.
 """
 
 from __future__ import annotations
@@ -109,8 +110,40 @@ def _build_plan(src, dst, rel, num_relations):
                          seg_starts=seg_starts, order=order)
 
 
+@dataclass
+class Incidence:
+    """Both ends of every triple, sorted by node.
+
+    Each triple k = (h, r, t) appears twice: at node t with neighbor h,
+    and at node h with neighbor t (a self-loop twice at one node).
+    Position j holds neighbor nbr[j] of triple triple[j]. The sort is
+    stable, so a node's run lists the triples it is the tail of, then
+    those it is the head of, each in triple-file order. Only nodes with at
+    least one incident triple have a run: node nodes[m] owns positions
+    starts[m]:starts[m + 1] (the last run ends at len(nbr)).
+    """
+    nbr: np.ndarray
+    triple: np.ndarray
+    nodes: np.ndarray
+    starts: np.ndarray
+
+
+def _build_incidence(heads, tails):
+    node = np.concatenate([tails, heads])
+    order = stable_order(node)
+    node = node[order]
+    first = np.empty(node.size, dtype=bool)
+    first[:1] = True
+    first[1:] = node[1:] != node[:-1]
+    starts = np.flatnonzero(first)
+    return Incidence(nbr=np.concatenate([heads, tails])[order],
+                     triple=order % max(heads.size, 1),
+                     nodes=node[starts], starts=starts)
+
+
 class KnowledgeGraph:
-    """Immutable triple store: one (n, 3) id array and its edge plans.
+    """Immutable triple store: one (n, 3) id array, its two edge plans and
+    its incidence list, each built on first use and cached.
 
     `triples` is an (n, 3) array or any iterable of (head, relation, tail)
     id triples, empty included. heads/rels/tails are column views.
@@ -133,6 +166,7 @@ class KnowledgeGraph:
         self._triples = arr
         self.heads, self.rels, self.tails = arr.T
         self._plans = {}
+        self._incidence = None
 
     def triple_array(self):
         """The triples as the read-only (n, 3) int64 array of rows."""
@@ -151,6 +185,12 @@ class KnowledgeGraph:
             self._plans[direction] = _build_plan(
                 src, dst, self.rels, self.num_relations)
         return self._plans[direction]
+
+    def incidence(self):
+        """The cached Incidence list of both ends of every triple."""
+        if self._incidence is None:
+            self._incidence = _build_incidence(self.heads, self.tails)
+        return self._incidence
 
 
 @dataclass

@@ -77,8 +77,17 @@ def _fold(decoder, a, f, sign):
         return a * f
     a_re, a_im = _split(a)
     f_re, f_im = _split(f)
-    return np.hstack([a_re * f_re - sign * (a_im * f_im),
-                      a_re * f_im + sign * (a_im * f_re)])
+    # in place in one output: -(sign x) + y is exactly y - sign x
+    out = np.empty(a.shape)
+    re, im = _split(out)
+    tmp = np.empty(re.shape)
+    np.multiply(a_im, f_im, out=re)
+    re *= -sign
+    re += np.multiply(a_re, f_re, out=tmp)
+    np.multiply(a_im, f_re, out=im)
+    im *= sign
+    im += np.multiply(a_re, f_im, out=tmp)
+    return out
 
 
 def score_triples(params, feats, triples, decoder):

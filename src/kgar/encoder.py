@@ -13,20 +13,26 @@ node update is
 
 with W_r block-diagonal. The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
-f_i = sum over incident edges of g_rel * H[neighbor], both directions.
+f_i = sum over incident triples of g_rel * H[neighbor], both directions.
 
 The hot loops are fused tape operations that recompute gathers in the
 backward pass instead of retaining edge-expanded intermediates; peak
-memory stays near O(V*D) rather than O(E*D). Each fused op walks every
-relation's edge range rel_starts[r]:rel_starts[r+1] in tiles of at most
-`tensor._TILE` edges, forward and backward, so that one tile's gather,
-block product, attention scaling and `tensor.scatter_rows` sum onto
-nodes run on rows that are still in cache, and its temporaries stay
-O(tile*D). Sums onto nodes, and each relation's weight gradient, are
-therefore added tile by tile. The aggregate's backward never recomputes
-the forward messages alpha * (h[src] W_r): they are linear in alpha, so
-one product t = g[dst] W_r^T gives both dalpha = <h[src], t> and
-dh[src] = alpha * t.
+memory stays near O(V*D) rather than O(E*D). Every fused op walks its
+edges in tiles of at most `tensor._TILE`, forward and backward, so that
+one tile's gathers, products and sums onto nodes run on rows that are
+still in cache, and its temporaries stay O(tile*D).
+
+Two kinds of sum onto nodes. The aggregate weights each edge by its
+relation's W_r, so it walks each relation's range
+rel_starts[r]:rel_starts[r+1] of a direction plan and adds with
+`tensor.scatter_rows`; each relation's weight gradient is added tile by
+tile. Its backward never recomputes the forward messages
+alpha * (h[src] W_r): they are linear in alpha, so one product
+t = g[dst] W_r^T gives both dalpha = <h[src], t> and dh[src] = alpha * t.
+The sums that need no relation weight (the fusion readout and its
+h-gradient, the edge-score backward) walk the graph's Incidence list,
+both ends of every triple sorted by node: per tile, np.add.reduceat sums
+each node's run, and each node is added to once per tile.
 """
 
 from __future__ import annotations
@@ -81,22 +87,48 @@ def _tiles(rel_starts):
             yield r, lo, min(lo + T._TILE, end)
 
 
-def edge_inner_product(hw, src, dst):
-    """Per-edge inner products <hw[dst_k], hw[src_k]> as an (E,1) column."""
+def _incidence_sum(out, x, w, inc, other=None):
+    """out[i] += sum over node i's positions j of the Incidence list `inc`
+    of w[j] * x[nbr[j]], for one weight per position. Given `other`, also
+    returns the per-position dots <x[nbr[j]], other[i]>.
+
+    The list is walked in tiles of at most `tensor._TILE` positions; per
+    tile, np.add.reduceat sums each node's part of its run, and each node
+    of the tile is added to once. Nodes without a triple are not touched.
+    """
+    dots = None
+    if other is not None:
+        dots = np.empty(inc.nbr.size)
+        node = np.repeat(inc.nodes, np.diff(inc.starts, append=inc.nbr.size))
+    for _, lo, hi in _tiles((0, inc.nbr.size)):
+        first = np.searchsorted(inc.starts, lo, "right") - 1
+        stop = np.searchsorted(inc.starts, hi, "left")
+        cuts = inc.starts[first:stop] - lo
+        cuts[0] = 0
+        ys = x[inc.nbr[lo:hi]]
+        if dots is not None:
+            dots[lo:hi] = np.einsum("ij,ij->i", ys, other[node[lo:hi]])
+        ys *= w[lo:hi, None]
+        out[inc.nodes[first:stop]] += np.add.reduceat(ys, cuts, axis=0)
+    return dots
+
+
+def edge_inner_product(hw, graph):
+    """Per-triple inner products <hw[tail], hw[head]> as an (E,1) column,
+    in triple order."""
     v = hw.values
-    n_edges = src.size
-    e = np.empty(n_edges)
-    for _, lo, hi in _tiles((0, n_edges)):
-        e[lo:hi] = np.einsum("ij,ij->i", v[dst[lo:hi]], v[src[lo:hi]])
+    heads, tails = graph.heads, graph.tails
+    e = np.empty(heads.size)
+    for _, lo, hi in _tiles((0, heads.size)):
+        e[lo:hi] = np.einsum("ij,ij->i", v[tails[lo:hi]], v[heads[lo:hi]])
     out = Tensor(e[:, None])
 
     def bw(g):
         if hw.grad is None:
             hw.grad = np.zeros_like(v)
-        gcol = g[:, 0:1]
-        for _, lo, hi in _tiles((0, n_edges)):
-            scatter_rows(hw.grad, dst[lo:hi], gcol[lo:hi] * v[src[lo:hi]])
-            scatter_rows(hw.grad, src[lo:hi], gcol[lo:hi] * v[dst[lo:hi]])
+        # each end's gradient is g times the other end: one incidence walk
+        inc = graph.incidence()
+        _incidence_sum(hw.grad, v, g[inc.triple, 0], inc)
 
     _record(out, bw)
     return out
@@ -144,25 +176,27 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
     return out
 
 
-def gated_neighbor_sum(h, gates, plan):
-    """sum over edges of gates[rel_k] * h[src_k], scattered to dst."""
-    hv = h.values
-    gv = gates.values
+def gated_neighbor_sum(h, gates, graph):
+    """f_i = sum over node i's incident triples of gates[rel] * h[neighbor],
+    both directions: one incidence walk.
+
+    The readout is symmetric in a triple's two ends, so the h-gradient is
+    the same walk over the output gradient. The gate gradient sums that
+    walk's dots <g[neighbor], h[node]>, two per triple, by relation.
+    """
+    hv, gv = h.values, gates.values
+    inc = graph.incidence()
+    rel_of = graph.rels[inc.triple]
+    gate_of = gv[rel_of, 0]
     res = np.zeros(h.shape)
-    for r, lo, hi in _tiles(plan.rel_starts):
-        scatter_rows(res, plan.dst[lo:hi], gv[r, 0] * hv[plan.src[lo:hi]])
+    _incidence_sum(res, hv, gate_of, inc)
     out = Tensor(res)
 
     def bw(g):
         if h.grad is None:
             h.grad = np.zeros_like(hv)
-        if gates.grad is None:
-            gates.grad = np.zeros_like(gv)
-        for r, lo, hi in _tiles(plan.rel_starts):
-            src, dst = plan.src[lo:hi], plan.dst[lo:hi]
-            gd = g[dst]
-            scatter_rows(h.grad, src, gv[r, 0] * gd)
-            gates.grad[r, 0] += float(np.einsum("ij,ij->", hv[src], gd))
+        dots = _incidence_sum(h.grad, g, gate_of, inc, other=hv)
+        _acc(gates, np.bincount(rel_of, dots, minlength=gv.shape[0])[:, None])
 
     _record(out, bw)
     return out
@@ -210,7 +244,7 @@ def conv_stack(graph, params, config, training=False, rng=None):
         # only the scores read hw = h @ att_W, so without a tape it is
         # freed before the directional passes
         hw = T.matmul(h, lw.att_W)
-        scores = T.leaky_relu(edge_inner_product(hw, graph.heads, graph.tails),
+        scores = T.leaky_relu(edge_inner_product(hw, graph),
                               config.leaky_slope)
         del hw
         self_pre = T.matmul(h, lw.self_W)
@@ -227,6 +261,4 @@ def conv_stack(graph, params, config, training=False, rng=None):
 def encode(graph, params, config, training=False, rng=None):
     """Full encoder: embeddings -> stacked conv layers -> fusion readout."""
     h = conv_stack(graph, params, config, training, rng)
-    f_fwd = gated_neighbor_sum(h, params.gates, graph.plan("forward"))
-    f_bwd = gated_neighbor_sum(h, params.gates, graph.plan("backward"))
-    return T.add(f_fwd, f_bwd)
+    return gated_neighbor_sum(h, params.gates, graph)

@@ -9,7 +9,10 @@ Ranking is 1-N: a query row (fixed entity, relation, side) asks for the
 head (side 0) or the tail (side 1), and the scorer turns a chunk of
 `_QUERY_CHUNK` rows into one (rows, |V|) score block. Raw ranks count
 greater and equal scores per row; filtered ranks subtract the known
-candidates looked up in a sorted-key `FilterIndex`.
+candidates looked up in a sorted-key `FilterIndex`. A non-finite score
+or class probability raises NumericFailure instead of giving a metric:
+every comparison with a NaN is false, so ranks and argmaxes taken over
+one mean nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import stable_order
+from .tensor import NumericFailure
 
 SETTINGS = ("raw", "filtered")
 _QUERY_CHUNK = 256  # queries per score block (one GEMM)
@@ -102,6 +106,13 @@ def evaluate_ranking(test, scorer, known):
     for lo in range(0, len(queries), _QUERY_CHUNK):
         block = slice(lo, lo + _QUERY_CHUNK)
         scores = np.asarray(scorer(queries[block]), dtype=np.float64)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            q = lo + int(np.argmin(finite.all(axis=1)))
+            raise NumericFailure(
+                f"non-finite candidate score in query {q}, the "
+                f"{('head', 'tail')[queries[q, 2]]} of test triple "
+                f"{tuple(test[q // 2].tolist())}")
         rows, cands = known.known_others(queries[block], targets[block])
         raw[block], filtered[block] = _chunk_ranks(scores, targets[block],
                                                    rows, cands)
@@ -131,6 +142,10 @@ def hits_at_k(results, k, setting="filtered"):
 def classification_accuracy(probs, true_classes):
     """Percentage of rows whose argmax (lowest id on ties) is the label."""
     probs = np.asarray(probs)
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise NumericFailure(f"non-finite class probabilities in test row "
+                             f"{int(np.argmin(finite))}")
     predictions = probs.argmax(axis=1)
     return float(100.0 * (predictions == np.asarray(true_classes)).mean())
 

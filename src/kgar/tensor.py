@@ -161,9 +161,10 @@ def add(a, b):
     return out
 
 
-# rows per tile: the encoder's fused ops walk their edges, and
-# scatter_rows its rows, in tiles this long, so that one tile's (rows x D)
-# temporaries stay in cache (512 x D=100 float64 is 400 kB)
+# rows per tile: the encoder's fused ops walk their plan edges, triples
+# and incidence positions, and scatter_rows its rows, in tiles this long,
+# so that one tile's (rows x D) temporaries stay in cache (512 x D=100
+# float64 is 400 kB)
 _TILE = 512
 
 
@@ -261,11 +262,13 @@ def _block_backward_q(xv, g, b):
 
 
 def relu(a):
-    mask = a.values > 0.0
-    out = Tensor(np.where(mask, a.values, 0.0))
+    """max(a, 0). The backward mask is read from the output: for a finite
+    input, out > 0 exactly where a > 0."""
+    res = np.maximum(a.values, 0.0)
+    out = Tensor(res)
 
     def bw(g):
-        _acc(a, g * mask)
+        _acc(a, g * (res > 0.0))
 
     _record(out, bw)
     return out

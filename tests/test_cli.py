@@ -619,6 +619,25 @@ def test_evaluate_bad_snapshot_parameter_is_snapshot_error(
     assert "snapshot error" in err and named in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_overflowed_scores_is_numeric_failure(lp_dir, tmp_path,
+                                                      capsys):
+    # a positive gate scale leaves every ranking as it is, until the
+    # candidate scores overflow: then the run must fail, not report
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--dataset", lp_dir, "--out", out] + FAST) == 0
+    snap = os.path.join(out, "snapshot-linkpred-seed0-complex.kgar")
+    big = str(tmp_path / "big.kgar")
+    rewrite_params(snap, big, fill("fusion.gates", 1e300))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--snapshot", big,
+                     "--dataset", lp_dir]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure: non-finite candidate score in query 0" \
+        in captured.err
+
+
 def test_evaluate_per_relation_snapshot_must_be_retrained(lp_dir, tmp_path,
                                                           capsys):
     out = str(tmp_path / "run")

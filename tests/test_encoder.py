@@ -23,10 +23,11 @@ from kgar.tensor import NumericFailure, Parameter, Tensor
 
 def attention(H, W, node, neighbors, slope=0.2):
     """LeakyReLU(<W^T h_node, W^T h_j>) softmaxed over the neighbors j, as
-    one attention group of edge_inner_product and segment_softmax."""
-    src = np.asarray(neighbors, dtype=np.int64)
+    one attention group of edge_inner_product and segment_softmax: a graph
+    of one relation whose triples are (j, 0, node)."""
+    g = KnowledgeGraph([(j, 0, node) for j in neighbors], len(H), 1)
     hw = T.matmul(Tensor(H), Tensor(W))
-    scores = E.edge_inner_product(hw, src, np.full(src.size, node))
+    scores = E.edge_inner_product(hw, g)
     return T.segment_softmax(T.leaky_relu(scores, slope), [0]).values[:, 0]
 
 
@@ -64,11 +65,12 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
     rng = np.random.default_rng(2)
     H = Tensor(rng.standard_normal((toy_graph.num_entities, 6)))
     W = Tensor(rng.standard_normal((6, 6)))
+    hw = T.matmul(H, W)
+    scores = T.leaky_relu(E.edge_inner_product(hw, toy_graph), 0.2)
     for direction in ("forward", "backward"):
         plan = toy_graph.plan(direction)
-        hw = T.matmul(H, W)
-        scores = T.leaky_relu(E.edge_inner_product(hw, plan.src, plan.dst), 0.2)
-        alpha = T.segment_softmax(scores, plan.seg_starts)
+        alpha = T.segment_softmax(T.permute_rows(scores, plan.order),
+                                  plan.seg_starts)
         sums = np.add.reduceat(alpha.values[:, 0], plan.seg_starts)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -77,31 +79,30 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
 # fusion readout of one node, through gated_neighbor_sum
 
 
-def fuse(H, graph, node, direction, gates):
-    """Gated sum of one node's neighbor rows in one direction."""
+def fuse(H, graph, gates):
+    """The gated neighbor sums of every node, both directions."""
     gates = Tensor(np.asarray(gates, dtype=np.float64)[:, None])
-    out = E.gated_neighbor_sum(Tensor(H), gates, graph.plan(direction))
-    return out.values[node]
+    return E.gated_neighbor_sum(Tensor(H), gates, graph).values
 
 
-def test_fuse_single_edge_unit_gate(toy_graph):
+def test_fuse_single_edge_unit_gate():
     g = KnowledgeGraph([(0, 0, 1)], 2, 1)
     H = np.array([[3.0, -1.0], [0.5, 2.0]])
-    np.testing.assert_array_equal(fuse(H, g, 1, "forward", [1.0]), H[0])
+    np.testing.assert_array_equal(fuse(H, g, [1.0]), H[::-1])
 
 
 def test_fuse_all_gates_zero(toy_graph):
     H = np.random.default_rng(3).standard_normal((6, 4))
-    np.testing.assert_array_equal(
-        fuse(H, toy_graph, 1, "forward", [0.0, 0.0, 0.0]), np.zeros(4))
+    np.testing.assert_array_equal(fuse(H, toy_graph, [0.0, 0.0, 0.0]),
+                                  np.zeros((6, 4)))
 
 
-def test_fuse_three_edges_matches_weighted_sum(toy_graph):
-    # node 1 has in-edges (0,rel0), (2,rel0), (4,rel1)
-    assert np.count_nonzero(toy_graph.plan("forward").dst == 1) == 3
+def test_fuse_three_edges_matches_weighted_sum():
+    # node 1 has in-edges (0,rel0), (2,rel0), (4,rel1) and no out-edge
+    g = KnowledgeGraph([(0, 0, 1), (2, 0, 1), (4, 1, 1)], 6, 3)
     H = np.random.default_rng(4).standard_normal((6, 5))
     gates = [0.5, 1.0, 2.0]
-    got = fuse(H, toy_graph, 1, "forward", gates)
+    got = fuse(H, g, gates)[1]
     expected = 0.5 * H[0] + 0.5 * H[2] + 1.0 * H[4]
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -109,8 +110,7 @@ def test_fuse_three_edges_matches_weighted_sum(toy_graph):
 def test_fuse_zero_degree_node():
     g = KnowledgeGraph([(0, 0, 1)], 3, 1)
     H = np.ones((3, 4))
-    np.testing.assert_array_equal(fuse(H, g, 2, "forward", [1.0]),
-                                  np.zeros(4))
+    np.testing.assert_array_equal(fuse(H, g, [1.0])[2], np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +129,13 @@ def grads_of(loss_fn, params):
 def test_edge_inner_product_parity(toy_graph):
     rng = np.random.default_rng(5)
     hw = Parameter("hw", rng.standard_normal((6, 4)))
-    plan = toy_graph.plan("forward")
 
     def fused():
-        return R.sum_squares(E.edge_inner_product(hw, plan.src, plan.dst))
+        return R.sum_squares(E.edge_inner_product(hw, toy_graph))
 
     def composed():
-        d = T.gather_rows(hw, plan.dst)
-        s = T.gather_rows(hw, plan.src)
+        d = T.gather_rows(hw, toy_graph.tails)
+        s = T.gather_rows(hw, toy_graph.heads)
         return R.sum_squares(R.row_sum(R.mul(d, s)))
 
     v1, (g1,) = grads_of(fused, [hw])
@@ -206,20 +205,18 @@ def test_gated_neighbor_sum_parity(toy_graph):
     rng = np.random.default_rng(8)
     h = Parameter("h", rng.standard_normal((6, 4)))
     gates = Parameter("g", rng.standard_normal((3, 1)))
-    plan = toy_graph.plan("backward")
 
     def fused():
-        return R.sum_squares(E.gated_neighbor_sum(h, gates, plan))
+        return R.sum_squares(E.gated_neighbor_sum(h, gates, toy_graph))
 
     def composed():
+        # each triple's gated head row to its tail, and tail row to its head
+        w = T.gather_rows(gates, toy_graph.rels)
         total = None
-        for r in range(3):
-            lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
-            if lo == hi:
-                continue
-            xs = T.gather_rows(h, plan.src[lo:hi])
-            w = T.gather_rows(gates, np.full(hi - lo, r))
-            part = R.scatter_add_rows(R.mul(xs, w), plan.dst[lo:hi], 6)
+        for src, dst in ((toy_graph.heads, toy_graph.tails),
+                         (toy_graph.tails, toy_graph.heads)):
+            xs = T.gather_rows(h, src)
+            part = R.scatter_add_rows(R.mul(xs, w), dst, 6)
             total = part if total is None else T.add(total, part)
         return R.sum_squares(total)
 
@@ -235,15 +232,117 @@ def test_gated_sum_matches_per_node_fuse(toy_graph):
     rng = np.random.default_rng(9)
     H = rng.standard_normal((6, 4))
     gates = rng.standard_normal(3)
-    fwd = E.gated_neighbor_sum(Tensor(H), Tensor(gates[:, None]),
-                               toy_graph.plan("forward"))
-    bwd = E.gated_neighbor_sum(Tensor(H), Tensor(gates[:, None]),
-                               toy_graph.plan("backward"))
     expected = np.zeros((6, 4))
     for h, r, t in TOY_TRIPLES:
         expected[t] += gates[r] * H[h]
         expected[h] += gates[r] * H[t]
-    np.testing.assert_allclose(fwd.values + bwd.values, expected, atol=1e-10)
+    np.testing.assert_allclose(fuse(H, toy_graph, gates), expected,
+                               atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# incidence walks against per-triple references
+
+# a self-loop on node 2, (0, 1, 3) twice, nodes 5 and 6 on no triple; node
+# 1's run of six positions (a self-loop among them) is cut by tiles of 1,
+# 2 and 3 at different offsets
+WALK_TRIPLES = [(0, 1, 3), (2, 0, 2), (1, 0, 0), (0, 1, 3), (3, 2, 1),
+                (1, 1, 4), (4, 0, 1), (1, 2, 1)]
+WALK_GRAPHS = {"walk": (WALK_TRIPLES, 7, 3), "empty": ([], 4, 2)}
+
+
+@pytest.fixture(params=sorted(WALK_GRAPHS))
+def walk_graph(request):
+    triples, n, r = WALK_GRAPHS[request.param]
+    return KnowledgeGraph(triples, n, r)
+
+
+def test_incidence_lists_both_ends_by_node(walk_graph):
+    inc = walk_graph.incidence()
+    triples = walk_graph.triple_array().tolist()
+    runs = np.split(np.stack([inc.nbr, inc.triple], axis=1), inc.starts[1:])
+    expected = {}
+    for k, (h, _, t) in enumerate(triples):
+        expected.setdefault(t, []).append((h, k))
+    for k, (h, _, t) in enumerate(triples):
+        expected.setdefault(h, []).append((t, k))
+    assert inc.nodes.tolist() == sorted(expected)
+    if triples:
+        assert inc.starts[0] == 0
+        for node, run in zip(inc.nodes.tolist(), runs):
+            assert list(map(tuple, run.tolist())) == expected[node]
+    assert walk_graph.incidence() is inc
+
+
+def weighted_sum(out, weights):
+    """<out, weights> as a scalar tape value, so the backward receives
+    `weights` as the output gradient."""
+    return R.sum_all(R.mul(out, Tensor(weights)))
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_fusion_walk_matches_per_triple_reference(walk_graph, monkeypatch,
+                                                  tile):
+    monkeypatch.setattr(T, "_TILE", tile)
+    n, nr = walk_graph.num_entities, walk_graph.num_relations
+    rng = np.random.default_rng(25)
+    H, G = rng.standard_normal((2, n, 3))
+    gv = rng.standard_normal(nr)
+    h, gates = Parameter("h", H), Parameter("g", gv[:, None])
+    f_ref, dh_ref, dg_ref = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(nr)
+    for hd, r, tl in walk_graph.triple_array().tolist():
+        f_ref[tl] += gv[r] * H[hd]
+        f_ref[hd] += gv[r] * H[tl]
+        dh_ref[hd] += gv[r] * G[tl]
+        dh_ref[tl] += gv[r] * G[hd]
+        dg_ref[r] += H[hd] @ G[tl] + H[tl] @ G[hd]
+    with T.Tape() as tape:
+        f = E.gated_neighbor_sum(h, gates, walk_graph)
+        loss = weighted_sum(f, G)
+    tape.backward(loss)
+    np.testing.assert_allclose(f.values, f_ref, atol=1e-12)
+    np.testing.assert_allclose(h.grad, dh_ref, atol=1e-12)
+    np.testing.assert_allclose(gates.grad[:, 0], dg_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_edge_score_walk_matches_per_triple_reference(walk_graph,
+                                                      monkeypatch, tile):
+    monkeypatch.setattr(T, "_TILE", tile)
+    triples = walk_graph.triple_array().tolist()
+    rng = np.random.default_rng(26)
+    V = rng.standard_normal((walk_graph.num_entities, 3))
+    G = rng.standard_normal((len(triples), 1))
+    hw = Parameter("hw", V)
+    e_ref, dv_ref = np.zeros((len(triples), 1)), np.zeros_like(V)
+    for k, (hd, _, tl) in enumerate(triples):
+        e_ref[k] = V[tl] @ V[hd]
+        dv_ref[tl] += G[k] * V[hd]
+        dv_ref[hd] += G[k] * V[tl]
+    with T.Tape() as tape:
+        e = E.edge_inner_product(hw, walk_graph)
+        loss = weighted_sum(e, G)
+    tape.backward(loss)
+    np.testing.assert_allclose(e.values, e_ref, atol=1e-12)
+    np.testing.assert_allclose(hw.grad, dv_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_incidence_walk_grad_checks(monkeypatch, tile):
+    monkeypatch.setattr(T, "_TILE", tile)
+    g = KnowledgeGraph(WALK_TRIPLES, 7, 3)
+    rng = np.random.default_rng(27)
+    h = Parameter("h", rng.standard_normal((7, 3)))
+    gates = Parameter("g", rng.standard_normal((3, 1)))
+
+    def fusion():
+        return R.sum_squares(E.gated_neighbor_sum(h, gates, g))
+
+    def edge_scores():
+        return R.sum_squares(E.edge_inner_product(h, g))
+
+    assert R.grad_check(fusion, [h, gates]) < 1e-6
+    assert R.grad_check(edge_scores, [h]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +364,7 @@ def conv(h, g, lw, cfg, direction):
     """One directional pass of layer 0 with its shared inputs, the triple
     scores and the self projection, computed here."""
     hw = T.matmul(h, lw.att_W)
-    scores = T.leaky_relu(E.edge_inner_product(hw, g.heads, g.tails),
-                          cfg.leaky_slope)
+    scores = T.leaky_relu(E.edge_inner_product(hw, g), cfg.leaky_slope)
     return E.conv_layer_forward(h, g, lw, cfg, direction, scores=scores,
                                 self_pre=T.matmul(h, lw.self_W), layer=0)
 
@@ -460,9 +558,9 @@ def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
                              T.segment_softmax)
     scored, scores, softmax_inputs = [], [], []
 
-    def spy_inner(hw, src, dst):
-        scored.append((src, dst))
-        return inner(hw, src, dst)
+    def spy_inner(hw, graph):
+        scored.append(graph)
+        return inner(hw, graph)
 
     def spy_leaky(a, slope):
         scores.append(leaky(a, slope))
@@ -478,8 +576,7 @@ def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
     cfg = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
     E.encode(toy_graph, toy_params(cfg, seed=24), cfg)
     assert len(scored) == len(scores) == 2 and len(softmax_inputs) == 4
-    for src, dst in scored:
-        assert src is toy_graph.heads and dst is toy_graph.tails
+    assert all(graph is toy_graph for graph in scored)
     for layer, column in enumerate(scores):
         for k, direction in enumerate(("forward", "backward")):
             order = toy_graph.plan(direction).order

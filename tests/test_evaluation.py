@@ -146,6 +146,27 @@ def test_batched_ranks_match_brute_force():
             assert filtered[i] == brute_force_rank(scores, target, removed)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_names_its_query(bad):
+    # 300 triples: query 523 is the tail of triple 261, in the third block
+    rng = np.random.default_rng(5)
+    test = np.stack([rng.integers(0, 9, 300), np.zeros(300, dtype=np.int64),
+                     rng.integers(0, 9, 300)], axis=1)
+    table = rng.standard_normal((600, 9))
+    table[523, 4] = table[590, 0] = bad
+    offset = 0
+
+    def scorer(queries):
+        nonlocal offset
+        offset += len(queries)
+        return table[offset - len(queries):offset]
+
+    with pytest.raises(ev.NumericFailure,
+                       match=rf"query 523, the tail of test triple "
+                             rf"\({test[261, 0]}, 0, {test[261, 2]}\)"):
+        ev.evaluate_ranking(test, scorer, filter_index([]))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -189,6 +210,14 @@ def test_classification_accuracy():
     # last row ties -> argmax picks class 0
     assert ev.classification_accuracy(probs, [0, 1, 1, 0]) == 75.0
     assert ev.classification_accuracy(probs[:1], [0]) == 100.0
+
+
+def test_classification_accuracy_refuses_non_finite_probabilities():
+    # a softmax of overflowed logits gives NaN rows, whose argmax is the
+    # first NaN column
+    probs = np.array([[0.9, 0.1], [np.nan, np.nan], [0.6, 0.4]])
+    with pytest.raises(ev.NumericFailure, match="test row 1"):
+        ev.classification_accuracy(probs, [0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
