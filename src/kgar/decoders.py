@@ -2,18 +2,20 @@
 1-N candidate scoring for ranking, negative sampling, and the two loss
 functions.
 
-Entity features are the encoder output F. For complex-valued scoring a
-feature row splits half/half: the first D/2 columns are the real part, the
-rest the imaginary part. Relation embeddings are decoder-owned parameters,
-independent of the encoder.
+Entity features are the encoder output F. Relation embeddings are
+decoder-owned parameters, independent of the encoder. Both decoders are
+written in complex arithmetic (Trouillon et al., arXiv:1606.06357). For
+ComplEx a D-wide row [re | im] holds D/2 complex numbers, and the relation
+rows are rel_re + i rel_im. DistMult is the real special case: its rows
+are used as they are, and conj changes nothing.
 
-Each decoder's formula is stated once, in `_fold`, the bilinear form
-with one argument left open. Training scores sampled triples on the tape
-(`score_triples`): after the row gathers, one fused op scores
-<w, fold(f_s, f_o)> and its backward folds the other two operands.
-Ranking scores without the tape: `query_scorer` folds each (fixed
-entity, relation, side) query into one D-vector and scores a block of
-queries against all entities with one GEMM.
+A triple (s, r, o) with entries S, W, O scores Re Σ W∘S∘conj(O). Its
+gradients in the two entities are the query vectors: W∘S for the tail
+and conj(W)∘O for the head. Training scores sampled triples with one
+tape op (`score_triples`) that gathers its rows, converts only those,
+and scatters the gradients back. Ranking uses no tape: `query_scorer`
+builds each query's vector from the same two products and scores a
+block of queries against all entities with one GEMM.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _acc, _record
+from .data import stable_order
+from .tensor import Tensor, _record, _row_index
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +54,6 @@ def classification_loss(probs, class_ids, params=(), l2_coefficient=0.0):
 # triple scoring: training (one tape op) and 1-N ranking (no tape)
 
 
-def _split(vec):
-    half = vec.shape[-1] // 2
-    return vec[..., :half], vec[..., half:]
-
-
 def _relations(params, decoder):
     """The decoder's relation-embedding parameters, in column order."""
     if decoder == "complex":
@@ -65,57 +63,77 @@ def _relations(params, decoder):
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
-def _fold(decoder, a, f, sign):
-    """The decoder's bilinear form with one argument still open.
-
-    DistMult gives a * f. ComplEx gives [Re q, Im q] of q = a f for sign
-    +1 and [Re q, -Im q] of q = a conj(f) for sign -1, so a triple scores
-    Re(<w, s, conj(o)>) = <w, fold(s, o, -1)>. The fold is linear in
-    each argument; `score_triples` differentiates through it.
-    """
-    if decoder == "distmult":
-        return a * f
-    a_re, a_im = _split(a)
-    f_re, f_im = _split(f)
-    # in place in one output: -(sign x) + y is exactly y - sign x
-    out = np.empty(a.shape)
-    re, im = _split(out)
-    tmp = np.empty(re.shape)
-    np.multiply(a_im, f_im, out=re)
-    re *= -sign
-    re += np.multiply(a_re, f_re, out=tmp)
-    np.multiply(a_im, f_re, out=im)
-    im *= sign
-    im += np.multiply(a_re, f_im, out=tmp)
+def _entries(parts, ids):
+    """Rows `ids` of a matrix given as its column parts: complex numbers
+    from the [re, im] parts of ComplEx, the real rows of DistMult's one
+    part. Only the gathered rows are converted."""
+    if len(parts) == 1:
+        return parts[0][ids]
+    out = np.empty((len(ids), parts[0].shape[1]), np.complex128)
+    out.real = parts[0][ids]
+    out.imag = parts[1][ids]
     return out
 
 
-def score_triples(params, feats, triples, decoder):
-    """Scores for an (n,3) id array using gathered feature/relation rows.
+def _parts(z):
+    """The inverse of `_entries`: [Re z, Im z] if complex, else [z]."""
+    return [z.real, z.imag] if np.iscomplexobj(z) else [z]
 
-    After the gathers the score is one tape op, <w, fold(f_s, f_o, -1)>
-    per row, whose backward folds the other two operands. Returns
-    (scores, [f_s, f_o]) so the caller can L2-penalize exactly the entity
-    features that took part.
+
+def _scatter(t, ids, z):
+    """Add the entries z to the rows `ids` of t.grad, in t's real layout.
+
+    A complex z is read as its (n, D) float view, whose columns are
+    Re z_0, Im z_0, Re z_1, ...: the column map sends view column 2k + 1
+    to column D/2 + k of t, so no converted copy is made.
+    """
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    if np.iscomplexobj(z):
+        half = z.shape[1]
+        cols = np.arange(2 * half).reshape(2, half).T.ravel()
+        T.scatter_rows(t.grad, ids, z.view(np.float64), cols)
+    else:
+        T.scatter_rows(t.grad, ids, z)
+
+
+def score_triples(params, feats, triples, decoder):
+    """Scores (n, 1) of an (n, 3) id array of (head, relation, tail) rows.
+
+    One tape op: it gathers the head, tail and relation rows S, O, W as
+    the decoder's entries and scores Re Σ W∘X with X = S∘conj(O), kept as
+    its conjugate. The backward scatters g·conj(W)∘O, g·W∘S and g·conj(X)
+    into the gradients of `feats` and of the relation parameters. An id
+    outside its range raises ShapeError.
     """
     triples = np.asarray(triples)
     relations = _relations(params, decoder)
-    f_s = T.gather_rows(feats, triples[:, 0])
-    f_o = T.gather_rows(feats, triples[:, 2])
-    rels = [T.gather_rows(p, triples[:, 1]) for p in relations]
-    w = np.hstack([r.values for r in rels])
-    p = _fold(decoder, f_s.values, f_o.values, -1.0)
-    out = Tensor((w * p).sum(axis=1, keepdims=True))
+    heads, rels, tails = (
+        _row_index(t, triples[:, k], "score_triples")
+        for t, k in ((feats, 0), (relations[0], 1), (feats, 2)))
+    parts = np.hsplit(feats.values, len(relations))
+    s, o = _entries(parts, heads), _entries(parts, tails)
+    w = _entries([p.values for p in relations], rels)
+    x_bar = np.conjugate(s)
+    x_bar *= o
+    # Re(w x) = Re w Re x_bar + Im w Im x_bar: one product of the float
+    # views, summed per row
+    out = Tensor((x_bar.view(np.float64) * w.view(np.float64))
+                 .sum(axis=1, keepdims=True))
 
     def bw(g):
-        gw = g * w
-        _acc(f_s, _fold(decoder, gw, f_o.values, -1.0))
-        _acc(f_o, _fold(decoder, f_s.values, gw, 1.0))
-        for r, gr in zip(rels, np.hsplit(g * p, len(rels))):
-            _acc(r, gr)
+        # each gathered entry is read once here, so the products overwrite
+        # them instead of taking new memory at the step's peak
+        gw = np.multiply(w, g, out=w)
+        _scatter(feats, tails, np.multiply(s, gw, out=s))
+        np.conjugate(gw, out=gw)
+        _scatter(feats, heads, np.multiply(o, gw, out=o))
+        np.multiply(x_bar, g, out=x_bar)
+        for p, part in zip(relations, _parts(x_bar)):
+            _scatter(p, rels, part)
 
     _record(out, bw)
-    return out, [f_s, f_o]
+    return out
 
 
 def query_scorer(feats, params, decoder):
@@ -123,20 +141,21 @@ def query_scorer(feats, params, decoder):
 
     A row (fixed, relation, side) asks for the head (side 0) of
     (?, relation, fixed) or the tail (side 1) of (fixed, relation, ?).
-    Each query folds into one D-vector, so a block of rows is scored
-    against every entity by a single (q x D)(D x |V|) product.
+    Its query vector c is the score's gradient in the open entity (see
+    `score_triples`): W∘S for a tail, conj(W)∘O for a head. A candidate
+    row F scores Re Σ c∘conj(F) = <[Re c | Im c], F>, so a block of rows
+    is scored against every entity by a single (q x D)(D x |V|) product.
     """
     feats_t = feats.T
-    rel = np.hstack([p.values for p in _relations(params, decoder)])
+    relations = [p.values for p in _relations(params, decoder)]
+    parts = np.hsplit(feats, len(relations))
 
     def scorer(queries):
-        # ComplEx scores Re(<w, s, conj(o)>): a tail query is Re(q conj(o))
-        # with q = w s, a head query Re(s q) with q = w conj(o); the row is
-        # [Re q, Im q] for tails and [Re q, -Im q] for heads. DistMult's
-        # fold ignores the sign.
-        sign = np.where(queries[:, 2] == 1, 1.0, -1.0)[:, None]
-        q = _fold(decoder, rel[queries[:, 1]], feats[queries[:, 0]], sign)
-        return q @ feats_t
+        w = _entries(relations, queries[:, 1])
+        heads = queries[:, 2] == 0
+        w[heads] = w[heads].conj()
+        c = w * _entries(parts, queries[:, 0])
+        return np.hstack(_parts(c)) @ feats_t
 
     return scorer
 
@@ -145,13 +164,40 @@ def query_scorer(feats, params, decoder):
 # negative sampling and the link loss
 
 
+def known_triples(triples, num_entities, num_relations):
+    """A membership test for the rows of an (n, 3) id array: maps an
+    (m, 3) id array to the (m,) mask of its rows found there.
+
+    The triples are kept as one sorted int64 array of the keys
+    (h * R + r) * V + t, searched with `np.searchsorted`.
+    """
+    if num_entities ** 2 * num_relations >= 2 ** 63:
+        raise ValueError("triple keys overflow int64")
+
+    def key(rows):
+        return (rows[:, 0] * num_relations + rows[:, 1]) * num_entities \
+            + rows[:, 2]
+
+    keys = key(triples)
+    keys = keys[stable_order(keys)]
+
+    def contains(rows):
+        k = key(rows)
+        pos = np.searchsorted(keys, k)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == k[found]
+        return found
+
+    return contains
+
+
 def sample_negatives(positives, num_entities, rng, known=None):
     """1:1 corruption of an (m, 3) int64 array: each positive is followed
     by one negative.
 
     The corrupted side is a fair coin; the replacement entity is uniform
-    over the ids different from the original. With a `known` set of
-    (head, relation, tail) tuples, corruptions that collide with one are
+    over the ids different from the original. With a `known` membership
+    test (see `known_triples`), corruptions that are known triples are
     resampled (bounded retries).
     """
     if num_entities < 2:
@@ -169,8 +215,7 @@ def sample_negatives(positives, num_entities, rng, known=None):
     corrupt(pending)
     if known is not None:
         for _ in range(99):
-            pending = pending[[tuple(t) in known
-                               for t in negatives[pending].tolist()]]
+            pending = pending[known(negatives[pending])]
             if not pending.size:
                 break
             corrupt(pending)
@@ -181,15 +226,19 @@ def sample_negatives(positives, num_entities, rng, known=None):
     return samples, labels
 
 
-def link_loss(scores, labels, params=(), feature_tensors=(),
+def link_loss(scores, labels, params=(), feats=None, triples=(),
               l2_coefficient=0.0):
     """Mean base-2 binary cross entropy plus L2 on the decoder side.
 
     The L2 term covers the regularized parameters (relation embeddings)
-    and the given entity-feature tensors (the rows used in this batch).
+    and the rows of `feats` that the (n, 3) `triples` name as heads and
+    tails, each as often as it is named: the sum over the gathered rows.
     """
     loss = T.binary_cross_entropy_bits(scores, labels)
     if l2_coefficient:
-        penalized = [p for p in params if p.regularized] + list(feature_tensors)
-        loss = T.add(loss, T.l2_penalty(penalized, l2_coefficient))
+        rows = None
+        if feats is not None:
+            rows = (feats, np.asarray(triples)[:, [0, 2]].ravel())
+        loss = T.add(loss, T.l2_penalty([p for p in params if p.regularized],
+                                        l2_coefficient, rows))
     return loss

@@ -168,10 +168,11 @@ def add(a, b):
 _TILE = 512
 
 
-def scatter_rows(out, idx, vals):
+def scatter_rows(out, idx, vals, cols=None):
     """out[idx[k]] += vals[k] for every k, a repeated index accumulating
     every row it names (an unbuffered scatter-add), for a 2-D `out` and
-    (len(idx), D) `vals`.
+    (len(idx), D) `vals`. With `cols`, a permutation of range(D), column
+    j of `vals` adds to column cols[j] of `out`.
 
     Per tile of at most `_TILE` rows, one bincount sums the values per
     distinct target row in row order, and each target row of `out` is then
@@ -180,7 +181,7 @@ def scatter_rows(out, idx, vals):
     differently from adding the terms one by one.
     """
     d = out.shape[1]
-    cols = np.arange(d)
+    cols = np.arange(d) if cols is None else cols
     for lo in range(0, len(idx), _TILE):
         rows, inv = np.unique(idx[lo:lo + _TILE], return_inverse=True)
         bins = (inv[:, None] * d + cols).ravel()
@@ -403,17 +404,31 @@ def binary_cross_entropy_bits(scores, labels):
     return out
 
 
-def l2_penalty(tensors, coefficient):
-    """coefficient * sum of squared entries over all the given tensors."""
+def l2_penalty(tensors, coefficient, rows=None):
+    """coefficient * sum of squared entries over all the given tensors.
+
+    `rows` = (a, ids) adds the squared norm of row a[i] once for every
+    entry i of the 1-D `ids`: the penalty on the gathered rows a[ids],
+    repeats included, computed on each distinct row once.
+    """
     if coefficient < 0:
         raise ValueError(f"l2 coefficient must be >= 0, got {coefficient}")
     total = sum(float(np.square(t.values).sum()) for t in tensors)
+    if rows is not None:
+        a, ids = rows
+        ids, counts = np.unique(_row_index(a, ids, "l2_penalty"),
+                                return_counts=True)
+        total += float(counts @ np.square(a.values[ids]).sum(axis=1))
     out = Tensor([[coefficient * total]])
 
     def bw(g):
         c = 2.0 * coefficient * g[0, 0]
         for t in tensors:
             _acc(t, c * t.values)
+        if rows is not None:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.values)
+            a.grad[ids] += (c * counts)[:, None] * a.values[ids]
 
     _record(out, bw)
     return out

@@ -38,10 +38,9 @@ def _linkpred_step(graph, params, enc_cfg, config, triples, known, rng):
     samples, labels = decoders.sample_negatives(
         positives, graph.num_entities, rng, known=known)
     feats = encode(graph, params, enc_cfg, training=True, rng=rng)
-    scores, used = decoders.score_triples(params, feats, samples,
-                                          config.decoder)
-    return decoders.link_loss(scores, labels, params.all_params(), used,
-                              config.l2)
+    scores = decoders.score_triples(params, feats, samples, config.decoder)
+    return decoders.link_loss(scores, labels, params.all_params(), feats,
+                              samples, config.l2)
 
 
 def train(graph, splits, config, task, seed, progress=None):
@@ -78,7 +77,8 @@ def train(graph, splits, config, task, seed, progress=None):
                                                valid_labels)
     elif task == "linkpred":
         triples = graph.triple_array()
-        known = (frozenset(map(tuple, triples.tolist()))
+        known = (decoders.known_triples(triples, graph.num_entities,
+                                        graph.num_relations)
                  if config.filtered_negatives else None)
         params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
                              task, rng, decoder=config.decoder,

@@ -99,6 +99,5 @@ def distmult_score(s, r, o, feats, rel_diag):
 def _score(decoder, triple, feats, **relations):
     params = SimpleNamespace(**{name: Tensor(w)
                                 for name, w in relations.items()})
-    scores, _ = score_triples(params, Tensor(feats), np.array([triple]),
-                              decoder)
-    return scores.item()
+    return score_triples(params, Tensor(feats), np.array([triple]),
+                         decoder).item()

@@ -64,10 +64,10 @@ def test_criterion_1_gradient_correctness():
 
     def link_loss():
         feats = encode(graph, link_params, config)
-        scores, used = decoders.score_triples(link_params, feats, samples,
-                                              "complex")
+        scores = decoders.score_triples(link_params, feats, samples,
+                                        "complex")
         return decoders.link_loss(scores, labels, link_params.all_params(),
-                                  used, 0.01)
+                                  feats, samples, 0.01)
 
     err_link = R.grad_check(link_loss, link_params.all_params())
     took = time.time() - started

@@ -188,10 +188,27 @@ def test_score_triples_grad_check():
         params = SimpleNamespace(**{p.name: p for p in relations})
 
         def loss():
-            scores, _ = dec.score_triples(params, feats, triples, decoder)
+            scores = dec.score_triples(params, feats, triples, decoder)
             return R.sum_squares(scores)
 
         assert R.grad_check(loss, [feats, *relations]) < 1e-4, decoder
+
+
+@pytest.mark.parametrize("decoder", ["complex", "distmult"])
+@pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 0, -1), (4, 0, 1),
+                                 (0, 0, 4), (0, 2, 1), (0, -1, 1)],
+                         ids=["head<0", "tail<0", "head>=V", "tail>=V",
+                              "rel>=R", "rel<0"])
+def test_score_triples_rejects_ids_out_of_range(decoder, bad):
+    # numpy would wrap a negative id to another row without a word
+    rng = np.random.default_rng(19)
+    feats = Tensor(rng.standard_normal((4, 6)))
+    widths = {"complex": {"rel_re": 3, "rel_im": 3},
+              "distmult": {"rel_diag": 6}}[decoder]
+    params = SimpleNamespace(**{name: Tensor(rng.standard_normal((2, w)))
+                                for name, w in widths.items()})
+    with pytest.raises(T.ShapeError, match="out of range"):
+        dec.score_triples(params, feats, np.array([(0, 1, 2), bad]), decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +221,7 @@ def test_batch_scores_match_single(toy_graph):
         params = toy_params(cfg, task="linkpred", decoder=decoder, seed=23)
         feats = E.encode(toy_graph, params, cfg)
         triples = np.array(TOY_TRIPLES)
-        scores, _ = dec.score_triples(params, feats, triples, decoder)
+        scores = dec.score_triples(params, feats, triples, decoder)
         for k, (s, r, o) in enumerate(TOY_TRIPLES):
             if decoder == "complex":
                 single = complex_score(s, r, o, feats.values,
@@ -275,10 +292,49 @@ def test_filtered_negative_sampling_avoids_known():
     # with 3 entities, tail corruptions of (0,0,1) are (0,0,0) or (0,0,2);
     # mark (0,0,2) known so only (0,0,0) remains
     known = {(0, 0, 2), (2, 0, 1)}
+    contains = dec.known_triples(np.array(sorted(known)), 3, 1)
     for _ in range(100):
         samples, _ = dec.sample_negatives(np.array([(0, 0, 1)]), 3, rng,
-                                          known=known)
+                                          known=contains)
         assert tuple(samples[1]) not in known
+
+
+@pytest.mark.parametrize("size", [0, 1, 300])
+def test_known_triples_membership_matches_a_set(size):
+    rng = np.random.default_rng(16)
+    triples = rng.integers(0, [7, 3, 7], (size, 3))
+    probe = np.vstack([triples, rng.integers(0, [7, 3, 7], (200, 3)),
+                       [(6, 2, 6), (0, 0, 0)]])
+    known = set(map(tuple, triples.tolist()))
+    got = dec.known_triples(triples, 7, 3)(probe)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(
+        got, [tuple(t) in known for t in probe.tolist()])
+
+
+def test_known_triples_refuse_keys_past_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        dec.known_triples(np.zeros((0, 3), dtype=np.int64), 2 ** 32, 1)
+
+
+def test_known_triples_keep_the_sampling_stream():
+    # the key array answers as the tuple set did, so the same seed draws
+    # the same corruptions
+    rng = np.random.default_rng(17)
+    triples = rng.integers(0, [6, 2, 6], (40, 3))
+    known = set(map(tuple, triples.tolist()))
+
+    def tuple_set(rows):
+        return np.array([tuple(t) in known for t in rows.tolist()], bool)
+
+    def draw(membership):
+        return dec.sample_negatives(triples, 6, np.random.default_rng(18),
+                                    known=membership)[0]
+
+    expected = draw(tuple_set)
+    assert not tuple_set(expected[1::2]).any()
+    np.testing.assert_array_equal(draw(dec.known_triples(triples, 6, 2)),
+                                  expected)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +362,37 @@ def test_link_loss_matches_scalar_oracle():
 
 
 def test_link_loss_l2_term():
+    # row 0 is named three times (5 each), row 1 once (4), row 2 never
     scores = Tensor(np.zeros((2, 1)))
     rel = T.Parameter("w", [[3.0]], regularized=True)
-    feats = Tensor(np.array([[1.0, 2.0]]))
-    loss = dec.link_loss(scores, [1.0, 0.0], [rel], [feats],
-                         l2_coefficient=0.01)
-    assert loss.item() == pytest.approx(1.0 + 0.01 * 9.0 + 0.01 * 5.0,
+    feats = Tensor(np.array([[1.0, 2.0], [2.0, 0.0], [7.0, 7.0]]))
+    loss = dec.link_loss(scores, [1.0, 0.0], [rel], feats,
+                         [(0, 0, 1), (0, 0, 0)], l2_coefficient=0.01)
+    assert loss.item() == pytest.approx(1.0 + 0.01 * 9.0 + 0.01 * 19.0,
                                         abs=1e-12)
+
+
+def test_count_weighted_l2_equals_sum_over_gathered_rows():
+    # repeated heads and tails, and a head that is its own tail: the
+    # penalty and its gradient are those of the gathered f_s, f_o rows
+    rng = np.random.default_rng(15)
+    c = 0.01
+    triples = np.array([(0, 1, 2), (2, 0, 0), (3, 1, 3), (0, 0, 2),
+                        (3, 1, 0)])
+    feats = T.Parameter("feats", rng.standard_normal((5, 6)))
+    scores = Tensor(np.zeros((5, 1)))
+    labels = np.ones(5)
+    with T.Tape() as tape:
+        loss = dec.link_loss(scores, labels, (), feats, triples, c)
+    tape.backward(loss)
+    gathered = feats.values[np.concatenate([triples[:, 0], triples[:, 2]])]
+    base = dec.link_loss(scores, labels).item()
+    assert loss.item() - base == pytest.approx(
+        c * np.square(gathered).sum(), rel=1e-12, abs=0.0)
+    expected = np.zeros_like(feats.values)
+    np.add.at(expected, triples[:, 0], 2 * c * feats.values[triples[:, 0]])
+    np.add.at(expected, triples[:, 2], 2 * c * feats.values[triples[:, 2]])
+    np.testing.assert_allclose(feats.grad, expected, rtol=1e-12, atol=0)
 
 
 def test_link_loss_grad_check(toy_graph):
@@ -324,9 +404,9 @@ def test_link_loss_grad_check(toy_graph):
 
         def loss():
             feats = E.encode(toy_graph, params, cfg)
-            scores, used = dec.score_triples(params, feats, samples, decoder)
-            return dec.link_loss(scores, labels, params.all_params(), used,
-                                 l2_coefficient=0.01)
+            scores = dec.score_triples(params, feats, samples, decoder)
+            return dec.link_loss(scores, labels, params.all_params(), feats,
+                                 samples, l2_coefficient=0.01)
 
         assert R.grad_check(loss, params.all_params()) < 1e-4, decoder
 
