@@ -224,7 +224,8 @@ def _evaluate_bundle(run, params, bundle):
     test = bundle.splits["test"]
     _nonempty(test, "test", "evaluate")
     known = evaluation.FilterIndex(np.concatenate(
-        [bundle.graph.triple_array(), bundle.splits["valid"], test]))
+        [bundle.graph.triple_array(), bundle.splits["valid"], test]),
+        bundle.num_entities, bundle.num_relations)
     results = training.evaluate_links(bundle.graph, params,
                                       run.encoder_config(),
                                       run.decoder, test, known)

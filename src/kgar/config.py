@@ -14,6 +14,7 @@ defaults, config file, command-line flags. Config files are flat
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -86,11 +87,14 @@ class RunConfig:
         for name in ("batch_size", "iterations", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # NaN fails every comparison
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
         if (self.task == "linkpred" and self.decoder == "complex"
                 and self.embed_dim % 2):
             raise ValueError("complex decoder needs an even embed_dim, got "

@@ -66,6 +66,17 @@ def stable_order(*keys):
     return order
 
 
+def run_starts(*keys):
+    """First position of each run of equal rows in equal-length arrays
+    read as columns, sorted so that equal rows are adjacent: position 0
+    and every position where some key changes (none for empty arrays)."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(first)
+
+
 def check_ids(rows, limits, source):
     """Raise DataError at the first row of an (n, k) id array holding an id
     outside [0, limit) for its column's limit."""
@@ -99,15 +110,8 @@ def _build_plan(src, dst, rel, num_relations):
     order = stable_order(dst, rel)  # rel major, dst minor
     s, d, r = src[order], dst[order], rel[order]
     rel_starts = np.searchsorted(r, np.arange(num_relations + 1))
-    if r.size:
-        change = np.empty(r.size, dtype=bool)
-        change[0] = True
-        change[1:] = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
-        seg_starts = np.flatnonzero(change)
-    else:
-        seg_starts = np.zeros(0, dtype=np.int64)
     return DirectionPlan(src=s, dst=d, rel_starts=rel_starts,
-                         seg_starts=seg_starts, order=order)
+                         seg_starts=run_starts(r, d), order=order)
 
 
 @dataclass
@@ -132,10 +136,7 @@ def _build_incidence(heads, tails):
     node = np.concatenate([tails, heads])
     order = stable_order(node)
     node = node[order]
-    first = np.empty(node.size, dtype=bool)
-    first[:1] = True
-    first[1:] = node[1:] != node[:-1]
-    starts = np.flatnonzero(first)
+    starts = run_starts(node)
     return Incidence(nbr=np.concatenate([heads, tails])[order],
                      triple=order % max(heads.size, 1),
                      nodes=node[starts], starts=starts)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import stable_order
 from .tensor import Tensor, _record, _row_index
 
 
@@ -164,41 +163,15 @@ def query_scorer(feats, params, decoder):
 # negative sampling and the link loss
 
 
-def known_triples(triples, num_entities, num_relations):
-    """A membership test for the rows of an (n, 3) id array: maps an
-    (m, 3) id array to the (m,) mask of its rows found there.
-
-    The triples are kept as one sorted int64 array of the keys
-    (h * R + r) * V + t, searched with `np.searchsorted`.
-    """
-    if num_entities ** 2 * num_relations >= 2 ** 63:
-        raise ValueError("triple keys overflow int64")
-
-    def key(rows):
-        return (rows[:, 0] * num_relations + rows[:, 1]) * num_entities \
-            + rows[:, 2]
-
-    keys = key(triples)
-    keys = keys[stable_order(keys)]
-
-    def contains(rows):
-        k = key(rows)
-        pos = np.searchsorted(keys, k)
-        found = pos < keys.size
-        found[found] = keys[pos[found]] == k[found]
-        return found
-
-    return contains
-
-
 def sample_negatives(positives, num_entities, rng, known=None):
     """1:1 corruption of an (m, 3) int64 array: each positive is followed
     by one negative.
 
     The corrupted side is a fair coin; the replacement entity is uniform
     over the ids different from the original. With a `known` membership
-    test (see `known_triples`), corruptions that are known triples are
-    resampled (bounded retries).
+    test, which maps an (m, 3) id array to the (m,) mask of its known
+    rows (see `evaluation.FilterIndex.contains`), corruptions that are
+    known triples are resampled (bounded retries).
     """
     if num_entities < 2:
         raise ValueError("negative sampling needs at least 2 entities")

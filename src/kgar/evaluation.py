@@ -2,55 +2,68 @@
 
 Every test triple is ranked twice, once per corrupted side, against all
 |V| candidate substitutions. Ties receive the average rank. The filtered
-setting removes candidates that would form a different known-true triple;
-the test entity itself is never removed.
+setting removes each substitution that would form a different known-true
+triple; the test entity itself is never removed.
 
 Ranking is 1-N: a query row (fixed entity, relation, side) asks for the
 head (side 0) or the tail (side 1), and the scorer turns a chunk of
 `_QUERY_CHUNK` rows into one (rows, |V|) score block. Raw ranks count
 greater and equal scores per row; filtered ranks subtract the known
-candidates looked up in a sorted-key `FilterIndex`. A non-finite score
-or class probability raises NumericFailure instead of giving a metric:
-every comparison with a NaN is false, so ranks and argmaxes taken over
-one mean nothing.
+substitutions read from a `FilterIndex`. That is the package's one index
+of known triples: its sorted triple keys also answer the membership test
+of filtered negative sampling. A non-finite score or class probability
+raises NumericFailure instead of giving a metric: every comparison with
+a NaN is false, so ranks and argmaxes taken over one mean nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import stable_order
+from .data import run_starts, stable_order
 from .tensor import NumericFailure
 
 SETTINGS = ("raw", "filtered")
 _QUERY_CHUNK = 256  # queries per score block (one GEMM)
-_KEY_SHIFT = 32  # key = fixed << 32 | relation; ids stay below 2**31
-
-
-def _key(fixed, rel):
-    return (fixed << _KEY_SHIFT) | rel
 
 
 class FilterIndex:
-    """Known positives as sorted (fixed entity, relation) keys per side.
+    """The known triples as sorted int64 keys, one array per query side.
 
-    Built from an (n, 3) int64 array of (head, relation, tail) rows. For
-    side 0 (head queries) the fixed entity is the tail and the candidates
-    are heads; for side 1 the reverse. `keys[side]` is sorted and
-    `candidates[side]` holds the matching candidate ids, with duplicate
-    triples stored once.
+    Built from an (n, 3) int64 array of (head, relation, tail) rows whose
+    entity ids lie below `num_entities` (V) and relation ids below
+    `num_relations` (R). A query (fixed entity, relation, side) asks for
+    the head (side 0) or the tail (side 1); `keys[side]` holds each known
+    triple once as (fixed·R + r)·V + candidate: (t·R + r)·V + h for side
+    0, (h·R + r)·V + t for side 1. A query's known substitutions are the
+    keys in [base, base + V), base = (fixed·R + r)·V, each key % V, so
+    the ids of rows and queries looked up must lie in range too.
     """
 
-    def __init__(self, triples):
+    def __init__(self, triples, num_entities, num_relations):
+        self.num_entities = int(num_entities)
+        self.num_relations = int(num_relations)
+        if self.num_entities ** 2 * self.num_relations >= 2 ** 63:
+            raise ValueError("triple keys overflow int64")
         heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-        self.keys, self.candidates = [], []
+        self.keys = []
         for fixed, cand in ((tails, heads), (heads, tails)):
-            order = stable_order(cand, rels, fixed)
-            key, cand = _key(fixed[order], rels[order]), cand[order]
-            fresh = np.ones(key.size, dtype=bool)
-            fresh[1:] = (key[1:] != key[:-1]) | (cand[1:] != cand[:-1])
-            self.keys.append(key[fresh])
-            self.candidates.append(cand[fresh])
+            key = self._key(fixed, rels, cand)
+            key = key[stable_order(key)]
+            self.keys.append(key[run_starts(key)])
+
+    def _key(self, fixed, rel, cand):
+        return (fixed * self.num_relations + rel) * self.num_entities + cand
+
+    def contains(self, rows):
+        """The (m,) mask of the rows of an (m, 3) id array that are known
+        triples."""
+        keys = self.keys[1]
+        key = self._key(rows[:, 0], rows[:, 1], rows[:, 2])
+        pos = np.searchsorted(keys, key)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == key[found]
+        return found
 
     def known_others(self, queries, targets):
         """(row, candidate) pairs: each known candidate of each query row
@@ -58,15 +71,16 @@ class FilterIndex:
         rows, cands = [], []
         for side in (0, 1):
             idx = np.flatnonzero(queries[:, 2] == side)
-            key = _key(queries[idx, 0], queries[idx, 1])
-            lo = np.searchsorted(self.keys[side], key, "left")
-            count = np.searchsorted(self.keys[side], key, "right") - lo
+            base = self._key(queries[idx, 0], queries[idx, 1], 0)
+            lo, hi = np.searchsorted(self.keys[side],
+                                     [base, base + self.num_entities])
+            count = hi - lo
             # position j of row i's range: lo[i] + j, for j < count[i]
             ends = np.cumsum(count)
             offsets = np.repeat(lo - ends + count, count)
             rows.append(np.repeat(idx, count))
-            cands.append(self.candidates[side][
-                offsets + np.arange(count.sum())])
+            cands.append(self.keys[side][offsets + np.arange(count.sum())]
+                         % self.num_entities)
         rows, cands = np.concatenate(rows), np.concatenate(cands)
         keep = cands != targets[rows]
         return rows[keep], cands[keep]

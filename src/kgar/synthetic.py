@@ -13,7 +13,7 @@ Two relation families over ~200 entities:
   trained; held-out edges of the inferable relation form the valid/test
   triples, each implied by its trained twin. Reversals are never true, so
   a scorer that cannot represent direction ranks the (false) reversed
-  candidates alongside the true ones and loses filtered MRR here.
+  triples alongside the true ones and loses filtered MRR here.
 
 The generator is seed-deterministic, and `patterns.json` ships the ground
 truth per relation so metric expectations are recomputable.

@@ -2,9 +2,11 @@
 
 Classification trains full-batch over the labeled nodes; link prediction
 samples a batch of positive triples per iteration, corrupts them 1:1, and
-re-encodes the full graph. Both run plain gradient descent by default
-(`optimizer="adam"` switches). Every randomized choice flows from one
-seeded generator, so a fixed seed gives bit-identical runs.
+re-encodes the full graph; filtered negative sampling and validation
+ranking read the known triples from one `evaluation.FilterIndex` each.
+Both tasks run plain gradient descent by default (`optimizer="adam"`
+switches). Every randomized choice flows from one seeded generator, so a
+fixed seed gives bit-identical runs.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def train(graph, splits, config, task, seed, progress=None):
                                                valid_labels)
     elif task == "linkpred":
         triples = graph.triple_array()
-        known = (decoders.known_triples(triples, graph.num_entities,
-                                        graph.num_relations)
+        dims = graph.num_entities, graph.num_relations
+        known = (evaluation.FilterIndex(triples, *dims).contains
                  if config.filtered_negatives else None)
         params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
                              task, rng, decoder=config.decoder,
@@ -91,7 +93,7 @@ def train(graph, splits, config, task, seed, progress=None):
         valid_triples = splits.get("valid")
         if valid_triples is not None and len(valid_triples):
             filter_index = evaluation.FilterIndex(
-                np.concatenate([triples, valid_triples]))
+                np.concatenate([triples, valid_triples]), *dims)
 
             def valid_fn():
                 results = evaluate_links(graph, params, enc_cfg,

@@ -205,7 +205,8 @@ def test_criterion_5_synthetic_link_prediction(tmp_path):
 
     train = bundle.graph.triple_array()
     known = evaluation.FilterIndex(
-        np.concatenate([train, bundle.splits["valid"], test]))
+        np.concatenate([train, bundle.splits["valid"], test]),
+        bundle.num_entities, bundle.num_relations)
     splits = {"valid": bundle.splits["valid"]}
 
     metrics = {}
@@ -285,7 +286,7 @@ def test_criterion_6_metric_laws():
 
         results = evaluation.evaluate_ranking(
             np.array(test), scorer,
-            evaluation.FilterIndex(np.array(list(known))))
+            evaluation.FilterIndex(np.array(list(known)), v, num_rel))
         m_raw, m_filt = (evaluation.mrr(results, s) for s in
                          ("raw", "filtered"))
         assert m_filt >= m_raw

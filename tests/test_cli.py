@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -361,10 +362,19 @@ def rewrite_header(src, dst, edit):
     # 2**64 values: a size in int64 would wrap to 0
     (lambda h: h["params"][0].update(shape=[2**32, 2**32]),
      "truncated data for 'embedding'"),
+    # json writes and reads these as NaN, Infinity and -Infinity
+    (lambda h: h["meta"]["config"].update(learning_rate=math.nan),
+     "learning_rate must be finite"),
+    (lambda h: h["meta"]["config"].update(learning_rate=math.inf),
+     "learning_rate must be finite"),
+    (lambda h: h["meta"]["config"].update(l2=math.nan), "l2 must be finite"),
+    (lambda h: h["meta"]["config"].update(l2=-math.inf), "l2 must be finite"),
+    (lambda h: h["meta"]["config"].update(seed=-1), "seed must be >= 0"),
 ], ids=["unknown-config-key", "no-params", "missing-config-key",
         "mistyped-config-value", "invalid-config-value", "wrong-dtype",
         "float-num-layers", "float-embed-dim", "odd-complex-embed-dim",
-        "overflowing-shape"])
+        "overflowing-shape", "nan-learning-rate", "inf-learning-rate",
+        "nan-l2", "minus-inf-l2", "negative-seed"])
 def test_evaluate_bad_snapshot_header_is_snapshot_error(
         lp_dir, tmp_path, capsys, edit, named):
     out = str(tmp_path / "run")

@@ -1,6 +1,7 @@
 """RunConfig defaults, validation, file parsing, and precedence."""
 
 import inspect
+import math
 
 import pytest
 
@@ -56,6 +57,12 @@ def test_validation_rejects_bad_fields():
         C.resolve_config("classify", cli_values={"embedd_im": 4})
     with pytest.raises(ValueError, match="embed_dim must be >= 1, got -1"):
         C.resolve_config("linkpred", cli_values={"embed_dim": -1})
+    for name in ("learning_rate", "l2"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                C.resolve_config("classify", cli_values={name: bad})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        C.resolve_config("classify", cli_values={"seed": -1})
 
 
 @pytest.mark.parametrize("name", sorted(C.CHOICES))

@@ -8,7 +8,7 @@ import pytest
 
 import preprocess_reference as reference
 from kgar import data as D
-from kgar import datasets, decoders, training
+from kgar import datasets, decoders, evaluation, training
 from kgar.config import resolve_config
 
 
@@ -402,7 +402,8 @@ def test_plan_order_maps_edges_to_triple_rows(triples):
 
 def test_known_triples(monkeypatch):
     # filtered negative sampling checks corruptions against the training
-    # triples, as sorted keys built from the graph's array
+    # triples, with the membership test of the FilterIndex of the graph's
+    # array
     seen = []
     sample = decoders.sample_negatives
 
@@ -416,6 +417,7 @@ def test_known_triples(monkeypatch):
         embed_dim=4, num_blocks=2, num_layers=1, iterations=1,
         batch_size=2, filtered_negatives=True))
     training.train(g, {}, config, "linkpred", seed=0)
+    assert seen[0].__func__ is evaluation.FilterIndex.contains
     np.testing.assert_array_equal(
         seen[0](np.array([(0, 0, 1), (1, 0, 1), (1, 0, 0)])),
         [True, False, True])

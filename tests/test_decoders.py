@@ -14,6 +14,7 @@ from conftest import TOY_LABELS, TOY_TRIPLES, complex_score, \
 from kgar import decoders as dec
 from kgar import encoder as E
 from kgar import tensor as T
+from kgar.evaluation import FilterIndex
 from kgar.tensor import Tensor
 
 
@@ -292,7 +293,7 @@ def test_filtered_negative_sampling_avoids_known():
     # with 3 entities, tail corruptions of (0,0,1) are (0,0,0) or (0,0,2);
     # mark (0,0,2) known so only (0,0,0) remains
     known = {(0, 0, 2), (2, 0, 1)}
-    contains = dec.known_triples(np.array(sorted(known)), 3, 1)
+    contains = FilterIndex(np.array(sorted(known)), 3, 1).contains
     for _ in range(100):
         samples, _ = dec.sample_negatives(np.array([(0, 0, 1)]), 3, rng,
                                           known=contains)
@@ -306,7 +307,7 @@ def test_known_triples_membership_matches_a_set(size):
     probe = np.vstack([triples, rng.integers(0, [7, 3, 7], (200, 3)),
                        [(6, 2, 6), (0, 0, 0)]])
     known = set(map(tuple, triples.tolist()))
-    got = dec.known_triples(triples, 7, 3)(probe)
+    got = FilterIndex(triples, 7, 3).contains(probe)
     assert got.dtype == bool
     np.testing.assert_array_equal(
         got, [tuple(t) in known for t in probe.tolist()])
@@ -314,11 +315,11 @@ def test_known_triples_membership_matches_a_set(size):
 
 def test_known_triples_refuse_keys_past_int64():
     with pytest.raises(ValueError, match="overflow"):
-        dec.known_triples(np.zeros((0, 3), dtype=np.int64), 2 ** 32, 1)
+        FilterIndex(np.zeros((0, 3), dtype=np.int64), 2 ** 32, 1)
 
 
 def test_known_triples_keep_the_sampling_stream():
-    # the key array answers as the tuple set did, so the same seed draws
+    # the sorted keys answer as the tuple set did, so the same seed draws
     # the same corruptions
     rng = np.random.default_rng(17)
     triples = rng.integers(0, [6, 2, 6], (40, 3))
@@ -333,8 +334,8 @@ def test_known_triples_keep_the_sampling_stream():
 
     expected = draw(tuple_set)
     assert not tuple_set(expected[1::2]).any()
-    np.testing.assert_array_equal(draw(dec.known_triples(triples, 6, 2)),
-                                  expected)
+    np.testing.assert_array_equal(
+        draw(FilterIndex(triples, 6, 2).contains), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ def static_scorer(scores):
     return lambda queries: np.tile(arr, (len(queries), 1))
 
 
-def filter_index(known):
-    """The FilterIndex of a collection of (head, relation, tail) tuples."""
-    return ev.FilterIndex(np.array(list(known), dtype=np.int64).reshape(-1, 3))
+def filter_index(known, num_entities=20, num_relations=1):
+    """The FilterIndex of a collection of (head, relation, tail) tuples; the
+    default ids cover the single-relation tests here."""
+    return ev.FilterIndex(np.array(list(known), dtype=np.int64).reshape(-1, 3),
+                          num_entities, num_relations)
 
 
 def rank_one(triple, side, scorer, known):
@@ -131,8 +133,8 @@ def test_batched_ranks_match_brute_force():
         return table[queries[:, 1], queries[:, 0], queries[:, 2]]
 
     for known_set in (known, []):
-        raw, filtered = ev.evaluate_ranking(test, scorer,
-                                            filter_index(known_set))
+        raw, filtered = ev.evaluate_ranking(
+            test, scorer, filter_index(known_set, v, num_rel + 2))
         assert raw.shape == filtered.shape == (2 * n,)
         for i in range(2 * n):
             # query 2k ranks triple k's head, query 2k + 1 its tail
@@ -144,6 +146,33 @@ def test_batched_ranks_match_brute_force():
                        if rr == r and (t if side == "head" else h) == fixed}
             assert raw[i] == brute_force_rank(scores, target)
             assert filtered[i] == brute_force_rank(scores, target, removed)
+
+
+def test_filter_index_key_ranges_end_at_their_neighbours():
+    # known triples at entities 0 and V - 1 and relations 0 and R - 1,
+    # with neighbouring (fixed, relation) pairs known too: a range that
+    # ends one key early drops candidate V - 1, one that ends late picks
+    # up the next pair's candidate 0
+    v, num_rel = 6, 3
+    ends, rels = (0, 1, v - 2, v - 1), (0, num_rel - 1)
+    known = {(a, r, b) for a in ends for r in rels for b in ends}
+    index = filter_index(known, v, num_rel)
+    queries = np.array([(f, r, side) for f in range(v)
+                        for r in range(num_rel) for side in (0, 1)])
+    targets = queries[:, 0] % 3
+    got = set(zip(*(a.tolist() for a in index.known_others(queries,
+                                                           targets))))
+    expected = set()
+    for i, (f, r, side) in enumerate(queries.tolist()):
+        for h, rr, t in known:
+            fixed, cand = (t, h) if side == 0 else (h, t)
+            if (fixed, rr) == (f, r) and cand != targets[i]:
+                expected.add((i, cand))
+    assert got == expected
+    rows = np.array([(h, r, t) for h in range(v) for r in range(num_rel)
+                     for t in range(v)])
+    np.testing.assert_array_equal(index.contains(rows),
+                                  [tuple(t) in known for t in rows.tolist()])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
