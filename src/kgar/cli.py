@@ -208,7 +208,7 @@ def _check_meta(meta):
             f"(unknown: {', '.join(unknown) or 'none'}; "
             f"missing: {', '.join(absent) or 'none'})")
     try:
-        return RunConfig(**config).validate()
+        return RunConfig(**config)
     except (TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot config is invalid: {exc}")
 
@@ -218,17 +218,15 @@ def _evaluate_bundle(run, params, bundle):
     if run.task == "classify":
         test = bundle.labels["test"]
         _nonempty(test.entities, "labels_test", "evaluate")
-        accuracy = training.evaluate_classification(
-            bundle.graph, params, run.encoder_config(), test)
+        accuracy = training.evaluate_classification(bundle.graph, params,
+                                                    run, test)
         return evaluation.classify_report(accuracy, dataset)
     test = bundle.splits["test"]
     _nonempty(test, "test", "evaluate")
     known = evaluation.FilterIndex(np.concatenate(
         [bundle.graph.triple_array(), bundle.splits["valid"], test]),
         bundle.num_entities, bundle.num_relations)
-    results = training.evaluate_links(bundle.graph, params,
-                                      run.encoder_config(),
-                                      run.decoder, test, known)
+    results = training.evaluate_links(bundle.graph, params, run, test, known)
     return evaluation.link_report(results, dataset)
 
 
@@ -240,9 +238,8 @@ def cmd_evaluate(args):
     if run.task != bundle.task:
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot evaluate a {run.task!r} snapshot on it")
-    params = rebuild_params(arrays, run.encoder_config(), run.task,
-                            run.decoder, bundle.num_entities,
-                            bundle.num_relations,
+    params = rebuild_params(arrays, run, run.task, run.decoder,
+                            bundle.num_entities, bundle.num_relations,
                             bundle.manifest.get("num_classes"))
     report = _evaluate_bundle(run, params, bundle)
     print(json.dumps(report, indent=2, sort_keys=True))

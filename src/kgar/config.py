@@ -5,7 +5,9 @@ metadata, a one-line description; `CHOICES` lists the allowed values of
 the settings that have them. The class defaults are the classification
 protocol's tuned values, and `LINKPRED_DEFAULTS` the link-prediction
 protocol's values where they differ. The CLI builds its flags and their
-help from these.
+help from these. A RunConfig is frozen and checks every setting when it
+is made, so an invalid config cannot exist; the encoder, the model and
+training all read the one object.
 
 Precedence, lowest to highest: per-task global defaults, per-dataset
 defaults, config file, command-line flags. Config files are flat
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
-from .encoder import EncoderConfig
 from .model import DECODERS, INITS, TASKS
 
 OPTIMIZERS = ("gd", "adam")
@@ -34,25 +35,21 @@ def _setting(default, description):
     return field(default=default, metadata={"help": description})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     dataset_dir: str = _setting(".", "dataset directory the run reads")
     task: str = _setting("classify", "objective; the CLI takes it from the "
                                      "dataset's bundle")
-    embed_dim: int = _setting(EncoderConfig.embed_dim,
-                              "entity embedding width")
-    num_layers: int = _setting(EncoderConfig.num_layers,
-                               "graph convolution layers, the "
-                               "link-prediction protocol's tuned depth")
-    num_blocks: int = _setting(EncoderConfig.num_blocks,
-                               "diagonal blocks per relation weight; must "
-                               "divide the layer widths")
+    embed_dim: int = _setting(500, "entity embedding width")
+    num_layers: int = _setting(2, "graph convolution layers, the "
+                                  "link-prediction protocol's tuned depth")
+    num_blocks: int = _setting(10, "diagonal blocks per relation weight; "
+                                   "must divide the layer widths")
     dropout_attention: float = _setting(
-        EncoderConfig.dropout_attention,
-        "dropout on attention coefficients, tuned on the classification "
-        "protocol and reused for link prediction")
-    dropout_conv: float = _setting(EncoderConfig.dropout_conv,
-                                   "dropout on pre-activation aggregates")
+        0.6, "dropout on attention coefficients, tuned on the "
+             "classification protocol and reused for link prediction")
+    dropout_conv: float = _setting(0.4, "dropout on pre-activation "
+                                        "aggregates")
     l2: float = _setting(0.0005, "L2 penalty coefficient")
     learning_rate: float = _setting(0.01, "step size")
     batch_size: int = _setting(50, "sampled positives per iteration for link "
@@ -69,10 +66,10 @@ class RunConfig:
                                     "variant")
     eval_interval: int = _setting(100, "iterations between validation "
                                        "metrics")
-    leaky_slope: float = _setting(EncoderConfig.leaky_slope,
-                                  "negative slope of the attention LeakyReLU")
+    leaky_slope: float = _setting(0.2, "negative slope of the attention "
+                                       "LeakyReLU")
 
-    def validate(self):
+    def __post_init__(self):
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if not _has_type(value, kind):
@@ -82,11 +79,18 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got "
                                  f"{getattr(self, name)!r}")
-        # checks the encoder's fields
-        self.encoder_config()
-        for name in ("batch_size", "iterations", "eval_interval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self._at_least_one("embed_dim", "num_layers", "num_blocks")
+        if self.embed_dim % self.num_blocks:
+            raise ValueError(f"num_blocks {self.num_blocks} does not divide "
+                             f"embed_dim {self.embed_dim}")
+        for rate, label in ((self.dropout_attention, "dropout_attention"),
+                            (self.dropout_conv, "dropout_conv")):
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(f"{label} must be in [0,1), got {rate}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(
+                f"leaky_slope must be in (0,1), got {self.leaky_slope}")
+        self._at_least_one("batch_size", "iterations", "eval_interval")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # NaN fails every comparison
@@ -99,14 +103,16 @@ class RunConfig:
                 and self.embed_dim % 2):
             raise ValueError("complex decoder needs an even embed_dim, got "
                              f"{self.embed_dim}")
-        return self
 
+    def _at_least_one(self, *names):
+        for name in names:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
+
+    # the old encoder hand-off, kept for kgbench, its only user
     def encoder_config(self):
-        return EncoderConfig(
-            embed_dim=self.embed_dim, num_layers=self.num_layers,
-            num_blocks=self.num_blocks,
-            dropout_attention=self.dropout_attention,
-            dropout_conv=self.dropout_conv, leaky_slope=self.leaky_slope)
+        return self
 
 
 # field name -> type (int, float, str or bool), in field order
@@ -157,7 +163,7 @@ def parse_config_file(path):
 
 def resolve_config(task, dataset_defaults=None, file_values=None,
                    cli_values=None):
-    """Layer the four sources and validate the result."""
+    """Layer the four sources into one RunConfig, which checks them."""
     merged = {"task": task}
     if task == "linkpred":
         merged.update(LINKPRED_DEFAULTS)
@@ -167,4 +173,4 @@ def resolve_config(task, dataset_defaults=None, file_values=None,
     unknown = set(merged) - set(FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged).validate()
+    return RunConfig(**merged)

@@ -4,7 +4,8 @@ A graph is one read-only (n, 3) int64 array of (head, relation, tail)
 rows. Message passing reads it through two cached DirectionPlans:
 "forward" updates each tail from its heads, "backward" each head from its
 tails. Sums that need no relation weight read it through one cached
-Incidence list, both ends of every triple sorted by node. Every array
+Incidence: both ends of every triple as node, neighbor and triple
+columns, sorted by node. Every array
 that enters the model has its ids range-checked by `check_ids` first.
 """
 
@@ -28,11 +29,9 @@ def load_triples(path, width=3):
     at width 2.
 
     Blank lines and `#` comments are skipped; line order is preserved.
+    A byte-order mark opening the file is no part of the first name.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    rows = [line for line in lines if (text := line.lstrip())
-            and text[0] != "#"]
+    lines, rows = _read_rows(path)
     tabs = list(map(str.count, rows, repeat("\t")))
     if tabs.count(width - 1) != len(tabs):
         bad = next(k for k, n in enumerate(tabs) if n != width - 1)
@@ -41,6 +40,29 @@ def load_triples(path, width=3):
                         f"{width} tab-separated fields, got {tabs[bad] + 1}")
     fields = "\t".join(rows).split("\t") if rows else []
     return tuple(fields[i::width] for i in range(width))
+
+
+def _read_rows(path):
+    """The file's lines and, in order, those that are rows: neither blank
+    nor a `#` comment."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    return lines, [line for line in lines if (text := line.lstrip())
+                   and text[0] != "#"]
+
+
+def find_empty_field(path):
+    """Raise DataError at the first row of a TSV file that `load_triples`
+    reads with an empty field; return if there is none.
+
+    The slow search behind a cheap check of the distinct names read.
+    """
+    lines, rows = _read_rows(path)
+    for row in rows:
+        fields = row.split("\t")
+        if "" in fields:
+            raise DataError(f"{path}:{lines.index(row) + 1}: field "
+                            f"{fields.index('') + 1} is empty")
 
 
 def stable_order(*keys):
@@ -116,30 +138,25 @@ def _build_plan(src, dst, rel, num_relations):
 
 @dataclass
 class Incidence:
-    """Both ends of every triple, sorted by node.
+    """Both ends of every triple as three columns, sorted by node.
 
     Each triple k = (h, r, t) appears twice: at node t with neighbor h,
     and at node h with neighbor t (a self-loop twice at one node).
-    Position j holds neighbor nbr[j] of triple triple[j]. The sort is
-    stable, so a node's run lists the triples it is the tail of, then
-    those it is the head of, each in triple-file order. Only nodes with at
-    least one incident triple have a run: node nodes[m] owns positions
-    starts[m]:starts[m + 1] (the last run ends at len(nbr)).
+    Position j holds neighbor nbr[j] of node node[j] through triple
+    triple[j]. The sort is stable, so a node's run lists the triples it is
+    the tail of, then those it is the head of, each in triple-file order.
     """
+    node: np.ndarray
     nbr: np.ndarray
     triple: np.ndarray
-    nodes: np.ndarray
-    starts: np.ndarray
 
 
 def _build_incidence(heads, tails):
     node = np.concatenate([tails, heads])
     order = stable_order(node)
-    node = node[order]
-    starts = run_starts(node)
-    return Incidence(nbr=np.concatenate([heads, tails])[order],
-                     triple=order % max(heads.size, 1),
-                     nodes=node[starts], starts=starts)
+    return Incidence(node=node[order],
+                     nbr=np.concatenate([heads, tails])[order],
+                     triple=order % max(heads.size, 1))
 
 
 class KnowledgeGraph:

@@ -18,7 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .data import DataError, KnowledgeGraph, LabelSet, check_ids, load_triples
+from .data import (DataError, KnowledgeGraph, LabelSet, check_ids,
+                   find_empty_field, load_triples)
 from .model import TASKS
 
 DATA_DIR_ENV = "KGAR_DATA_DIR"
@@ -163,6 +164,9 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
     entity_vocab = _vocab(chain.from_iterable(entity_names.values()))
     relation_vocab = _vocab(chain.from_iterable(
         rels for _, rels, _ in raw.values()))
+    if "" in entity_vocab or "" in relation_vocab:
+        for split in raw:
+            find_empty_field(os.path.join(dataset_dir, f"{split}.tsv"))
     id_splits = {}
     for split, (_, rels, _) in raw.items():
         ends = _ids(entity_vocab, entity_names[split])
@@ -197,8 +201,11 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
                 _require(dataset_dir, f"labels_{part}.tsv")
             elif not os.path.exists(path):
                 continue
+            entities, classes = load_triples(path, width=2)
+            if "" in entities or "" in classes:  # label files are short
+                find_empty_field(path)
             pairs = []
-            for ent, cls in zip(*load_triples(path, width=2)):
+            for ent, cls in zip(entities, classes):
                 if ent not in entity_vocab:
                     raise DataError(f"{path}: entity {ent!r} absent from the "
                                     "graph")

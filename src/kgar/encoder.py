@@ -14,6 +14,8 @@ node update is
 with W_r block-diagonal. The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
+The width, depth, block count, dropout rates and LeakyReLU slope are read
+from the run's `config.RunConfig`, which has checked them.
 
 The hot loops are fused tape operations that recompute gathers in the
 backward pass instead of retaining edge-expanded intermediates; peak
@@ -30,48 +32,22 @@ tile. Its backward never recomputes the forward messages
 alpha * (h[src] W_r): they are linear in alpha, so one product
 t = g[dst] W_r^T gives both dalpha = <h[src], t> and dh[src] = alpha * t.
 The sums that need no relation weight (the fusion readout and its
-h-gradient, the edge-score backward) walk the graph's Incidence list,
-both ends of every triple sorted by node: per tile, np.add.reduceat sums
-each node's run, and each node is added to once per tile.
+h-gradient, the edge-score backward) walk the graph's Incidence columns,
+both ends of every triple sorted by node: per tile, `data.run_starts`
+cuts the node column into runs, np.add.reduceat sums each run, and each
+node is added to once per tile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
+# the old name of RunConfig, kept for kgbench, its only user
+from .config import RunConfig as EncoderConfig  # noqa: F401
+from .data import run_starts
 from .tensor import (NumericFailure, Tensor, _acc, _block_backward_q,
                      _block_backward_x, _block_forward, _record, scatter_rows)
-
-
-@dataclass
-class EncoderConfig:
-    embed_dim: int = 500
-    num_layers: int = 2
-    num_blocks: int = 10
-    dropout_attention: float = 0.6
-    dropout_conv: float = 0.4
-    leaky_slope: float = 0.2
-
-    def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.embed_dim % self.num_blocks:
-            raise ValueError(f"num_blocks {self.num_blocks} does not divide "
-                             f"embed_dim {self.embed_dim}")
-        for rate, label in ((self.dropout_attention, "dropout_attention"),
-                            (self.dropout_conv, "dropout_conv")):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{label} must be in [0,1), got {rate}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(
-                f"leaky_slope must be in (0,1), got {self.leaky_slope}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,28 +64,23 @@ def _tiles(rel_starts):
 
 
 def _incidence_sum(out, x, w, inc, other=None):
-    """out[i] += sum over node i's positions j of the Incidence list `inc`
+    """out[i] += sum over node i's positions j of the Incidence `inc`
     of w[j] * x[nbr[j]], for one weight per position. Given `other`, also
-    returns the per-position dots <x[nbr[j]], other[i]>.
+    returns the per-position dots <x[nbr[j]], other[node[j]]>.
 
     The list is walked in tiles of at most `tensor._TILE` positions; per
     tile, np.add.reduceat sums each node's part of its run, and each node
     of the tile is added to once. Nodes without a triple are not touched.
     """
-    dots = None
-    if other is not None:
-        dots = np.empty(inc.nbr.size)
-        node = np.repeat(inc.nodes, np.diff(inc.starts, append=inc.nbr.size))
+    dots = None if other is None else np.empty(inc.nbr.size)
     for _, lo, hi in _tiles((0, inc.nbr.size)):
-        first = np.searchsorted(inc.starts, lo, "right") - 1
-        stop = np.searchsorted(inc.starts, hi, "left")
-        cuts = inc.starts[first:stop] - lo
-        cuts[0] = 0
+        node = inc.node[lo:hi]
+        cuts = run_starts(node)
         ys = x[inc.nbr[lo:hi]]
         if dots is not None:
-            dots[lo:hi] = np.einsum("ij,ij->i", ys, other[node[lo:hi]])
+            dots[lo:hi] = np.einsum("ij,ij->i", ys, other[node])
         ys *= w[lo:hi, None]
-        out[inc.nodes[first:stop]] += np.add.reduceat(ys, cuts, axis=0)
+        out[node[cuts]] += np.add.reduceat(ys, cuts, axis=0)
     return dots
 
 

@@ -5,7 +5,8 @@ samples a batch of positive triples per iteration, corrupts them 1:1, and
 re-encodes the full graph; filtered negative sampling and validation
 ranking read the known triples from one `evaluation.FilterIndex` each.
 Both tasks run plain gradient descent by default (`optimizer="adam"`
-switches). Every randomized choice flows from one seeded generator, so a
+switches). The encoder, the step and the evaluation helpers all read one
+`RunConfig`. Every randomized choice flows from one seeded generator, so a
 fixed seed gives bit-identical runs.
 """
 
@@ -27,19 +28,19 @@ class TrainResult:
     params: object
 
 
-def _classify_step(graph, params, enc_cfg, config, ids, classes, rng):
-    feats = encode(graph, params, enc_cfg, training=True, rng=rng)
+def _classify_step(graph, params, config, ids, classes, rng):
+    feats = encode(graph, params, config, training=True, rng=rng)
     probs = decoders.classify_forward(feats, params.head, ids)
     return decoders.classification_loss(probs, classes, params.all_params(),
                                         config.l2)
 
 
-def _linkpred_step(graph, params, enc_cfg, config, triples, known, rng):
+def _linkpred_step(graph, params, config, triples, known, rng):
     batch = min(config.batch_size, len(triples))
     positives = triples[rng.integers(0, len(triples), batch)]
     samples, labels = decoders.sample_negatives(
         positives, graph.num_entities, rng, known=known)
-    feats = encode(graph, params, enc_cfg, training=True, rng=rng)
+    feats = encode(graph, params, config, training=True, rng=rng)
     scores = decoders.score_triples(params, feats, samples, config.decoder)
     return decoders.link_loss(scores, labels, params.all_params(), feats,
                               samples, config.l2)
@@ -57,38 +58,36 @@ def train(graph, splits, config, task, seed, progress=None):
     metric, or None without a validation split. Without a `progress` the
     run validates nothing.
     """
-    config.validate()
-    enc_cfg = config.encoder_config()
     rng = np.random.default_rng(seed)
 
     valid_fn = None
     if task == "classify":
         labels = splits["labels_train"]
-        params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
+        params = init_params(graph.num_entities, graph.num_relations, config,
                              task, rng, num_classes=labels.num_classes,
                              decoder=config.decoder, init=config.init)
 
         def step():
-            return _classify_step(graph, params, enc_cfg, config,
-                                  labels.entities, labels.classes, rng)
+            return _classify_step(graph, params, config, labels.entities,
+                                  labels.classes, rng)
 
         valid_labels = splits.get("labels_valid")
         if valid_labels is not None and len(valid_labels.entities):
             def valid_fn():
-                return evaluate_classification(graph, params, enc_cfg,
+                return evaluate_classification(graph, params, config,
                                                valid_labels)
     elif task == "linkpred":
         triples = graph.triple_array()
         dims = graph.num_entities, graph.num_relations
         known = (evaluation.FilterIndex(triples, *dims).contains
                  if config.filtered_negatives else None)
-        params = init_params(graph.num_entities, graph.num_relations, enc_cfg,
+        params = init_params(graph.num_entities, graph.num_relations, config,
                              task, rng, decoder=config.decoder,
                              init=config.init)
 
         def step():
-            return _linkpred_step(graph, params, enc_cfg, config, triples,
-                                  known, rng)
+            return _linkpred_step(graph, params, config, triples, known,
+                                  rng)
 
         valid_triples = splits.get("valid")
         if valid_triples is not None and len(valid_triples):
@@ -96,9 +95,8 @@ def train(graph, splits, config, task, seed, progress=None):
                 np.concatenate([triples, valid_triples]), *dims)
 
             def valid_fn():
-                results = evaluate_links(graph, params, enc_cfg,
-                                         config.decoder, valid_triples,
-                                         filter_index)
+                results = evaluate_links(graph, params, config,
+                                         valid_triples, filter_index)
                 return evaluation.mrr(results, "filtered")
     else:
         raise ValueError(f"unknown task {task!r}")
@@ -134,15 +132,16 @@ def train(graph, splits, config, task, seed, progress=None):
 # evaluation entry points (dropout off)
 
 
-def evaluate_classification(graph, params, enc_cfg, labels):
+def evaluate_classification(graph, params, config, labels):
     """Test accuracy of the classification head over a LabelSet."""
-    feats = encode(graph, params, enc_cfg)
+    feats = encode(graph, params, config)
     probs = decoders.classify_forward(feats, params.head, labels.entities)
     return evaluation.classification_accuracy(probs.values, labels.classes)
 
 
-def evaluate_links(graph, params, enc_cfg, decoder, test_triples, known):
-    """(raw, filtered) rank arrays of both sides of the test triples."""
-    feats = encode(graph, params, enc_cfg)
-    scorer = decoders.query_scorer(feats.values, params, decoder)
+def evaluate_links(graph, params, config, test_triples, known):
+    """(raw, filtered) rank arrays of both sides of the test triples,
+    scored with `config.decoder`."""
+    feats = encode(graph, params, config)
+    scorer = decoders.query_scorer(feats.values, params, config.decoder)
     return evaluation.evaluate_ranking(test_triples, scorer, known)

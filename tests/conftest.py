@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kgar.config import RunConfig
 from kgar.data import KnowledgeGraph
 from kgar.decoders import score_triples
-from kgar.encoder import EncoderConfig
 from kgar.model import init_params
 from kgar.tensor import Tensor
 
@@ -31,8 +31,8 @@ def toy_graph():
 def toy_config(embed_dim=8, num_layers=2, num_blocks=2, **kw):
     kw.setdefault("dropout_attention", 0.0)
     kw.setdefault("dropout_conv", 0.0)
-    return EncoderConfig(embed_dim=embed_dim, num_layers=num_layers,
-                         num_blocks=num_blocks, **kw)
+    return RunConfig(embed_dim=embed_dim, num_layers=num_layers,
+                     num_blocks=num_blocks, **kw)
 
 
 def toy_params(config, task="classify", seed=0, num_classes=4,

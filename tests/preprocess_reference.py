@@ -20,7 +20,7 @@ def read_rows(path, width=3):
     """The (field, ...) tuple of each data line; blank lines and `#`
     comments are skipped."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -158,8 +158,7 @@ def _classification_accuracies(name, seeds=(0, 1, 2, 3, 4),
                                                bundle.labels["train"]},
                                 config, "classify", seed=seed)
         acc = training.evaluate_classification(
-            bundle.graph, result.params, config.encoder_config(),
-            bundle.labels["test"])
+            bundle.graph, result.params, config, bundle.labels["test"])
         took = time.time() - started
         assert took < per_seed_limit, (
             f"{name} seed {seed} took {took:.0f}s (limit {per_seed_limit}s)")
@@ -216,11 +215,10 @@ def test_criterion_5_synthetic_link_prediction(tmp_path):
             {"dataset_dir": root, "decoder": decoder})
         result = training.train(bundle.graph, splits, config, "linkpred",
                                 seed=config.seed)
-        enc_cfg = config.encoder_config()
         all_results = training.evaluate_links(
-            bundle.graph, result.params, enc_cfg, decoder, test, known)
+            bundle.graph, result.params, config, test, known)
         anti_results = training.evaluate_links(
-            bundle.graph, result.params, enc_cfg, decoder, anti_test, known)
+            bundle.graph, result.params, config, anti_test, known)
         metrics[decoder] = {
             "hits10": evaluation.hits_at_k(all_results, 10, "filtered"),
             "anti_mrr": evaluation.mrr(anti_results, "filtered"),

@@ -128,9 +128,8 @@ def test_train_with_relation_absent_from_train(tmp_path, capsys, optimizer):
     run = cli._check_meta(meta)
     bundle = datasets.load_bundle(os.path.join(d, "bundle"))
     ghost = bundle.relation_names.index("ghost")
-    initial = init_params(bundle.num_entities, bundle.num_relations,
-                          run.encoder_config(), "linkpred",
-                          np.random.default_rng(4))
+    initial = init_params(bundle.num_entities, bundle.num_relations, run,
+                          "linkpred", np.random.default_rng(4))
     for direction in ("forward", "backward"):
         name = f"layer0.{direction}.blocks"
         rows = slice(ghost * 8, (ghost + 1) * 8)  # embed_dim 8
@@ -212,7 +211,7 @@ def test_snapshot_header_states_each_fact_once(lp_dir, tmp_path, capsys):
 
     run = cli._check_meta(header["meta"])
     flags = {name: regularized for name, _, _, regularized in schema(
-        40, 4, run.encoder_config(), "linkpred", run.decoder, None)}
+        40, 4, run, "linkpred", run.decoder, None)}
 
     def earlier_layout(h):
         h["meta"].update(format=1, task="linkpred", num_entities=40,
@@ -747,6 +746,26 @@ def test_help_lists_config_fields(capsys):
         assert (f"(default {ours})" if ours == theirs else
                 f"(default {ours} classification / {theirs} link prediction)"
                 ) in helps[flag]
+
+
+@pytest.mark.parametrize("make, name, text, where", [
+    (small_linkpred, "train.tsv", "n0\tr\tn1\n\n\tr\tn0\n",
+     "train.tsv:3: field 1"),
+    (small_linkpred, "valid.tsv", "# v\nn0\t\tn1\n", "valid.tsv:2: field 2"),
+    (small_linkpred, "test.tsv", "n0\tr\tn1\nb\tr\t", "test.tsv:2: field 3"),
+    (small_classify, "labels_train.tsv", "\tred\n",
+     "labels_train.tsv:1: field 1"),
+    (small_classify, "labels_test.tsv", "n2\tred\nn3\t\n",
+     "labels_test.tsv:2: field 2"),
+], ids=["head", "relation", "tail", "labeled-entity", "class"])
+def test_preprocess_refuses_an_empty_field(tmp_path, capsys, make, name,
+                                           text, where):
+    d = make(tmp_path / "d")
+    with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert cli.main(["preprocess", "--dataset", d]) == 2
+    assert f"{where} is empty" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "bundle"))
 
 
 def empty_file(name):

@@ -1,5 +1,6 @@
 """RunConfig defaults, validation, file parsing, and precedence."""
 
+import dataclasses
 import inspect
 import math
 
@@ -65,12 +66,23 @@ def test_validation_rejects_bad_fields():
         C.resolve_config("classify", cli_values={"seed": -1})
 
 
+def test_config_cannot_be_altered_into_an_invalid_one():
+    cfg = C.resolve_config("classify")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.num_blocks = 7
+    with pytest.raises(ValueError) as got:
+        dataclasses.replace(cfg, num_blocks=7)
+    with pytest.raises(ValueError) as want:
+        C.resolve_config("classify", cli_values={"num_blocks": 7})
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("name", sorted(C.CHOICES))
 def test_validation_rejects_values_outside_choices(name):
     for value in C.CHOICES[name]:
-        C.RunConfig(**{name: value}).validate()
+        C.RunConfig(**{name: value})
     with pytest.raises(ValueError, match=f"{name} must be one of"):
-        C.RunConfig(**{name: "bogus"}).validate()
+        C.RunConfig(**{name: "bogus"})
 
 
 def test_validation_rejects_mistyped_values():
@@ -78,7 +90,7 @@ def test_validation_rejects_mistyped_values():
                          ("seed", True), ("l2", False), ("l2", "0.1"),
                          ("filtered_negatives", 1), ("decoder", None)):
         with pytest.raises(ValueError, match=f"{field} must be of type"):
-            C.RunConfig(**{field: value}).validate()
+            C.RunConfig(**{field: value})
     assert C.resolve_config("linkpred", cli_values={"l2": 0}).l2 == 0
 
 

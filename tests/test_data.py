@@ -1,6 +1,7 @@
 """Loader, vocabulary, graph-array, direction-plan, relation-drop, dedup
 and label contracts."""
 
+import os
 import re
 
 import numpy as np
@@ -82,6 +83,27 @@ def test_malformed_row_after_comments_names_its_line(tmp_path):
     assert str(got.value) == str(want.value)
     assert f"{path}:12: expected 3 tab-separated fields, got 2" == \
         str(got.value)
+
+
+def bundle_bytes(dataset_dir):
+    out = os.path.join(dataset_dir, "bundle")
+    datasets.write_bundle(out, datasets.preprocess(dataset_dir))
+    return {name: open(os.path.join(out, name), "rb").read()
+            for name in sorted(os.listdir(out))}
+
+
+def test_byte_order_mark_is_no_part_of_a_name(tmp_path):
+    files = {"train.tsv": "a\tr\tb\nb\tr\ta\nc\tr\ta\n",
+             "labels_train.tsv": "a\tx\n", "labels_test.tsv": "c\ty\n"}
+    bundles = []
+    for bom in ("", "\ufeff"):
+        d = tmp_path / repr(bom) / "d"
+        d.mkdir(parents=True)
+        for name, text in files.items():
+            (d / name).write_text(bom + text, encoding="utf-8")
+        bundles.append(bundle_bytes(str(d)))
+    assert bundles[1] == bundles[0]
+    assert bundles[0]["entities.tsv"] == b"0\ta\n1\tb\n2\tc\n"
 
 
 def test_build_vocab_first_appearance(tmp_path):

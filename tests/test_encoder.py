@@ -260,17 +260,17 @@ def walk_graph(request):
 def test_incidence_lists_both_ends_by_node(walk_graph):
     inc = walk_graph.incidence()
     triples = walk_graph.triple_array().tolist()
-    runs = np.split(np.stack([inc.nbr, inc.triple], axis=1), inc.starts[1:])
     expected = {}
     for k, (h, _, t) in enumerate(triples):
         expected.setdefault(t, []).append((h, k))
     for k, (h, _, t) in enumerate(triples):
         expected.setdefault(h, []).append((t, k))
-    assert inc.nodes.tolist() == sorted(expected)
-    if triples:
-        assert inc.starts[0] == 0
-        for node, run in zip(inc.nodes.tolist(), runs):
-            assert list(map(tuple, run.tolist())) == expected[node]
+    assert inc.node.tolist() == sorted(inc.node.tolist())
+    runs = {}
+    for node, nbr, k in zip(inc.node.tolist(), inc.nbr.tolist(),
+                            inc.triple.tolist()):
+        runs.setdefault(node, []).append((nbr, k))
+    assert runs == expected
     assert walk_graph.incidence() is inc
 
 
@@ -419,7 +419,7 @@ def test_non_finite_hidden_state_diagnosed(toy_graph):
         E.encode(toy_graph, params, cfg)
 
 
-def test_encoder_config_validation():
+def test_encoder_settings_validation():
     with pytest.raises(ValueError, match="num_blocks"):
         toy_config(embed_dim=10, num_blocks=3)
     with pytest.raises(ValueError, match="num_layers"):

@@ -110,13 +110,12 @@ def test_small_step_never_increases_full_batch_loss(graph):
     # descent property of one sgd_step at tiny lr on the same batch
     cfg = toy_run_config("classify", iterations=1)
     labels = toy_labelset()
-    enc_cfg = cfg.encoder_config()
     rng = np.random.default_rng(5)
     from kgar.model import init_params
-    params = init_params(6, 3, enc_cfg, "classify", rng, num_classes=4)
+    params = init_params(6, 3, cfg, "classify", rng, num_classes=4)
 
     def batch_loss():
-        feats = encode(graph, params, enc_cfg)
+        feats = encode(graph, params, cfg)
         probs = decoders.classify_forward(feats, params.head, labels.entities)
         return decoders.classification_loss(probs, labels.classes,
                                             params.all_params(), cfg.l2)
@@ -188,13 +187,12 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
         for p in result.params.all_params():
             np.testing.assert_array_equal(arrays[p.name], p.values)
         # rebuild into a structured ModelParams and re-encode identically
-        rebuilt = rebuild_params(arrays, cfg.encoder_config(), task, decoder,
-                                 6, 3, 4)
+        rebuilt = rebuild_params(arrays, cfg, task, decoder, 6, 3, 4)
         assert ([(p.name, p.regularized) for p in rebuilt.all_params()]
                 == [(p.name, p.regularized)
                     for p in result.params.all_params()])
-        f1 = encode(graph, result.params, cfg.encoder_config()).values
-        f2 = encode(graph, rebuilt, cfg.encoder_config()).values
+        f1 = encode(graph, result.params, cfg).values
+        f2 = encode(graph, rebuilt, cfg).values
         np.testing.assert_array_equal(f1, f2)
         for name in ("rel_re", "rel_im", "rel_diag", "head"):
             original = getattr(result.params, name)
@@ -208,7 +206,7 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
     ("linkpred", "distmult")])
 def test_schema_lists_parameters_in_all_params_order(task, decoder):
     from kgar.model import init_params, schema
-    cfg = toy_run_config(task).encoder_config()
+    cfg = toy_run_config(task)
     params = init_params(6, 3, cfg, task, np.random.default_rng(0),
                          num_classes=4, decoder=decoder)
     assert [(name, shape, regularized) for name, shape, _, regularized
