@@ -145,7 +145,7 @@ def coerce(field, raw):
 def parse_config_file(path):
     """Flat key=value file -> dict of typed values."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

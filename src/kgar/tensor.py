@@ -169,25 +169,23 @@ _TILE = 512
 
 
 def scatter_rows(out, idx, vals, cols=None):
-    """out[idx[k]] += vals[k] for every k, a repeated index accumulating
-    every row it names (an unbuffered scatter-add), for a 2-D `out` and
-    (len(idx), D) `vals`. With `cols`, a permutation of range(D), column
-    j of `vals` adds to column cols[j] of `out`.
-
-    Per tile of at most `_TILE` rows, one bincount sums the values per
-    distinct target row in row order, and each target row of `out` is then
-    added to once, so the temporaries stay O(tile * D). A row whose terms
-    span several tiles, or that already holds a value, may round
-    differently from adding the terms one by one.
-    """
-    d = out.shape[1]
+    """out[idx[k]] += vals[k] for k = 0, 1, ... in that order, bit for bit
+    (an unbuffered scatter-add), for a C-contiguous 2-D `out` (ValueError
+    otherwise) and (len(idx), D) `vals`; with `cols`, a permutation of
+    range(D), column j of `vals` adds to column cols[j] of `out`. Per tile
+    of at most `_TILE` rows, one `np.add.at` on the flat view of `out` runs
+    numpy's 1-D indexed-add loop; without `cols`, an even D adds column
+    pairs as complex128: half the indices, the same adds."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_rows: out must be C-contiguous")
+    d, flat = out.shape[1], out.reshape(-1)
+    if cols is None and d % 2 == 0:
+        flat, d = flat.view(np.complex128), d // 2
+        vals = np.ascontiguousarray(vals).view(np.complex128)
     cols = np.arange(d) if cols is None else cols
     for lo in range(0, len(idx), _TILE):
-        rows, inv = np.unique(idx[lo:lo + _TILE], return_inverse=True)
-        bins = (inv[:, None] * d + cols).ravel()
-        sums = np.bincount(bins, vals[lo:lo + _TILE].ravel(),
-                           minlength=rows.size * d)
-        out[rows] += sums.reshape(rows.size, d)
+        np.add.at(flat, (idx[lo:lo + _TILE, None] * d + cols).ravel(),
+                  vals[lo:lo + _TILE].ravel())
 
 
 def _row_index(a, idx, op):

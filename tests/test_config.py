@@ -114,6 +114,12 @@ def test_parse_config_file(tmp_path):
     assert cfg.embed_dim == 40 and cfg.filtered_negatives is True
 
 
+def test_parse_config_file_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.cfg"
+    p.write_text("\ufeffembed_dim=40\n", encoding="utf-8")
+    assert C.parse_config_file(str(p)) == {"embed_dim": 40}
+
+
 def test_parse_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("embed_dim 40\n")
