@@ -145,19 +145,23 @@ def coerce(field, raw):
 def parse_config_file(path):
     """Flat key=value file -> dict of typed values."""
     out = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                out[key] = coerce(key, value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        try:
+            out[key] = coerce(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}")
     return out
 
 

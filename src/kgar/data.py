@@ -45,8 +45,11 @@ def load_triples(path, width=3):
 def _read_rows(path):
     """The file's lines and, in order, those that are rows: neither blank
     nor a `#` comment."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})")
     return lines, [line for line in lines if (text := line.lstrip())
                    and text[0] != "#"]
 

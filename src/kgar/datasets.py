@@ -301,12 +301,16 @@ def _read_ids(path, width, count):
 
 def _read_names(path, count):
     names = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            idx, _, name = line.rstrip("\n").partition("\t")
-            if idx != str(lineno - 1):
-                raise DataError(f"{path}:{lineno}: ids must be consecutive")
-            names.append(name)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                idx, _, name = line.rstrip("\n").partition("\t")
+                if idx != str(lineno - 1):
+                    raise DataError(f"{path}:{lineno}: ids must be "
+                                    "consecutive")
+                names.append(name)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})")
     if len(names) != count:
         raise DataError(f"{path}: {len(names)} names, but the manifest "
                         f"counts {count}")
@@ -348,7 +352,7 @@ def load_bundle(bundle_dir):
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{manifest_path}: {exc}")
     _check_manifest(manifest_path, manifest)
     task = manifest["task"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _record, _row_index
+from .tensor import Tensor, _grad, _record, _row_index
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +80,9 @@ def _parts(z):
 
 
 def _scatter(t, ids, z):
-    """Add the entries z to the rows `ids` of t.grad, in t's real layout.
-
-    A complex z is read as its (n, D) float view, whose columns are
-    Re z_0, Im z_0, Re z_1, ...: the column map sends view column 2k + 1
-    to column D/2 + k of t, so no converted copy is made.
-    """
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    if np.iscomplexobj(z):
-        half = z.shape[1]
-        cols = np.arange(2 * half).reshape(2, half).T.ravel()
-        T.scatter_rows(t.grad, ids, z.view(np.float64), cols)
-    else:
-        T.scatter_rows(t.grad, ids, z)
+    """Add the entries z to the rows `ids` of t's gradient, in t's real
+    layout: a complex z as its rows [Re z | Im z]."""
+    T.scatter_rows(_grad(t), ids, np.hstack(_parts(z)))
 
 
 def score_triples(params, feats, triples, decoder):

@@ -47,7 +47,8 @@ from . import tensor as T
 from .config import RunConfig as EncoderConfig  # noqa: F401
 from .data import run_starts
 from .tensor import (NumericFailure, Tensor, _acc, _block_backward_q,
-                     _block_backward_x, _block_forward, _record, scatter_rows)
+                     _block_backward_x, _block_forward, _grad, _record,
+                     scatter_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +96,9 @@ def edge_inner_product(hw, graph):
     out = Tensor(e[:, None])
 
     def bw(g):
-        if hw.grad is None:
-            hw.grad = np.zeros_like(v)
         # each end's gradient is g times the other end: one incidence walk
         inc = graph.incidence()
-        _incidence_sum(hw.grad, v, g[inc.triple, 0], inc)
+        _incidence_sum(_grad(hw), v, g[inc.triple, 0], inc)
 
     _record(out, bw)
     return out
@@ -123,8 +122,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
     out = Tensor(res)
 
     def bw(g):
-        if h.grad is None:
-            h.grad = np.zeros_like(hv)
+        gh = _grad(h)
         galpha = np.empty_like(av)
         # relations without edges keep zero rows
         gq = np.zeros(q.shape)
@@ -137,7 +135,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
             t = _block_backward_x(gd, q[r])
             galpha[lo:hi] = np.einsum("ij,ij->i", xs, t)[:, None]
             t *= av[lo:hi]
-            scatter_rows(h.grad, src, t)
+            scatter_rows(gh, src, t)
             gd *= av[lo:hi]
             gq[r] += _block_backward_q(xs, gd, num_blocks)
         _acc(alpha, galpha)
@@ -164,9 +162,7 @@ def gated_neighbor_sum(h, gates, graph):
     out = Tensor(res)
 
     def bw(g):
-        if h.grad is None:
-            h.grad = np.zeros_like(hv)
-        dots = _incidence_sum(h.grad, g, gate_of, inc, other=hv)
+        dots = _incidence_sum(_grad(h), g, gate_of, inc, other=hv)
         _acc(gates, np.bincount(rel_of, dots, minlength=gv.shape[0])[:, None])
 
     _record(out, bw)
@@ -188,7 +184,7 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
     tile.
     """
     plan = graph.plan(direction)
-    alpha = T.segment_softmax(T.permute_rows(scores, plan.order),
+    alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
                               plan.seg_starts)
     alpha = T.dropout(alpha, config.dropout_attention, training, rng)
     agg = attention_relational_aggregate(

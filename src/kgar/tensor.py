@@ -110,10 +110,16 @@ def _tape():
     return _ACTIVE_TAPE
 
 
-def _acc(t, g):
+def _grad(t):
+    """t's gradient buffer, allocated as zeros on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.values)
-    t.grad += g
+    return t.grad
+
+
+def _acc(t, g):
+    grad = _grad(t)
+    grad += g
 
 
 def _record(out, fn):
@@ -168,21 +174,20 @@ def add(a, b):
 _TILE = 512
 
 
-def scatter_rows(out, idx, vals, cols=None):
+def scatter_rows(out, idx, vals):
     """out[idx[k]] += vals[k] for k = 0, 1, ... in that order, bit for bit
     (an unbuffered scatter-add), for a C-contiguous 2-D `out` (ValueError
-    otherwise) and (len(idx), D) `vals`; with `cols`, a permutation of
-    range(D), column j of `vals` adds to column cols[j] of `out`. Per tile
-    of at most `_TILE` rows, one `np.add.at` on the flat view of `out` runs
-    numpy's 1-D indexed-add loop; without `cols`, an even D adds column
-    pairs as complex128: half the indices, the same adds."""
+    otherwise) and (len(idx), D) real `vals`. Per tile of at most `_TILE`
+    rows, one `np.add.at` on the flat view of `out` runs numpy's 1-D
+    indexed-add loop; an even D adds column pairs as complex128: half the
+    indices, the same adds."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_rows: out must be C-contiguous")
     d, flat = out.shape[1], out.reshape(-1)
-    if cols is None and d % 2 == 0:
+    if d % 2 == 0:
         flat, d = flat.view(np.complex128), d // 2
         vals = np.ascontiguousarray(vals).view(np.complex128)
-    cols = np.arange(d) if cols is None else cols
+    cols = np.arange(d)
     for lo in range(0, len(idx), _TILE):
         np.add.at(flat, (idx[lo:lo + _TILE, None] * d + cols).ravel(),
                   vals[lo:lo + _TILE].ravel())
@@ -202,26 +207,7 @@ def gather_rows(a, idx):
     out = Tensor(a.values[idx])
 
     def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        scatter_rows(a.grad, idx, g)
-
-    _record(out, bw)
-    return out
-
-
-def permute_rows(a, order):
-    """a's rows in the order `order`, which must be a permutation of
-    range(len(a)); this is not checked. The forward is gather_rows'; as
-    no row repeats, the backward writes each gradient row once instead of
-    scatter-adding."""
-    order = _row_index(a, order, "permute_rows")
-    out = Tensor(a.values[order])
-
-    def bw(g):
-        ga = np.empty_like(a.values)
-        ga[order] = g
-        _acc(a, ga)
+        scatter_rows(_grad(a), idx, g)
 
     _record(out, bw)
     return out
@@ -368,10 +354,8 @@ def nll_true_class(probs, class_ids):
     out = Tensor([[-np.log(clamped).sum()]])
 
     def bw(g):
-        if probs.grad is None:
-            probs.grad = np.zeros_like(probs.values)
         live = p >= 1e-12
-        probs.grad[rows[live], ids[live]] -= g[0, 0] / clamped[live]
+        _grad(probs)[rows[live], ids[live]] -= g[0, 0] / clamped[live]
 
     _record(out, bw)
     return out
@@ -424,9 +408,7 @@ def l2_penalty(tensors, coefficient, rows=None):
         for t in tensors:
             _acc(t, c * t.values)
         if rows is not None:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.values)
-            a.grad[ids] += (c * counts)[:, None] * a.values[ids]
+            _grad(a)[ids] += (c * counts)[:, None] * a.values[ids]
 
     _record(out, bw)
     return out
@@ -436,13 +418,18 @@ def l2_penalty(tensors, coefficient, rows=None):
 # optimizers
 
 
-def sgd_step(params, learning_rate):
-    """Plain gradient descent: w <- w - lr * grad; gradients cleared."""
+def _with_grads(params):
+    """The parameters as a list; GradientMissing if one has no gradient."""
     params = list(params)
     for p in params:
         if p.grad is None:
             raise GradientMissing(f"parameter {p.name!r} has no gradient")
-    for p in params:
+    return params
+
+
+def sgd_step(params, learning_rate):
+    """Plain gradient descent: w <- w - lr * grad; gradients cleared."""
+    for p in _with_grads(params):
         p.values -= learning_rate * p.grad
         p.grad = None
 
@@ -460,10 +447,7 @@ class AdamState:
 
 
 def adam_step(params, state, learning_rate):
-    params = list(params)
-    for p in params:
-        if p.grad is None:
-            raise GradientMissing(f"parameter {p.name!r} has no gradient")
+    params = _with_grads(params)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.t

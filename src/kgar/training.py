@@ -56,8 +56,13 @@ def train(graph, splits, config, task, seed, progress=None):
     Every `eval_interval` iterations and at the last one, the run reports
     `progress(iteration, loss, metric)`, where `metric` is the validation
     metric, or None without a validation split. Without a `progress` the
-    run validates nothing.
+    run validates nothing. `task` and `seed` must be the config's own
+    (ValueError otherwise).
     """
+    if (task, seed) != (config.task, config.seed):
+        raise ValueError(f"train(task={task!r}, seed={seed!r}) disagrees "
+                         f"with its config (task={config.task!r}, "
+                         f"seed={config.seed!r})")
     rng = np.random.default_rng(seed)
 
     valid_fn = None

@@ -541,6 +541,46 @@ def test_corrupt_manifest_is_data_error(tmp_path, capsys, make, corrupt,
     assert "data error" in err and datasets.MANIFEST in err and named in err
 
 
+def insert_byte_ff(path):
+    """Put one byte that no UTF-8 text holds in the middle of a file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+
+
+@pytest.mark.parametrize("make, name, command", [
+    (small_linkpred, "train.tsv", "preprocess"),
+    (small_classify, "labels_train.tsv", "preprocess"),
+    (small_linkpred, "bundle/entities.tsv", "train"),
+    (small_linkpred, "bundle/relations.tsv", "train"),
+    (small_classify, "bundle/classes.tsv", "train"),
+    (small_linkpred, "bundle/manifest.json", "train"),
+], ids=["raw-triples", "raw-labels", "entity-names", "relation-names",
+        "class-names", "manifest"])
+def test_non_utf8_input_is_data_error_naming_the_file(tmp_path, capsys, make,
+                                                      name, command):
+    d = make(tmp_path / "d")
+    args = ["preprocess", "--dataset", d]
+    if command == "train":
+        assert cli.main(args) == 0
+        args = ["train", "--dataset", d, "--out", str(tmp_path / "run")] + FAST
+    insert_byte_ff(os.path.join(d, name))
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {os.path.join(d, name)}: " in err and "0xff" in err
+
+
+def test_non_utf8_config_file_is_usage_error_naming_it(lp_dir, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"iterations=2\n# \xff\n")
+    assert cli.main(["train", "--dataset", lp_dir, "--out",
+                     str(tmp_path / "run"), "--config", str(cfg)] + FAST) == 1
+    assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_repro_table_rebuilds_a_tsv_id_bundle(tmp_path):
     bundle_dir = tmp_path / "synthetic" / "bundle"
     _, bundle = cli._repro_prepare("synthetic", str(tmp_path))

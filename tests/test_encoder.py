@@ -69,7 +69,7 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
     scores = T.leaky_relu(E.edge_inner_product(hw, toy_graph), 0.2)
     for direction in ("forward", "backward"):
         plan = toy_graph.plan(direction)
-        alpha = T.segment_softmax(T.permute_rows(scores, plan.order),
+        alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
                                   plan.seg_starts)
         sums = np.add.reduceat(alpha.values[:, 0], plan.seg_starts)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)

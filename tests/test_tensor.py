@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tape_reference as R
-from kgar import datasets, synthetic, training
+from kgar import datasets, decoders, synthetic, training
 from kgar import tensor as T
 from kgar.config import resolve_config
 
@@ -175,26 +175,32 @@ def test_scatter_rows_matches_unbuffered_reference(num_idx, num_rows, held):
 ], ids=["repeated", "empty", "tiles"])
 @pytest.mark.parametrize("held", [False, True], ids=["zeros", "held"])
 def test_scatter_rows_adds_in_index_order(num_idx, num_rows, held):
-    # bit for bit the loop out[idx[k], cols] += vals[k], k = 0, 1, ...: an
-    # even width (added as column pairs), an odd one, a transposed one, and
-    # decoders._scatter's cols map over a complex array's float view
+    # bit for bit the loop out[idx[k]] += vals[k], k = 0, 1, ...: an even
+    # width (added as column pairs), an odd one, a transposed one, and
+    # complex entries that decoders._scatter adds as their rows [re | im]
     rng = np.random.default_rng(num_idx + held)
     idx = rng.integers(0, num_rows, num_idx)
     z = rng.standard_normal((num_idx, 3)) \
         + 1j * rng.standard_normal((num_idx, 3))
-    cases = [(z.view(np.float64), None),
-             (rng.standard_normal((num_idx, 5)), None),
-             (rng.standard_normal((6, num_idx)).T, None),
-             (z.view(np.float64), np.arange(6).reshape(2, 3).T.ravel())]
-    for vals, cols in cases:
+    cases = [(z.view(np.float64), T.scatter_rows),
+             (rng.standard_normal((num_idx, 5)), T.scatter_rows),
+             (rng.standard_normal((6, num_idx)).T, T.scatter_rows),
+             (np.hstack([z.real, z.imag]), None)]
+    for vals, scatter in cases:
         width = vals.shape[1]
         base = rng.standard_normal((num_rows, width)) if held \
             else np.zeros((num_rows, width))
-        out, expected = base.copy(), base.copy()
-        T.scatter_rows(out, idx, vals, cols)
-        dest = np.arange(width) if cols is None else cols
+        expected = base.copy()
         for k in range(num_idx):
-            expected[idx[k], dest] += vals[k]
+            expected[idx[k]] += vals[k]
+        if scatter is None:
+            t = T.Parameter("t", np.zeros((num_rows, width)))
+            t.grad = base.copy() if held else None
+            decoders._scatter(t, idx, z)
+            out = t.grad
+        else:
+            out = base.copy()
+            scatter(out, idx, vals)
         assert np.array_equal(out, expected)
 
 
@@ -216,7 +222,7 @@ def test_same_seed_synthetic_training_is_bit_identical(tmp_path):
     graph = datasets.load_bundle(bundle_dir).graph
     config = resolve_config("linkpred", datasets.dataset_defaults("synthetic"),
                             None, {"dataset_dir": root, "iterations": 4,
-                                   "eval_interval": 4})
+                                   "eval_interval": 4, "seed": 5})
     runs = [training.train(graph, {}, config, "linkpred", seed=5).params
             for _ in range(2)]
     first, second = ([p.values for p in params.all_params()]
@@ -336,28 +342,27 @@ def test_grad_gather_scatter():
 
 @pytest.mark.parametrize("held", [False, True],
                          ids=["fresh-grad", "existing-grad"])
-def test_permute_rows_matches_gather_rows_bitwise(held):
-    # the encoder reads its score column through a permutation; the
-    # one-write backward must give gather_rows' bits, also when the
-    # gradient already holds a value (the other direction's)
+def test_gather_rows_through_a_permutation_adds_each_row_once(held):
+    # the encoder reads its score column (width 1) through a permutation:
+    # each gradient row takes exactly one add, also when the gradient
+    # already holds a value (the other direction's)
     rng = np.random.default_rng(11)
     n = 3 * T._TILE + 7  # several scatter tiles
     order = rng.permutation(n)
-    values = rng.standard_normal((n, 2))
-    upstream = rng.standard_normal((n, 2))
-    held_grad = rng.standard_normal((n, 2))
-    results = []
-    for op in (T.gather_rows, T.permute_rows):
+    inverse = np.argsort(order)
+    for width in (1, 2):
+        values = rng.standard_normal((n, width))
+        upstream = rng.standard_normal((n, width))
+        base = rng.standard_normal((n, width)) if held \
+            else np.zeros((n, width))
         a = T.Parameter("a", values.copy())
-        if held:
-            a.grad = held_grad.copy()
+        a.grad = base.copy() if held else None
         with T.Tape() as tape:
-            out = op(a, order)
+            out = T.gather_rows(a, order)
             loss = R.sum_all(R.mul(out, T.Tensor(upstream)))
         tape.backward(loss)
-        results.append((out.values, a.grad))
-    for got, want in zip(results[1], results[0]):
-        assert got.tobytes() == want.tobytes()
+        assert out.values.tobytes() == values[order].tobytes()
+        assert a.grad.tobytes() == (base + upstream[inverse]).tobytes()
 
 
 def test_grad_block_matmul():

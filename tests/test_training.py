@@ -35,19 +35,18 @@ def graph():
     return KnowledgeGraph(TOY_TRIPLES, 6, 3)
 
 
-def train_recorded(graph, splits, cfg, task, seed):
+def train_recorded(graph, splits, cfg):
     """Train; returns the (iteration, loss, metric) of every progress
     report."""
     record = []
-    training.train(graph, splits, cfg, task, seed=seed,
+    training.train(graph, splits, cfg, cfg.task, seed=cfg.seed,
                    progress=lambda *report: record.append(report))
     return record
 
 
 def test_classify_loss_decreases(graph):
-    cfg = toy_run_config("classify", eval_interval=1)
-    record = train_recorded(graph, {"labels_train": toy_labelset()},
-                            cfg, "classify", seed=1)
+    cfg = toy_run_config("classify", eval_interval=1, seed=1)
+    record = train_recorded(graph, {"labels_train": toy_labelset()}, cfg)
     first, last = record[0][1], record[-1][1]
     assert last < first
     assert [r[0] for r in record] == list(range(1, 201))
@@ -55,8 +54,8 @@ def test_classify_loss_decreases(graph):
 
 def test_linkpred_loss_decreases(graph):
     cfg = toy_run_config("linkpred", iterations=200, batch_size=10,
-                         eval_interval=1)
-    record = train_recorded(graph, {}, cfg, "linkpred", seed=2)
+                         eval_interval=1, seed=2)
+    record = train_recorded(graph, {}, cfg)
     # sampled batches make single iterations noisy; compare averaged ends
     head = np.mean([loss for _, loss, _ in record[:20]])
     tail = np.mean([loss for _, loss, _ in record[-20:]])
@@ -64,7 +63,7 @@ def test_linkpred_loss_decreases(graph):
 
 
 def test_same_seed_bit_identical_params(graph, tmp_path):
-    cfg = toy_run_config("classify", iterations=30)
+    cfg = toy_run_config("classify", iterations=30, seed=7)
     splits = {"labels_train": toy_labelset()}
     r1 = training.train(graph, splits, cfg, "classify", seed=7)
     r2 = training.train(graph, splits, cfg, "classify", seed=7)
@@ -79,10 +78,11 @@ def test_same_seed_bit_identical_params(graph, tmp_path):
 
 
 def test_different_seed_differs(graph):
-    cfg = toy_run_config("classify", iterations=5)
     splits = {"labels_train": toy_labelset()}
-    r1 = training.train(graph, splits, cfg, "classify", seed=1)
-    r2 = training.train(graph, splits, cfg, "classify", seed=2)
+    r1, r2 = (training.train(graph, splits,
+                             toy_run_config("classify", iterations=5,
+                                            seed=seed),
+                             "classify", seed=seed) for seed in (1, 2))
     assert any(not np.array_equal(p1.values, p2.values)
                for p1, p2 in zip(r1.params.all_params(),
                                  r2.params.all_params()))
@@ -90,7 +90,7 @@ def test_different_seed_differs(graph):
 
 def test_dropout_training_is_seed_deterministic(graph):
     cfg = toy_run_config("classify", iterations=20,
-                         dropout_attention=0.4, dropout_conv=0.3)
+                         dropout_attention=0.4, dropout_conv=0.3, seed=9)
     splits = {"labels_train": toy_labelset()}
     r1 = training.train(graph, splits, cfg, "classify", seed=9)
     r2 = training.train(graph, splits, cfg, "classify", seed=9)
@@ -98,8 +98,22 @@ def test_dropout_training_is_seed_deterministic(graph):
         np.testing.assert_array_equal(p1.values, p2.values)
 
 
+@pytest.mark.parametrize("task, seed", [
+    ("linkpred", 7), ("linkpred", 0), ("classify", 7)],
+    ids=["both", "task", "seed"])
+def test_train_refuses_a_task_or_seed_its_config_does_not_state(graph, task,
+                                                               seed):
+    cfg = toy_run_config("classify", iterations=1)
+    with pytest.raises(ValueError) as info:
+        training.train(graph, {"labels_train": toy_labelset()}, cfg, task,
+                       seed=seed)
+    assert (f"train(task={task!r}, seed={seed}) disagrees with its config "
+            "(task='classify', seed=0)") in str(info.value)
+
+
 def test_numeric_failure_names_iteration(graph):
-    cfg = toy_run_config("classify", iterations=50, learning_rate=1e200)
+    cfg = toy_run_config("classify", iterations=50, learning_rate=1e200,
+                         seed=3)
     with pytest.raises(NumericFailure, match=r"iteration \d+"), \
             np.errstate(all="ignore"):
         training.train(graph, {"labels_train": toy_labelset()},
@@ -146,7 +160,7 @@ def test_edgeless_graph_trains_with_zero_attention_gradient(monkeypatch):
                       classes=np.array([0, 1, 0]), num_classes=2)
     cfg = toy_run_config("classify", iterations=2, eval_interval=1)
     record = train_recorded(KnowledgeGraph([], 4, 2),
-                            {"labels_train": labels}, cfg, "classify", seed=0)
+                            {"labels_train": labels}, cfg)
     assert len(record) == len(grads) == 2
     for step in grads:
         for layer in range(cfg.num_layers):
@@ -156,17 +170,16 @@ def test_edgeless_graph_trains_with_zero_attention_gradient(monkeypatch):
 
 def test_adam_optimizer_variant_runs(graph):
     cfg = toy_run_config("classify", iterations=30, optimizer="adam",
-                         learning_rate=0.005, eval_interval=1)
-    record = train_recorded(graph, {"labels_train": toy_labelset()},
-                            cfg, "classify", seed=6)
+                         learning_rate=0.005, eval_interval=1, seed=6)
+    record = train_recorded(graph, {"labels_train": toy_labelset()}, cfg)
     assert record[-1][1] < record[0][1]
 
 
 def test_linkpred_valid_metric_logged(graph):
     cfg = toy_run_config("linkpred", iterations=20, eval_interval=10,
-                         batch_size=5)
+                         batch_size=5, seed=8)
     valid = np.array(TOY_TRIPLES[:3])
-    record = train_recorded(graph, {"valid": valid}, cfg, "linkpred", seed=8)
+    record = train_recorded(graph, {"valid": valid}, cfg)
     assert [r[0] for r in record] == [10, 20]
     assert all(0.0 < m <= 1.0 for _, _, m in record)
 
@@ -177,7 +190,7 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
             ("classify", "complex", {"labels_train": toy_labelset()}),
             ("linkpred", "complex", {}), ("linkpred", "distmult", {})):
         cfg = toy_run_config(task, iterations=5, batch_size=5,
-                             decoder=decoder)
+                             decoder=decoder, seed=10)
         result = training.train(graph, splits, cfg, task, seed=10)
         path = tmp_path / f"{task}-{decoder}.kgar"
         meta = {"task": task, "num_relations": 3}
