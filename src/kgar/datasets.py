@@ -277,26 +277,40 @@ def write_bundle(bundle_dir, processed):
     return bundle_dir
 
 
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
 def _read_ids(path, width, count):
     """An id file as the (count, width) int64 array that `write_bundle`
-    saved."""
-    try:
-        with open(path, "rb") as fh:  # the .npy format only, never pickles
-            rows = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
+    saved. Its .npy header is checked against them and the file's length
+    before the one read of the data, which allocates what the header
+    states."""
+    if not os.path.exists(path):
         raise DataError(f"{path}: file not found; the bundle predates .npy "
                         "id files or is incomplete, so rerun `kgar "
                         "preprocess` on the dataset directory")
-    except ValueError as exc:
-        raise DataError(f"{path}: not a readable .npy id array ({exc})")
-    if not (rows.dtype == np.int64 and rows.ndim == 2
-            and rows.shape[1] == width):
-        raise DataError(f"{path}: expected an (n, {width}) int64 array, "
-                        f"got {rows.dtype} of shape {rows.shape}")
-    if rows.shape[0] != count:
-        raise DataError(f"{path}: {rows.shape[0]} rows, but the manifest "
-                        f"counts {count}")
-    return rows
+    with open(path, "rb") as fh:  # the .npy format only, never pickles
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"format version {version}")
+            shape, fortran, dtype = _NPY_HEADERS[version](fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not a readable .npy id array ({exc})")
+        if not (dtype == np.int64 and len(shape) == 2 and shape[1] == width):
+            raise DataError(f"{path}: expected an (n, {width}) int64 array, "
+                            f"got {dtype} of shape {shape}")
+        if shape[0] != count:
+            raise DataError(f"{path}: {shape[0]} rows, but the manifest "
+                            f"counts {count}")
+        end = fh.tell() + 8 * count * width
+        size = os.fstat(fh.fileno()).st_size
+        if end != size:
+            raise DataError(f"{path}: not a readable .npy id array (its "
+                            f"header states {end} bytes, the file has {size})")
+        rows = np.fromfile(fh, dtype=np.int64, count=count * width)
+    return rows.reshape(shape, order="F" if fortran else "C")
 
 
 def _read_names(path, count):

@@ -1,4 +1,4 @@
-"""Task heads: classification softmax, ComplEx and DistMult triple scoring,
+"""Task heads: classification logits, ComplEx and DistMult triple scoring,
 1-N candidate scoring for ranking, negative sampling, and the two loss
 functions.
 
@@ -31,18 +31,18 @@ from .tensor import Tensor, _grad, _record, _row_index
 
 
 def classify_forward(feats, head, node_ids):
-    """Class probabilities for the given nodes: softmax(F[ids] @ head)."""
-    logits = T.matmul(T.gather_rows(feats, np.asarray(node_ids)), head)
-    return T.softmax_rows(logits)
+    """Class logits for the given nodes: F[ids] @ head."""
+    return T.matmul(T.gather_rows(feats, np.asarray(node_ids)), head)
 
 
-def classification_loss(probs, class_ids, params=(), l2_coefficient=0.0):
-    """Summed negative log-likelihood of the true classes plus L2.
+def classification_loss(logits, class_ids, params=(), l2_coefficient=0.0):
+    """Softmax cross entropy of the logits against the true classes,
+    summed over rows, plus L2.
 
     The L2 term covers the `regularized` parameters among `params` (the
     relation block weights, for this task).
     """
-    loss = T.nll_true_class(probs, class_ids)
+    loss = T.softmax_cross_entropy(logits, class_ids)
     if l2_coefficient:
         loss = T.add(loss, T.l2_penalty([p for p in params if p.regularized],
                                         l2_coefficient))

@@ -11,7 +11,7 @@ head (side 0) or the tail (side 1), and the scorer turns a chunk of
 greater and equal scores per row; filtered ranks subtract the known
 substitutions read from a `FilterIndex`. That is the package's one index
 of known triples: its sorted triple keys also answer the membership test
-of filtered negative sampling. A non-finite score or class probability
+of filtered negative sampling. A non-finite candidate or class score
 raises NumericFailure instead of giving a metric: every comparison with
 a NaN is false, so ranks and argmaxes taken over one mean nothing.
 """
@@ -153,14 +153,14 @@ def hits_at_k(results, k, setting="filtered"):
     return float((_ranks(results, setting) <= k).mean())
 
 
-def classification_accuracy(probs, true_classes):
+def classification_accuracy(scores, true_classes):
     """Percentage of rows whose argmax (lowest id on ties) is the label."""
-    probs = np.asarray(probs)
-    finite = np.isfinite(probs).all(axis=1)
+    scores = np.asarray(scores)
+    finite = np.isfinite(scores).all(axis=1)
     if not finite.all():
-        raise NumericFailure(f"non-finite class probabilities in test row "
+        raise NumericFailure(f"non-finite class scores in test row "
                              f"{int(np.argmin(finite))}")
-    predictions = probs.argmax(axis=1)
+    predictions = scores.argmax(axis=1)
     return float(100.0 * (predictions == np.asarray(true_classes)).mean())
 
 

@@ -35,8 +35,6 @@ class Tensor:
 
     def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.values = arr
@@ -131,8 +129,7 @@ def _record(out, fn):
     def step():
         if out.grad is not None:
             fn(out.grad)
-            if not isinstance(out, Parameter):
-                out.grad = None
+            out.grad = None
 
     tp.record(step)
 
@@ -272,21 +269,6 @@ def leaky_relu(a, slope):
     return out
 
 
-def softmax_rows(a):
-    """Row softmax with max-subtraction."""
-    v = a.values
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    res = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(res)
-
-    def bw(g):
-        inner = (res * g).sum(axis=1, keepdims=True)
-        _acc(a, res * (g - inner))
-
-    _record(out, bw)
-    return out
-
-
 def segment_softmax(scores, seg_starts):
     """Softmax over contiguous row segments of a column vector.
 
@@ -339,23 +321,23 @@ def dropout(a, rate, training, rng):
 # losses
 
 
-def nll_true_class(probs, class_ids):
-    """Negative log-likelihood of the true class, summed over rows.
-
-    Probabilities are clamped at 1e-12 before the log so the loss stays
-    finite for arbitrary inputs.
-    """
+def softmax_cross_entropy(logits, class_ids):
+    """Cross entropy of each row's softmax against its true class, summed
+    over rows: log Σ exp(z − m) − (z_true − m) with m the row max, exact
+    and finite for any finite logits. The gradient is softmax − onehot."""
     ids = np.asarray(class_ids, dtype=np.int64)
-    if ids.shape != (probs.shape[0],):
-        raise ShapeError("nll_true_class: one class id per probability row")
+    if ids.shape != (logits.shape[0],):
+        raise ShapeError("softmax_cross_entropy: one class id per logit row")
     rows = np.arange(ids.size)
-    p = probs.values[rows, ids]
-    clamped = np.maximum(p, 1e-12)
-    out = Tensor([[-np.log(clamped).sum()]])
+    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    out = Tensor([[(np.log(total[:, 0]) - shifted[rows, ids]).sum()]])
 
     def bw(g):
-        live = p >= 1e-12
-        _grad(probs)[rows[live], ids[live]] -= g[0, 0] / clamped[live]
+        d = e / total
+        d[rows, ids] -= 1.0
+        _acc(logits, g[0, 0] * d)
 
     _record(out, bw)
     return out
@@ -453,8 +435,10 @@ def adam_step(params, state, learning_rate):
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     for p in params:
-        m = state.m.setdefault(p.name, np.zeros_like(p.values))
-        v = state.v.setdefault(p.name, np.zeros_like(p.values))
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(p.values)
+            state.v[p.name] = np.zeros_like(p.values)
+        m, v = state.m[p.name], state.v[p.name]
         m *= b1
         m += (1 - b1) * p.grad
         v *= b2

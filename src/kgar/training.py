@@ -30,8 +30,8 @@ class TrainResult:
 
 def _classify_step(graph, params, config, ids, classes, rng):
     feats = encode(graph, params, config, training=True, rng=rng)
-    probs = decoders.classify_forward(feats, params.head, ids)
-    return decoders.classification_loss(probs, classes, params.all_params(),
+    logits = decoders.classify_forward(feats, params.head, ids)
+    return decoders.classification_loss(logits, classes, params.all_params(),
                                         config.l2)
 
 
@@ -140,8 +140,8 @@ def train(graph, splits, config, task, seed, progress=None):
 def evaluate_classification(graph, params, config, labels):
     """Test accuracy of the classification head over a LabelSet."""
     feats = encode(graph, params, config)
-    probs = decoders.classify_forward(feats, params.head, labels.entities)
-    return evaluation.classification_accuracy(probs.values, labels.classes)
+    logits = decoders.classify_forward(feats, params.head, labels.entities)
+    return evaluation.classification_accuracy(logits.values, labels.classes)
 
 
 def evaluate_links(graph, params, config, test_triples, known):

@@ -141,18 +141,22 @@ def encode(triples, num_entities, num_relations, params, num_blocks,
     return feats
 
 
+def classify_logits(feats, cls_w, node_ids):
+    return [vec_mat(feats[i], cls_w) for i in node_ids]
+
+
 def classify_probs(feats, cls_w, node_ids):
-    out = []
-    for i in node_ids:
-        logits = vec_mat(feats[i], cls_w)
-        out.append(softmax_scalars(logits))
-    return out
+    return [softmax_scalars(row)
+            for row in classify_logits(feats, cls_w, node_ids)]
 
 
-def classification_loss(prob_rows, class_ids):
+def classification_loss(logit_rows, class_ids):
+    """Summed softmax cross entropy: per row, log-sum-exp minus the true
+    logit."""
     loss = 0.0
-    for row_p, k in zip(prob_rows, class_ids):
-        loss -= math.log(max(row_p[k], 1e-12))
+    for row, k in zip(logit_rows, class_ids):
+        m = max(row)
+        loss += m + math.log(sum(math.exp(z - m) for z in row)) - row[k]
     return loss
 
 

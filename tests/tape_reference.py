@@ -3,9 +3,9 @@
 The encoder multiplies relation blocks and scatters edge messages inside
 its fused ops, and the decoder scores triples in one fused op; these
 composable versions (block-diagonal matmul, row scatter-add, dense block
-assembly, sigmoid, elementwise sub/mul, scaling, row and total sums, sum
-of squares) let the tests check those fused ops and the tape against
-independent routes.
+assembly, sigmoid, row softmax, elementwise sub/mul, scaling, row and
+total sums, sum of squares) let the tests check those fused ops and the
+tape against independent routes.
 `grad_check` compares every gradient the tape computes with central
 differences.
 """
@@ -90,6 +90,21 @@ def sigmoid(a):
 
     def bw(g):
         _acc(a, g * res * (1.0 - res))
+
+    _record(out, bw)
+    return out
+
+
+def softmax_rows(a):
+    """Row softmax with max-subtraction."""
+    v = a.values
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    res = e / e.sum(axis=1, keepdims=True)
+    out = Tensor(res)
+
+    def bw(g):
+        inner = (res * g).sum(axis=1, keepdims=True)
+        _acc(a, res * (g - inner))
 
     _record(out, bw)
     return out

@@ -98,7 +98,8 @@ def test_criterion_2_oracle_equivalence():
     cls_params = toy_params(config, task="classify", seed=4)
     cfeats = encode(graph, cls_params, config)
     ids = np.array([0, 2, 5], dtype=np.int64)
-    probs = decoders.classify_forward(cfeats, cls_params.head, ids).values
+    probs = R.softmax_rows(
+        decoders.classify_forward(cfeats, cls_params.head, ids)).values
     oprobs = np.array(oracle.classify_probs(
         [row for row in cfeats.values.tolist()],
         cls_params.head.values.tolist(), ids.tolist()))

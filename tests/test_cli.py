@@ -425,6 +425,19 @@ def truncate_bytes(path):
         fh.write(data[:-5])
 
 
+def npy_header_states(shape, extra_rows=0):
+    """A corruption that writes an id file's rows, plus `extra_rows` copies
+    of its first row, behind a .npy header that states `shape`."""
+    def corrupt(path):
+        rows = np.load(path)
+        rows = np.concatenate([rows] + [rows[:1]] * extra_rows)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<i8", "fortran_order": False, "shape": shape})
+            fh.write(rows.tobytes())
+    return corrupt
+
+
 def text_ids(path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("0\t0\t3\n1\t0\t2\n")
@@ -448,6 +461,11 @@ def tsv_id_bundle(path):
     ("triples_test.npy", first_row([0, 99, 3]), "row 1"),
     ("triples_test.npy", edit_ids(lambda rows: rows[:-1]), "manifest counts"),
     ("triples_test.npy", truncate_bytes, "not a readable .npy id array"),
+    # read as stated, this header would allocate 224 GiB
+    ("triples_test.npy", npy_header_states((10 ** 10, 3)),
+     "10000000000 rows, but the manifest counts 7"),
+    ("triples_test.npy", npy_header_states((7, 3), extra_rows=1),
+     "not a readable .npy id array"),
     ("triples_test.npy", text_ids, "magic string is not correct"),
     ("triples_test.npy", lambda path: open(path, "w").close(),
      "not a readable .npy id array"),
@@ -467,7 +485,8 @@ def tsv_id_bundle(path):
         lambda lines: [line.replace('"counts"', '"tallies"')
                        for line in lines]), "counts"),
 ], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
-        "short-file", "truncated-npy", "text-under-npy-name", "empty-npy",
+        "short-file", "truncated-npy", "overstated-header",
+        "rows-beyond-header", "text-under-npy-name", "empty-npy",
         "float64-ids", "two-column-triples", "tsv-id-bundle",
         "entity-names-bad-id", "truncated-entity-names",
         "truncated-relation-names", "truncated-manifest",

@@ -1,4 +1,4 @@
-"""Decoder heads: classification probabilities/loss, ComplEx/DistMult
+"""Decoder heads: classification logits/loss, ComplEx/DistMult
 scoring laws, negative sampling statistics, and the link loss."""
 
 import math
@@ -23,18 +23,25 @@ from kgar.tensor import Tensor
 
 
 def test_zero_head_uniform_probabilities():
+    # zero logits: each row's softmax is uniform, its cross entropy ln 4
     feats = Tensor(np.random.default_rng(0).standard_normal((5, 6)))
     head = Tensor(np.zeros((6, 4)))
-    probs = dec.classify_forward(feats, head, [0, 2, 4])
-    np.testing.assert_allclose(probs.values, 0.25, atol=1e-15)
+    logits = dec.classify_forward(feats, head, [0, 2, 4])
+    assert not logits.values.any()
+    assert dec.classification_loss(logits, [0, 1, 3]).item() == \
+        pytest.approx(3.0 * math.log(4.0), abs=1e-15)
 
 
 def test_two_class_logit_arithmetic():
     # logits (ln 3, 0) -> probabilities (0.75, 0.25)
     feats = Tensor(np.array([[1.0]]))
     head = Tensor(np.array([[math.log(3.0), 0.0]]))
-    probs = dec.classify_forward(feats, head, [0])
-    np.testing.assert_allclose(probs.values, [[0.75, 0.25]], atol=1e-12)
+    logits = dec.classify_forward(feats, head, [0])
+    np.testing.assert_allclose(logits.values, [[math.log(3.0), 0.0]],
+                               atol=1e-15)
+    for k, p in enumerate((0.75, 0.25)):
+        assert dec.classification_loss(logits, [k]).item() == \
+            pytest.approx(-math.log(p), abs=1e-12)
 
 
 def test_classify_matches_scalar_oracle(toy_graph):
@@ -42,23 +49,24 @@ def test_classify_matches_scalar_oracle(toy_graph):
     params = toy_params(cfg, task="classify", seed=21)
     feats = E.encode(toy_graph, params, cfg)
     ids = sorted(TOY_LABELS)
-    probs = dec.classify_forward(feats, params.head, ids)
+    logits = dec.classify_forward(feats, params.head, ids)
 
     op = to_oracle_params(params, 2)
     feats_oracle = oracle.encode(TOY_TRIPLES, 6, 3, op, 2)
-    probs_oracle = oracle.classify_probs(feats_oracle, op["cls_W"], ids)
-    np.testing.assert_allclose(probs.values, np.array(probs_oracle),
+    logits_oracle = oracle.classify_logits(feats_oracle, op["cls_W"], ids)
+    np.testing.assert_allclose(logits.values, np.array(logits_oracle),
                                atol=1e-10)
 
     classes = [TOY_LABELS[i] for i in ids]
-    loss = dec.classification_loss(probs, classes)
-    loss_oracle = oracle.classification_loss(probs_oracle, classes)
+    loss = dec.classification_loss(logits, classes)
+    loss_oracle = oracle.classification_loss(logits_oracle, classes)
     assert loss.item() == pytest.approx(loss_oracle, abs=1e-10)
 
 
 def test_perfect_prediction_zero_loss():
-    probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert dec.classification_loss(probs, [0, 1]).item() == 0.0
+    # exp(-1000) underflows to 0: each softmax is exactly its one-hot
+    logits = Tensor(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
+    assert dec.classification_loss(logits, [0, 1]).item() == 0.0
 
 
 def test_uniform_prediction_ln_k():
@@ -68,9 +76,9 @@ def test_uniform_prediction_ln_k():
 
 
 def test_classification_loss_includes_l2():
-    probs = Tensor(np.array([[1.0, 0.0]]))
+    logits = Tensor(np.array([[1000.0, 0.0]]))
     reg = T.Parameter("q", [[2.0]], regularized=True)
-    loss = dec.classification_loss(probs, [0], [reg], l2_coefficient=0.0005)
+    loss = dec.classification_loss(logits, [0], [reg], l2_coefficient=0.0005)
     assert loss.item() == pytest.approx(0.0005 * 4.0, abs=1e-15)
 
 
@@ -416,5 +424,10 @@ def test_losses_finite_for_arbitrary_parameters():
     rng = np.random.default_rng(13)
     wild = Tensor(rng.standard_normal((6, 1)) * 1e6)
     assert np.isfinite(dec.link_loss(wild, np.ones(6)).item())
-    probs = T.softmax_rows(Tensor(rng.standard_normal((3, 4)) * 1e4))
-    assert np.isfinite(dec.classification_loss(probs, [0, 1, 2]).item())
+    logits = rng.standard_normal((3, 4)) * 1e4
+    loss = dec.classification_loss(Tensor(logits), [0, 1, 2]).item()
+    # the other logits are so far below each row max that the loss is the
+    # sum of the margins by which the true logits fall short of it
+    margins = logits.max(axis=1) - logits[[0, 1, 2], [0, 1, 2]]
+    assert np.isfinite(loss)
+    assert loss == pytest.approx(margins.sum(), rel=1e-12)

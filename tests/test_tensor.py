@@ -54,10 +54,14 @@ def test_matmul_shape_error():
 
 
 def test_softmax_rows_value():
-    out = T.softmax_rows(T.Tensor([[1.0, 2.0, 3.0]]))
-    np.testing.assert_allclose(
-        out.values, [[0.09003, 0.24473, 0.66524]], atol=1e-5)
-    assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
+    # softmax([1, 2, 3]) = [0.09003, 0.24473, 0.66524]: the cross entropy
+    # against class 2 is -ln 0.66524, its gradient softmax - onehot
+    z = T.Parameter("z", [[1.0, 2.0, 3.0]])
+    out = backward(lambda: T.softmax_cross_entropy(z, [2]), [z])
+    assert out.item() == pytest.approx(-math.log(0.66524), abs=1e-5)
+    np.testing.assert_allclose(z.grad, [[0.09003, 0.24473, -0.33476]],
+                               atol=1e-5)
+    assert z.grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_l2_penalty_value():
@@ -87,10 +91,17 @@ def test_bce_bits_extreme_scores_finite():
     assert np.isfinite(out.item())
 
 
-def test_nll_clamps_tiny_probability():
-    probs = T.Tensor([[1e-20, 1.0 - 1e-20]])
-    out = T.nll_true_class(probs, [0])
-    assert out.item() == pytest.approx(-math.log(1e-12))
+def test_classification_loss_exact_for_a_confidently_wrong_row():
+    # logits [30, 0] with true class 1: the loss is 30 + ln(1 + e^-30) and
+    # the logit gradient softmax - onehot = [1, -1], both to within 1e-12;
+    # a probability floor would cap the loss and zero the gradient
+    feats = T.Parameter("f", [[1.0]])
+    head = T.Parameter("h", [[30.0, 0.0]])
+    out = backward(lambda: decoders.classification_loss(
+        decoders.classify_forward(feats, head, [0]), [1]), [feats, head])
+    assert out.item() == pytest.approx(30.0, abs=1e-12)
+    # the logits are feats[0] * head, with feats[0] = 1
+    np.testing.assert_allclose(head.grad, [[1.0, -1.0]], rtol=0, atol=1e-12)
 
 
 def test_segment_softmax_segments_sum_to_one():
@@ -305,7 +316,7 @@ def test_grad_softmax_sigmoid_relu():
     w = T.Parameter("w", rng.standard_normal((5, 3)))
 
     def loss():
-        x = T.softmax_rows(a)
+        x = R.softmax_rows(a)
         x = T.matmul(x, w)
         x = R.sigmoid(x)
         x = T.relu(R.sub(x, R.scale(R.sigmoid(x), 0.5)))
@@ -384,8 +395,7 @@ def test_grad_losses():
     labels = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
 
     def loss():
-        probs = T.softmax_rows(logits)
-        a = T.nll_true_class(probs, [0, 2, 1, 0])
+        a = T.softmax_cross_entropy(logits, [0, 2, 1, 0])
         b = T.binary_cross_entropy_bits(scores, labels)
         c = T.l2_penalty([logits, reg], 0.01)
         return T.add(T.add(a, b), c)
