@@ -11,7 +11,12 @@ node update is
 
     h_dir_i = ReLU(dropout( sum_r sum_j alpha_ij * W_r h_j + W_0 h_i ))
 
-with W_r block-diagonal. The layer output is h_forward + h_backward. After
+with W_r block-diagonal. The whole update after the attention dropout is
+one tape op, the aggregate: it sums the messages, adds W_0 h_i, applies
+the conv dropout and the ReLU in its own output buffer, and its backward
+reads only that output and the dropout mask. So a training step keeps no
+separate message sum, pre-activation or dropout output per direction.
+The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
 The width, depth, block count, dropout rates and LeakyReLU slope are read
@@ -104,12 +109,22 @@ def edge_inner_product(hw, graph):
     return out
 
 
-def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
-    """sum_r sum_{edges k of r} alpha_k * (h[src_k] @ W_r) scattered to dst.
+def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
+                                   self_pre, mask=None, *, layer, direction):
+    """One whole directional update, computed in one buffer:
+
+        ReLU(dropout(sum_r sum_{edges k of r} alpha_k * (h[src_k] @ W_r)
+                     + self_pre))
+
+    with the messages scattered to dst and summed before self_pre is added.
 
     `blocks` holds every relation's weight, (R*D_in, D_out/B): rows
     r*D_in:(r+1)*D_in are relation r's B diagonal blocks, stacked
-    vertically. Gathered edge features are recomputed in the backward pass.
+    vertically. `mask` is a `tensor.dropout_mask` of the output's shape, or
+    None for no dropout. A non-finite entry after the dropout raises
+    NumericFailure naming `layer`, `direction` and its node; the ReLU would
+    silently zero a NaN. Gathered edge features are recomputed in the
+    backward pass, which reads only the output and the mask.
     """
     din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
@@ -119,9 +134,23 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks):
         ys = _block_forward(hv[plan.src[lo:hi]], q[r])
         ys *= av[lo:hi]
         scatter_rows(res, plan.dst[lo:hi], ys)
+    res += self_pre.values
+    if mask is not None:
+        T.apply_dropout(mask, res, out=res)
+    if not np.isfinite(res).all():
+        node = int(np.flatnonzero(~np.isfinite(res).all(axis=1))[0])
+        raise NumericFailure(
+            f"non-finite hidden state (layer {layer}, direction {direction}, "
+            f"node {node})")
+    np.maximum(res, 0.0, out=res)
     out = Tensor(res)
 
     def bw(g):
+        # for a finite input, out > 0 exactly where the ReLU passed it
+        g *= res > 0.0
+        if mask is not None:
+            T.apply_dropout(mask, g, out=g)
+        _acc(self_pre, g)
         gh = _grad(h)
         galpha = np.empty_like(av)
         # relations without edges keep zero rows
@@ -187,18 +216,10 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
     alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
                               plan.seg_starts)
     alpha = T.dropout(alpha, config.dropout_attention, training, rng)
-    agg = attention_relational_aggregate(
-        h, alpha, plan, weights.blocks[direction], config.num_blocks)
-    pre = T.add(agg, self_pre)
-    pre = T.dropout(pre, config.dropout_conv, training, rng)
-    # checked before the ReLU, which would silently zero NaNs
-    bad = ~np.isfinite(pre.values)
-    if bad.any():
-        node = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise NumericFailure(
-            f"non-finite hidden state (layer {layer}, direction {direction}, "
-            f"node {node})")
-    return T.relu(pre)
+    mask = T.dropout_mask(self_pre.shape, config.dropout_conv, training, rng)
+    return attention_relational_aggregate(
+        h, alpha, plan, weights.blocks[direction], config.num_blocks,
+        self_pre, mask, layer=layer, direction=direction)
 
 
 def conv_stack(graph, params, config, training=False, rng=None):
@@ -208,8 +229,9 @@ def conv_stack(graph, params, config, training=False, rng=None):
         raise ValueError("training mode with dropout needs an rng")
     h = params.embedding
     for layer_index, lw in enumerate(params.layers):
-        # only the scores read hw = h @ att_W, so without a tape it is
-        # freed before the directional passes
+        # only the scores read hw = h @ att_W, and only the directional
+        # passes read the scores and self_pre, so without a tape each is
+        # freed as soon as its readers are done
         hw = T.matmul(h, lw.att_W)
         scores = T.leaky_relu(edge_inner_product(hw, graph),
                               config.leaky_slope)
@@ -221,6 +243,7 @@ def conv_stack(graph, params, config, training=False, rng=None):
         h_bwd = conv_layer_forward(h, graph, lw, config, "backward", training,
                                    rng, scores=scores, self_pre=self_pre,
                                    layer=layer_index)
+        del self_pre, scores
         h = T.add(h_fwd, h_bwd)
     return h
 

@@ -120,9 +120,8 @@ def evaluate_ranking(test, scorer, known):
     for lo in range(0, len(queries), _QUERY_CHUNK):
         block = slice(lo, lo + _QUERY_CHUNK)
         scores = np.asarray(scorer(queries[block]), dtype=np.float64)
-        finite = np.isfinite(scores)
-        if not finite.all():
-            q = lo + int(np.argmin(finite.all(axis=1)))
+        if not np.isfinite(scores).all():
+            q = lo + int(np.argmin(np.isfinite(scores).all(axis=1)))
             raise NumericFailure(
                 f"non-finite candidate score in query {q}, the "
                 f"{('head', 'tail')[queries[q, 2]]} of test triple "
@@ -130,6 +129,9 @@ def evaluate_ranking(test, scorer, known):
         rows, cands = known.known_others(queries[block], targets[block])
         raw[block], filtered[block] = _chunk_ranks(scores, targets[block],
                                                    rows, cands)
+        # freed before the scorer builds the next block, so that one
+        # block, not two, sets the high-water mark
+        del scores
     return raw, filtered
 
 

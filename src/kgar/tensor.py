@@ -243,19 +243,6 @@ def _block_backward_q(xv, g, b):
 # nonlinearities
 
 
-def relu(a):
-    """max(a, 0). The backward mask is read from the output: for a finite
-    input, out > 0 exactly where a > 0."""
-    res = np.maximum(a.values, 0.0)
-    out = Tensor(res)
-
-    def bw(g):
-        _acc(a, g * (res > 0.0))
-
-    _record(out, bw)
-    return out
-
-
 def leaky_relu(a, slope):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
@@ -300,18 +287,37 @@ def segment_softmax(scores, seg_starts):
     return out
 
 
-def dropout(a, rate, training, rng):
-    """Inverted dropout: identity when not training or rate == 0."""
+def dropout_mask(shape, rate, training, rng):
+    """Inverted dropout's mask for an array of `shape`, as (dropped, scale):
+    one draw rng.random(shape) keeps the entries >= rate, the dropped ones
+    are zeroed and the kept ones scaled by 1 / (1 - rate). None when
+    dropout is the identity: not training, or rate == 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if not training or rate == 0.0:
+        return None
+    return rng.random(shape) < rate, 1.0 / (1.0 - rate)
+
+
+def apply_dropout(mask, x, out=None):
+    """x * scale with the dropped entries set to 0.0, into `out` (which may
+    be x) or a new array, for a `dropout_mask` pair: the same map in the
+    forward and the backward pass."""
+    dropped, scale = mask
+    out = np.multiply(x, scale, out=out)
+    np.copyto(out, 0.0, where=dropped)
+    return out
+
+
+def dropout(a, rate, training, rng):
+    """Inverted dropout: identity when not training or rate == 0."""
+    mask = dropout_mask(a.shape, rate, training, rng)
+    if mask is None:
         return a
-    keep = rng.random(a.shape) >= rate
-    factor = 1.0 / (1.0 - rate)
-    out = Tensor(np.where(keep, a.values * factor, 0.0))
+    out = Tensor(apply_dropout(mask, a.values))
 
     def bw(g):
-        _acc(a, np.where(keep, g * factor, 0.0))
+        _acc(a, apply_dropout(mask, g, out=g))
 
     _record(out, bw)
     return out

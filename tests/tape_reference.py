@@ -3,7 +3,7 @@
 The encoder multiplies relation blocks and scatters edge messages inside
 its fused ops, and the decoder scores triples in one fused op; these
 composable versions (block-diagonal matmul, row scatter-add, dense block
-assembly, sigmoid, row softmax, elementwise sub/mul, scaling, row and
+assembly, sigmoid, ReLU, row softmax, elementwise sub/mul, scaling, row and
 total sums, sum of squares) let the tests check those fused ops and the
 tape against independent routes.
 `grad_check` compares every gradient the tape computes with central
@@ -90,6 +90,19 @@ def sigmoid(a):
 
     def bw(g):
         _acc(a, g * res * (1.0 - res))
+
+    _record(out, bw)
+    return out
+
+
+def relu(a):
+    """max(a, 0). The backward mask is read from the output: for a finite
+    input, out > 0 exactly where a > 0."""
+    res = np.maximum(a.values, 0.0)
+    out = Tensor(res)
+
+    def bw(g):
+        _acc(a, g * (res > 0.0))
 
     _record(out, bw)
     return out

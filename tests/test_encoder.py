@@ -145,8 +145,8 @@ def test_edge_inner_product_parity(toy_graph):
 
 
 def aggregate_parity(graph, direction, seed):
-    """The fused aggregate's value and gradients against a composed route
-    of gathers, block products and scatters, one relation at a time."""
+    """The fused directional update's value and gradients against the
+    composed route, ReLU(messages + self_pre)."""
     rng = np.random.default_rng(seed)
     n, d, b, nr = graph.num_entities, 4, 2, graph.num_relations
     h = Parameter("h", rng.standard_normal((n, d)))
@@ -155,11 +155,13 @@ def aggregate_parity(graph, direction, seed):
     # the composed route gives each relation its own rows of q
     qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(nr)]
     alpha_vals = rng.random((plan.src.size, 1))
+    self_pre = Parameter("self_pre", rng.standard_normal((n, d)))
 
     def fused():
         alpha = Tensor(alpha_vals)
-        agg = E.attention_relational_aggregate(h, alpha, plan, q, b)
-        return R.sum_squares(agg)
+        out = E.attention_relational_aggregate(h, alpha, plan, q, b, self_pre,
+                                               layer=0, direction=direction)
+        return R.sum_squares(out)
 
     def composed():
         total = None
@@ -172,12 +174,13 @@ def aggregate_parity(graph, direction, seed):
             w = Tensor(alpha_vals[lo:hi])
             part = R.scatter_add_rows(R.mul(ys, w), plan.dst[lo:hi], n)
             total = part if total is None else T.add(total, part)
-        return R.sum_squares(total)
+        return R.sum_squares(R.relu(T.add(total, self_pre)))
 
-    v1, (gh1, gq1) = grads_of(fused, [h, q])
-    v2, (gh2, *gqs) = grads_of(composed, [h] + qs)
+    v1, (gh1, gq1, gs1) = grads_of(fused, [h, q, self_pre])
+    v2, (gh2, gs2, *gqs) = grads_of(composed, [h, self_pre] + qs)
     assert v1 == pytest.approx(v2, abs=1e-10)
     np.testing.assert_allclose(gh1, gh2, atol=1e-12)
+    np.testing.assert_allclose(gs1, gs2, atol=1e-12)
     # the composed route leaves a relation without edges with no gradient
     gqs = [g if g.ndim else np.zeros((d, d // b)) for g in gqs]
     np.testing.assert_allclose(gq1, np.concatenate(gqs), atol=1e-12)
@@ -193,12 +196,97 @@ def test_attention_aggregate_alpha_gradient(toy_graph):
     h = Tensor(rng.standard_normal((6, 4)))
     q = Parameter("q", rng.standard_normal((3 * 4, 2)))
     alpha = Parameter("alpha", rng.random((plan.src.size, 1)))
+    self_pre = Tensor(rng.standard_normal((6, 4)))
 
     def loss():
-        return R.sum_squares(
-            E.attention_relational_aggregate(h, alpha, plan, q, 2))
+        return R.sum_squares(E.attention_relational_aggregate(
+            h, alpha, plan, q, 2, self_pre, layer=0, direction="forward"))
 
     assert R.grad_check(loss, [alpha]) < 1e-6
+
+
+def fused_update_inputs(graph, seed):
+    """h, alpha, the forward plan, relation blocks and self_pre for a
+    width-4, two-block directional update on `graph`, all Parameters."""
+    rng = np.random.default_rng(seed)
+    n, nr = graph.num_entities, graph.num_relations
+    plan = graph.plan("forward")
+    return (Parameter("h", rng.standard_normal((n, 4))),
+            Parameter("alpha", rng.random((plan.src.size, 1))),
+            plan,
+            Parameter("q", rng.standard_normal((nr * 4, 2))),
+            Parameter("self_pre", rng.standard_normal((n, 4))))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
+    # the messages are summed in plan order first and self_pre is added
+    # after, then the conv dropout and the ReLU follow, as separate add,
+    # dropout and ReLU ops would do it; the mask is the draw T.dropout
+    # makes from the same rng state
+    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 30)
+    mask = T.dropout_mask(self_pre.shape, rate, True,
+                          np.random.default_rng(31))
+    assert (mask is None) == (rate == 0.0)
+    got = E.attention_relational_aggregate(h, alpha, plan, q, 2, self_pre,
+                                           mask, layer=0,
+                                           direction="forward").values
+    msgs = np.zeros((plan.src.size, 4))
+    for r in range(toy_graph.num_relations):
+        lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
+        xs = T.gather_rows(h, plan.src[lo:hi])
+        ys = R.block_matmul(xs, Tensor(q.values[r * 4:(r + 1) * 4]), 2)
+        msgs[lo:hi] = R.mul(ys, Tensor(alpha.values[lo:hi])).values
+    agg = R.scatter_add_rows(Tensor(msgs), plan.dst, toy_graph.num_entities)
+    expected = R.relu(T.dropout(T.add(agg, self_pre), rate, True,
+                                np.random.default_rng(31))).values
+    assert (got > 0).any() and (got == 0).any()
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_fused_update_grad_check_under_a_mask(toy_graph):
+    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 32)
+    mask = T.dropout_mask(self_pre.shape, 0.5, True, np.random.default_rng(33))
+    assert mask[0].any() and not mask[0].all()
+
+    def loss():
+        return R.sum_squares(E.attention_relational_aggregate(
+            h, alpha, plan, q, 2, self_pre, mask, layer=0,
+            direction="forward"))
+
+    assert R.grad_check(loss, [h, alpha, q, self_pre]) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fused_update_names_the_first_non_finite_node(toy_graph):
+    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 34)
+    self_pre.values[3, 1] = np.nan
+    self_pre.values[5, 0] = np.nan
+    with pytest.raises(NumericFailure) as info:
+        E.attention_relational_aggregate(h, alpha, plan, q, 2, self_pre,
+                                         layer=1, direction="backward")
+    assert str(info.value) == ("non-finite hidden state (layer 1, direction "
+                               "backward, node 3)")
+
+
+def test_directional_update_is_one_tape_op(toy_graph):
+    # with the attention dropout off, a training pass records the score
+    # gather, the softmax and the fused update: the message sum, the self
+    # term, the conv dropout and the ReLU keep no closure of their own
+    cfg = toy_config(dropout_attention=0.0, dropout_conv=0.5)
+    params = toy_params(cfg, seed=35)
+    lw = params.layers[0]
+    h = params.embedding
+    scores = T.leaky_relu(E.edge_inner_product(T.matmul(h, lw.att_W),
+                                               toy_graph), cfg.leaky_slope)
+    self_pre = T.matmul(h, lw.self_W)
+    with T.Tape() as tape:
+        out = E.conv_layer_forward(h, toy_graph, lw, cfg, "forward", True,
+                                   np.random.default_rng(36), scores=scores,
+                                   self_pre=self_pre, layer=0)
+        assert len(tape._steps) == 3
+        tape.backward(R.sum_squares(out))
+    assert self_pre.grad is not None and lw.blocks["forward"].grad.any()
 
 
 def test_gated_neighbor_sum_parity(toy_graph):

@@ -1,5 +1,7 @@
 """Ranking and metric laws, checked against brute-force recomputation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,28 @@ def test_filter_index_key_ranges_end_at_their_neighbours():
                      for t in range(v)])
     np.testing.assert_array_equal(index.contains(rows),
                                   [tuple(t) in known for t in rows.tolist()])
+
+
+def test_ranking_holds_one_score_block_at_a_time():
+    # 800 queries make four blocks; a block still alive while the scorer
+    # builds the next one would put the peak near two blocks
+    rng = np.random.default_rng(6)
+    v, n = 4000, 400
+    test = np.stack([rng.integers(0, v, n), np.zeros(n, dtype=np.int64),
+                     rng.integers(0, v, n)], axis=1)
+    known = filter_index(map(tuple, test), v)
+
+    def scorer(queries):
+        return rng.random((len(queries), v))
+
+    block = ev._QUERY_CHUNK * v * 8
+    tracemalloc.start()
+    try:
+        ev.evaluate_ranking(test, scorer, known)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
