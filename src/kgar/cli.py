@@ -118,6 +118,9 @@ def _train_splits(bundle):
             splits["labels_valid"] = bundle.labels["valid"]
         return splits
     _nonempty(bundle.graph.triple_array(), "train", "train")
+    if bundle.num_entities < 2:
+        raise DataError("link prediction needs at least 2 entities to sample "
+                        f"negatives; the bundle has {bundle.num_entities}")
     return {"valid": bundle.splits["valid"]}
 
 
@@ -238,8 +241,8 @@ def cmd_evaluate(args):
     if run.task != bundle.task:
         raise DataError(f"bundle was preprocessed for task {bundle.task!r}; "
                         f"cannot evaluate a {run.task!r} snapshot on it")
-    params = rebuild_params(arrays, run, run.task, run.decoder,
-                            bundle.num_entities, bundle.num_relations,
+    params = rebuild_params(arrays, run, bundle.num_entities,
+                            bundle.num_relations,
                             bundle.manifest.get("num_classes"))
     report = _evaluate_bundle(run, params, bundle)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -50,7 +50,10 @@ class RunConfig:
              "classification protocol and reused for link prediction")
     dropout_conv: float = _setting(0.4, "dropout on pre-activation "
                                         "aggregates")
-    l2: float = _setting(0.0005, "L2 penalty coefficient")
+    l2: float = _setting(0.0005, "L2 penalty coefficient, on the relation "
+                                 "weights for classification and on the "
+                                 "relation embeddings and the batch's "
+                                 "entity rows for link prediction")
     learning_rate: float = _setting(0.01, "step size")
     batch_size: int = _setting(50, "sampled positives per iteration for link "
                                    "prediction; classification always trains "

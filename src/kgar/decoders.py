@@ -1,6 +1,7 @@
 """Task heads: classification logits, ComplEx and DistMult triple scoring,
-1-N candidate scoring for ranking, negative sampling, and the two loss
-functions.
+1-N candidate scoring for ranking, and negative sampling. The losses are
+the generic tape ops `tensor.softmax_cross_entropy` and
+`tensor.binary_cross_entropy_bits`; `training.train` adds the L2 term.
 
 Entity features are the encoder output F. Relation embeddings are
 decoder-owned parameters, independent of the encoder. Both decoders are
@@ -33,20 +34,6 @@ from .tensor import Tensor, _grad, _record, _row_index
 def classify_forward(feats, head, node_ids):
     """Class logits for the given nodes: F[ids] @ head."""
     return T.matmul(T.gather_rows(feats, np.asarray(node_ids)), head)
-
-
-def classification_loss(logits, class_ids, params=(), l2_coefficient=0.0):
-    """Softmax cross entropy of the logits against the true classes,
-    summed over rows, plus L2.
-
-    The L2 term covers the `regularized` parameters among `params` (the
-    relation block weights, for this task).
-    """
-    loss = T.softmax_cross_entropy(logits, class_ids)
-    if l2_coefficient:
-        loss = T.add(loss, T.l2_penalty([p for p in params if p.regularized],
-                                        l2_coefficient))
-    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +136,7 @@ def query_scorer(feats, params, decoder):
 
 
 # ---------------------------------------------------------------------------
-# negative sampling and the link loss
+# negative sampling
 
 
 def sample_negatives(positives, num_entities, rng, known=None):
@@ -186,21 +173,3 @@ def sample_negatives(positives, num_entities, rng, known=None):
     samples[1::2] = negatives
     labels = np.tile([1.0, 0.0], m)
     return samples, labels
-
-
-def link_loss(scores, labels, params=(), feats=None, triples=(),
-              l2_coefficient=0.0):
-    """Mean base-2 binary cross entropy plus L2 on the decoder side.
-
-    The L2 term covers the regularized parameters (relation embeddings)
-    and the rows of `feats` that the (n, 3) `triples` name as heads and
-    tails, each as often as it is named: the sum over the gathered rows.
-    """
-    loss = T.binary_cross_entropy_bits(scores, labels)
-    if l2_coefficient:
-        rows = None
-        if feats is not None:
-            rows = (feats, np.asarray(triples)[:, [0, 2]].ravel())
-        loss = T.add(loss, T.l2_penalty([p for p in params if p.regularized],
-                                        l2_coefficient, rows))
-    return loss

@@ -131,9 +131,9 @@ def _checked(arrays, name, shape):
     return values
 
 
-def rebuild_params(arrays, config, task, decoder, num_entities, num_relations,
-                   num_classes):
-    """Reassemble a ModelParams from a name->array mapping (see snapshot).
+def rebuild_params(arrays, config, num_entities, num_relations, num_classes):
+    """Reassemble a ModelParams from a name->array mapping (see snapshot),
+    in the layout of `config.task` and `config.decoder`.
 
     Raises SnapshotError for a parameter that is missing, whose shape
     differs from its `schema` shape (dataset counts included) or that
@@ -142,7 +142,8 @@ def rebuild_params(arrays, config, task, decoder, num_entities, num_relations,
     """
     params = {}
     for name, shape, _, regularized in schema(
-            num_entities, num_relations, config, task, decoder, num_classes):
+            num_entities, num_relations, config, config.task, config.decoder,
+            num_classes):
         params[name] = Parameter(name, _checked(arrays, name, shape),
                                  regularized)
     return ModelParams(params, config.num_layers)

@@ -374,29 +374,21 @@ def binary_cross_entropy_bits(scores, labels):
     return out
 
 
-def l2_penalty(tensors, coefficient, rows=None):
+def l2_penalty(tensors, coefficient):
     """coefficient * sum of squared entries over all the given tensors.
 
-    `rows` = (a, ids) adds the squared norm of row a[i] once for every
-    entry i of the 1-D `ids`: the penalty on the gathered rows a[ids],
-    repeats included, computed on each distinct row once.
+    A tensor made by `gather_rows` penalises the rows it gathered, each as
+    often as it was gathered; its backward routes the gradient on.
     """
     if coefficient < 0:
         raise ValueError(f"l2 coefficient must be >= 0, got {coefficient}")
     total = sum(float(np.square(t.values).sum()) for t in tensors)
-    if rows is not None:
-        a, ids = rows
-        ids, counts = np.unique(_row_index(a, ids, "l2_penalty"),
-                                return_counts=True)
-        total += float(counts @ np.square(a.values[ids]).sum(axis=1))
     out = Tensor([[coefficient * total]])
 
     def bw(g):
         c = 2.0 * coefficient * g[0, 0]
         for t in tensors:
             _acc(t, c * t.values)
-        if rows is not None:
-            _grad(a)[ids] += (c * counts)[:, None] * a.values[ids]
 
     _record(out, bw)
     return out

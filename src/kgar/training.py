@@ -8,6 +8,14 @@ Both tasks run plain gradient descent by default (`optimizer="adam"`
 switches). The encoder, the step and the evaluation helpers all read one
 `RunConfig`. Every randomized choice flows from one seeded generator, so a
 fixed seed gives bit-identical runs.
+
+Each step returns its data loss (summed softmax cross entropy for
+classification, mean binary cross entropy in bits for link prediction) and
+the feature rows it names for L2. `train` alone adds the L2 term:
+`config.l2` times the sum of squared entries of the schema's `regularized`
+parameters (the relation blocks for classification, the relation
+embeddings for link prediction) and of those rows (for link prediction,
+the batch's head and tail rows, each as often as it is named).
 """
 
 from __future__ import annotations
@@ -31,8 +39,7 @@ class TrainResult:
 def _classify_step(graph, params, config, ids, classes, rng):
     feats = encode(graph, params, config, training=True, rng=rng)
     logits = decoders.classify_forward(feats, params.head, ids)
-    return decoders.classification_loss(logits, classes, params.all_params(),
-                                        config.l2)
+    return T.softmax_cross_entropy(logits, classes), []
 
 
 def _linkpred_step(graph, params, config, triples, known, rng):
@@ -42,8 +49,9 @@ def _linkpred_step(graph, params, config, triples, known, rng):
         positives, graph.num_entities, rng, known=known)
     feats = encode(graph, params, config, training=True, rng=rng)
     scores = decoders.score_triples(params, feats, samples, config.decoder)
-    return decoders.link_loss(scores, labels, params.all_params(), feats,
-                              samples, config.l2)
+    rows = ([T.gather_rows(feats, samples[:, [0, 2]].ravel())]
+            if config.l2 else [])
+    return T.binary_cross_entropy_bits(scores, labels), rows
 
 
 def train(graph, splits, config, task, seed, progress=None):
@@ -106,13 +114,17 @@ def train(graph, splits, config, task, seed, progress=None):
     else:
         raise ValueError(f"unknown task {task!r}")
 
+    penalized = [p for p in params.all_params() if p.regularized]
     adam_state = T.AdamState()
     for iteration in range(1, config.iterations + 1):
         # a failure in the step, the update or the validation names the
         # iteration
         try:
             with Tape() as tape:
-                loss = step()
+                loss, rows = step()
+                if config.l2:
+                    loss = T.add(loss, T.l2_penalty(penalized + rows,
+                                                    config.l2))
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NumericFailure("non-finite loss")

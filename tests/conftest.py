@@ -1,11 +1,12 @@
 """Shared toy fixtures: a 6-node, 3-relation graph, parameter builders,
-and single-triple scoring."""
+single-triple scoring and the training step's L2 term."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kgar import tensor as T
 from kgar.config import RunConfig
 from kgar.data import KnowledgeGraph
 from kgar.decoders import score_triples
@@ -41,6 +42,16 @@ def toy_params(config, task="classify", seed=0, num_classes=4,
     rng = np.random.default_rng(seed)
     return init_params(num_entities, num_relations, config, task, rng,
                        num_classes=num_classes, decoder=decoder)
+
+
+def with_l2(data_loss, params, coefficient, feats=None, samples=None):
+    """`data_loss` plus the L2 term that `training.train` adds: the
+    `regularized` parameters and, given `feats` and an (n, 3) `samples`
+    array, the gathered head and tail rows, repeats included."""
+    rows = [] if feats is None else [
+        T.gather_rows(feats, np.asarray(samples)[:, [0, 2]].ravel())]
+    penalized = [p for p in params if p.regularized]
+    return T.add(data_loss, T.l2_penalty(penalized + rows, coefficient))
 
 
 def relation_rows(params, layer, direction):

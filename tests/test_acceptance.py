@@ -20,14 +20,15 @@ import tape_reference as R
 from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES,
                       antisymmetric_relations, complex_score,
                       distmult_score, relation_rows, to_oracle_params,
-                      toy_config, toy_params)
+                      toy_config, toy_params, with_l2)
 from kgar import datasets, decoders, evaluation, synthetic, training
 from kgar.config import resolve_config
 from kgar.data import DataError, KnowledgeGraph
 from kgar.encoder import conv_stack, encode
 from kgar.model import init_params
 from kgar.snapshot import save_snapshot
-from kgar.tensor import Tensor, segment_softmax
+from kgar.tensor import (Tensor, binary_cross_entropy_bits, segment_softmax,
+                         softmax_cross_entropy)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,8 +53,8 @@ def test_criterion_1_gradient_correctness():
     def classification_loss():
         feats = encode(graph, cls_params, config)
         probs = decoders.classify_forward(feats, cls_params.head, ids)
-        return decoders.classification_loss(probs, classes,
-                                            cls_params.all_params(), 0.0005)
+        return with_l2(softmax_cross_entropy(probs, classes),
+                       cls_params.all_params(), 0.0005)
 
     err_cls = R.grad_check(classification_loss, cls_params.all_params())
 
@@ -66,8 +67,8 @@ def test_criterion_1_gradient_correctness():
         feats = encode(graph, link_params, config)
         scores = decoders.score_triples(link_params, feats, samples,
                                         "complex")
-        return decoders.link_loss(scores, labels, link_params.all_params(),
-                                  feats, samples, 0.01)
+        return with_l2(binary_cross_entropy_bits(scores, labels),
+                       link_params.all_params(), 0.01, feats, samples)
 
     err_link = R.grad_check(link_loss, link_params.all_params())
     took = time.time() - started

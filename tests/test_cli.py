@@ -860,6 +860,24 @@ def test_empty_needed_split_is_data_error(tmp_path, capsys, make, emptied,
             "least one row") in capsys.readouterr().err
 
 
+def test_one_entity_linkpred_bundle_is_data_error(tmp_path, capsys):
+    # every split is the self-loop (a, r, a): the bundle is valid, but no
+    # other entity can corrupt a triple
+    d = tmp_path / "d"
+    d.mkdir()
+    for name in ("train.tsv", "valid.tsv", "test.tsv"):
+        (d / name).write_text("a\tr\ta\n", encoding="utf-8")
+    assert cli.main(["preprocess", "--dataset", str(d)]) == 0
+    out = tmp_path / "run"
+    code = cli.main(["train", "--dataset", str(d), "--out", str(out),
+                     "--iterations", "2", "--embed-dim", "4",
+                     "--num-blocks", "2"])
+    assert code == 2
+    assert not out.exists()
+    assert ("data error: link prediction needs at least 2 entities to "
+            "sample negatives; the bundle has 1") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("make, emptied", [
     (small_linkpred, "valid.tsv"), (small_classify, "labels_valid.tsv"),
 ], ids=["linkpred", "classify"])

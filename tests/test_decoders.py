@@ -1,5 +1,7 @@
-"""Decoder heads: classification logits/loss, ComplEx/DistMult
-scoring laws, negative sampling statistics, and the link loss."""
+"""Decoder heads: classification logits and their cross entropy,
+ComplEx/DistMult scoring laws, negative sampling statistics, the link
+cross entropy, and each task's loss with the L2 term of the training
+step."""
 
 import math
 from types import SimpleNamespace
@@ -10,7 +12,7 @@ import pytest
 import scalar_oracle as oracle
 import tape_reference as R
 from conftest import TOY_LABELS, TOY_TRIPLES, complex_score, \
-    distmult_score, to_oracle_params, toy_config, toy_params
+    distmult_score, to_oracle_params, toy_config, toy_params, with_l2
 from kgar import decoders as dec
 from kgar import encoder as E
 from kgar import tensor as T
@@ -28,7 +30,7 @@ def test_zero_head_uniform_probabilities():
     head = Tensor(np.zeros((6, 4)))
     logits = dec.classify_forward(feats, head, [0, 2, 4])
     assert not logits.values.any()
-    assert dec.classification_loss(logits, [0, 1, 3]).item() == \
+    assert T.softmax_cross_entropy(logits, [0, 1, 3]).item() == \
         pytest.approx(3.0 * math.log(4.0), abs=1e-15)
 
 
@@ -40,7 +42,7 @@ def test_two_class_logit_arithmetic():
     np.testing.assert_allclose(logits.values, [[math.log(3.0), 0.0]],
                                atol=1e-15)
     for k, p in enumerate((0.75, 0.25)):
-        assert dec.classification_loss(logits, [k]).item() == \
+        assert T.softmax_cross_entropy(logits, [k]).item() == \
             pytest.approx(-math.log(p), abs=1e-12)
 
 
@@ -58,7 +60,7 @@ def test_classify_matches_scalar_oracle(toy_graph):
                                atol=1e-10)
 
     classes = [TOY_LABELS[i] for i in ids]
-    loss = dec.classification_loss(logits, classes)
+    loss = T.softmax_cross_entropy(logits, classes)
     loss_oracle = oracle.classification_loss(logits_oracle, classes)
     assert loss.item() == pytest.approx(loss_oracle, abs=1e-10)
 
@@ -66,19 +68,21 @@ def test_classify_matches_scalar_oracle(toy_graph):
 def test_perfect_prediction_zero_loss():
     # exp(-1000) underflows to 0: each softmax is exactly its one-hot
     logits = Tensor(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
-    assert dec.classification_loss(logits, [0, 1]).item() == 0.0
+    assert T.softmax_cross_entropy(logits, [0, 1]).item() == 0.0
 
 
 def test_uniform_prediction_ln_k():
     probs = Tensor(np.full((1, 4), 0.25))
-    assert dec.classification_loss(probs, [2]).item() == \
+    assert T.softmax_cross_entropy(probs, [2]).item() == \
         pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_classification_loss_includes_l2():
+    # the L2 term covers the regularized parameter only
     logits = Tensor(np.array([[1000.0, 0.0]]))
     reg = T.Parameter("q", [[2.0]], regularized=True)
-    loss = dec.classification_loss(logits, [0], [reg], l2_coefficient=0.0005)
+    free = T.Parameter("h", [[5.0]])
+    loss = with_l2(T.softmax_cross_entropy(logits, [0]), [reg, free], 0.0005)
     assert loss.item() == pytest.approx(0.0005 * 4.0, abs=1e-15)
 
 
@@ -91,8 +95,8 @@ def test_classification_grad_check(toy_graph):
     def loss():
         feats = E.encode(toy_graph, params, cfg)
         probs = dec.classify_forward(feats, params.head, ids)
-        return dec.classification_loss(probs, classes, params.all_params(),
-                                       l2_coefficient=0.0005)
+        return with_l2(T.softmax_cross_entropy(probs, classes),
+                       params.all_params(), 0.0005)
 
     assert R.grad_check(loss, params.all_params()) < 1e-4
 
@@ -347,25 +351,25 @@ def test_known_triples_keep_the_sampling_stream():
 
 
 # ---------------------------------------------------------------------------
-# link loss
+# link loss: binary cross entropy in bits, plus L2 with the gathered rows
 
 
 def test_link_loss_is_one_bit_at_zero_scores():
     scores = Tensor(np.zeros((4, 1)))
-    loss = dec.link_loss(scores, [1.0, 0.0, 1.0, 0.0])
+    loss = T.binary_cross_entropy_bits(scores, [1.0, 0.0, 1.0, 0.0])
     assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_link_loss_saturated_positive_near_zero():
     scores = Tensor(np.array([[30.0]]))
-    assert dec.link_loss(scores, [1.0]).item() < 1e-9
+    assert T.binary_cross_entropy_bits(scores, [1.0]).item() < 1e-9
 
 
 def test_link_loss_matches_scalar_oracle():
     rng = np.random.default_rng(11)
     s = rng.standard_normal((8, 1))
     y = (rng.random(8) < 0.5).astype(float)
-    got = dec.link_loss(Tensor(s), y).item()
+    got = T.binary_cross_entropy_bits(Tensor(s), y).item()
     expected = oracle.link_loss(s[:, 0].tolist(), y.tolist())
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -375,8 +379,8 @@ def test_link_loss_l2_term():
     scores = Tensor(np.zeros((2, 1)))
     rel = T.Parameter("w", [[3.0]], regularized=True)
     feats = Tensor(np.array([[1.0, 2.0], [2.0, 0.0], [7.0, 7.0]]))
-    loss = dec.link_loss(scores, [1.0, 0.0], [rel], feats,
-                         [(0, 0, 1), (0, 0, 0)], l2_coefficient=0.01)
+    loss = with_l2(T.binary_cross_entropy_bits(scores, [1.0, 0.0]), [rel],
+                   0.01, feats, [(0, 0, 1), (0, 0, 0)])
     assert loss.item() == pytest.approx(1.0 + 0.01 * 9.0 + 0.01 * 19.0,
                                         abs=1e-12)
 
@@ -392,10 +396,11 @@ def test_count_weighted_l2_equals_sum_over_gathered_rows():
     scores = Tensor(np.zeros((5, 1)))
     labels = np.ones(5)
     with T.Tape() as tape:
-        loss = dec.link_loss(scores, labels, (), feats, triples, c)
+        loss = with_l2(T.binary_cross_entropy_bits(scores, labels), (), c,
+                       feats, triples)
     tape.backward(loss)
     gathered = feats.values[np.concatenate([triples[:, 0], triples[:, 2]])]
-    base = dec.link_loss(scores, labels).item()
+    base = T.binary_cross_entropy_bits(scores, labels).item()
     assert loss.item() - base == pytest.approx(
         c * np.square(gathered).sum(), rel=1e-12, abs=0.0)
     expected = np.zeros_like(feats.values)
@@ -414,8 +419,8 @@ def test_link_loss_grad_check(toy_graph):
         def loss():
             feats = E.encode(toy_graph, params, cfg)
             scores = dec.score_triples(params, feats, samples, decoder)
-            return dec.link_loss(scores, labels, params.all_params(), feats,
-                                 samples, l2_coefficient=0.01)
+            return with_l2(T.binary_cross_entropy_bits(scores, labels),
+                           params.all_params(), 0.01, feats, samples)
 
         assert R.grad_check(loss, params.all_params()) < 1e-4, decoder
 
@@ -423,9 +428,9 @@ def test_link_loss_grad_check(toy_graph):
 def test_losses_finite_for_arbitrary_parameters():
     rng = np.random.default_rng(13)
     wild = Tensor(rng.standard_normal((6, 1)) * 1e6)
-    assert np.isfinite(dec.link_loss(wild, np.ones(6)).item())
+    assert np.isfinite(T.binary_cross_entropy_bits(wild, np.ones(6)).item())
     logits = rng.standard_normal((3, 4)) * 1e4
-    loss = dec.classification_loss(Tensor(logits), [0, 1, 2]).item()
+    loss = T.softmax_cross_entropy(Tensor(logits), [0, 1, 2]).item()
     # the other logits are so far below each row max that the loss is the
     # sum of the margins by which the true logits fall short of it
     margins = logits.max(axis=1) - logits[[0, 1, 2], [0, 1, 2]]

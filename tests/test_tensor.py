@@ -97,7 +97,7 @@ def test_classification_loss_exact_for_a_confidently_wrong_row():
     # a probability floor would cap the loss and zero the gradient
     feats = T.Parameter("f", [[1.0]])
     head = T.Parameter("h", [[30.0, 0.0]])
-    out = backward(lambda: decoders.classification_loss(
+    out = backward(lambda: T.softmax_cross_entropy(
         decoders.classify_forward(feats, head, [0]), [1]), [feats, head])
     assert out.item() == pytest.approx(30.0, abs=1e-12)
     # the logits are feats[0] * head, with feats[0] = 1

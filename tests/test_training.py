@@ -1,16 +1,19 @@
 """Training loop behavior: loss decrease, determinism, abort-on-NaN,
-progress reports, and the small-step descent property."""
+progress reports, the L2 term, and the small-step descent property."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TOY_LABELS, TOY_TRIPLES
+import scalar_oracle as oracle
+from conftest import TOY_LABELS, TOY_TRIPLES, with_l2
 from kgar import decoders, training
 from kgar import tensor as T
 from kgar.config import resolve_config
-from kgar.data import KnowledgeGraph, LabelSet
+from kgar.data import DIRECTIONS, KnowledgeGraph, LabelSet
 from kgar.encoder import encode
 from kgar.snapshot import MAGIC, load_snapshot, save_snapshot
 from kgar.tensor import NumericFailure
@@ -120,6 +123,80 @@ def test_numeric_failure_names_iteration(graph):
                        cfg, "classify", seed=3)
 
 
+# the parameters `model.schema` flags as regularized, per task and decoder
+PENALIZED = {
+    ("classify", "complex"): [f"layer{layer}.{direction}.blocks"
+                              for layer in range(2)
+                              for direction in DIRECTIONS],
+    ("linkpred", "complex"): ["decoder.rel_re", "decoder.rel_im"],
+    ("linkpred", "distmult"): ["decoder.rel_diag"],
+}
+
+
+@pytest.mark.parametrize("task, decoder", sorted(PENALIZED))
+def test_train_l2_term_equals_scalar_oracle(monkeypatch, task, decoder):
+    # one iteration at l2 = c and one at l2 = 0 from the same seed make the
+    # same draws, so their losses differ by exactly the L2 term; the
+    # self-loop (2, 1, 2) puts a head that is its own tail in the batch
+    graph = KnowledgeGraph(TOY_TRIPLES + [(2, 1, 2)], 6, 3)
+    splits = {"labels_train": toy_labelset()} if task == "classify" else {}
+    encode_fn, score_fn = training.encode, decoders.score_triples
+    seen = []
+
+    def spy_encode(graph, params, config, **kw):
+        seen.append({p.name: p.values.tolist() for p in params.all_params()})
+        return encode_fn(graph, params, config, **kw)
+
+    def spy_score(params, feats, triples, decoder):
+        seen[-1]["batch"] = triples.tolist()
+        seen[-1]["rows"] = [feats.values[i].tolist()
+                            for triple in triples for i in triple[[0, 2]]]
+        return score_fn(params, feats, triples, decoder)
+
+    monkeypatch.setattr(training, "encode", spy_encode)
+    monkeypatch.setattr(decoders, "score_triples", spy_score)
+    c = 0.01
+    losses = []
+    for l2 in (c, 0.0):
+        cfg = toy_run_config(task, iterations=1, l2=l2, decoder=decoder,
+                             batch_size=32, dropout_attention=0.3,
+                             dropout_conv=0.3, seed=12)
+        (record,) = train_recorded(graph, splits, cfg)
+        losses.append(record[1])
+    first, second = seen
+    assert first == second
+    matrices = [first[name] for name in PENALIZED[task, decoder]]
+    if task == "linkpred":
+        assert any(h == t for h, _, t in first["batch"])
+        matrices.append(first["rows"])
+    expected = oracle.l2_sum(c, matrices)
+    assert losses[0] - losses[1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_l2_rule_in_the_training_step():
+    # training.train alone builds the L2 term, and decoders.py holds no
+    # loss function that could add a second one
+    package = Path(training.__file__).parent
+    calls, losses = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) \
+                        else getattr(func, "id", None)
+                    if name == "l2_penalty":
+                        calls.append(
+                            f"{path.name}:{getattr(top, 'name', node.lineno)}")
+        if path.name == "decoders.py":
+            losses = [node.name for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name.endswith("_loss")]
+    assert calls == ["training.py:train"]
+    assert losses == []
+
+
 def test_small_step_never_increases_full_batch_loss(graph):
     # descent property of one sgd_step at tiny lr on the same batch
     cfg = toy_run_config("classify", iterations=1)
@@ -131,8 +208,8 @@ def test_small_step_never_increases_full_batch_loss(graph):
     def batch_loss():
         feats = encode(graph, params, cfg)
         probs = decoders.classify_forward(feats, params.head, labels.entities)
-        return decoders.classification_loss(probs, labels.classes,
-                                            params.all_params(), cfg.l2)
+        return with_l2(T.softmax_cross_entropy(probs, labels.classes),
+                       params.all_params(), cfg.l2)
 
     for _ in range(5):
         before = batch_loss().item()
@@ -200,7 +277,7 @@ def test_snapshot_roundtrip_bit_exact(graph, tmp_path):
         for p in result.params.all_params():
             np.testing.assert_array_equal(arrays[p.name], p.values)
         # rebuild into a structured ModelParams and re-encode identically
-        rebuilt = rebuild_params(arrays, cfg, task, decoder, 6, 3, 4)
+        rebuilt = rebuild_params(arrays, cfg, 6, 3, 4)
         assert ([(p.name, p.regularized) for p in rebuilt.all_params()]
                 == [(p.name, p.regularized)
                     for p in result.params.all_params()])
