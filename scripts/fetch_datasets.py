@@ -160,20 +160,34 @@ def cmd_convert_rdf(args):
     return 0
 
 
+def _read_fb15k237_split(path):
+    """The (head, rel, tail) rows of one FB15K-237 split file. Blank lines
+    are skipped; any other line without three tab-separated fields stops
+    the conversion, naming its file and line."""
+    if not os.path.exists(path):
+        raise SystemExit(f"{path}: file not found")
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise SystemExit(f"{path}:{lineno}: expected 3 tab-separated "
+                                 f"fields, got {len(parts)}")
+            rows.append(tuple(parts))
+    return rows
+
+
 def cmd_convert_fb15k237(args):
+    # every split is read and checked before anything is written
+    splits = {dst_name: _read_fb15k237_split(os.path.join(args.src, src_name))
+              for src_name, dst_name in (("train.txt", "train.tsv"),
+                                         ("valid.txt", "valid.tsv"),
+                                         ("test.txt", "test.tsv"))}
     os.makedirs(args.out, exist_ok=True)
-    for src_name, dst_name in (("train.txt", "train.tsv"),
-                               ("valid.txt", "valid.tsv"),
-                               ("test.txt", "test.tsv")):
-        src = os.path.join(args.src, src_name)
-        if not os.path.exists(src):
-            raise SystemExit(f"{src}: file not found")
-        rows = []
-        with open(src, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) == 3:
-                    rows.append(tuple(parts))
+    for dst_name, rows in splits.items():
         _write_tsv(os.path.join(args.out, dst_name), rows)
     print(f"done; next: kgar preprocess --dataset {args.out}")
     return 0

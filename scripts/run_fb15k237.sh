@@ -3,10 +3,11 @@
 #
 # This is an extended experiment, not part of the desk-checked test suite:
 # it needs the dataset on disk (see scripts/fetch_datasets.py --list) and,
-# at the D=500 settings below, about 56 hours on a 2-vCPU machine (33.8-
-# 33.9 s of CPU time per iteration and a 2.66 GB peak RSS, measured on a
-# random graph of FB15K-237's size, see ROADMAP.md). Targets for a healthy run with the default
-# full-scale settings below:
+# at the D=500 settings below, about 29 hours on a 2-vCPU machine (17.3-
+# 17.7 s of CPU time per iteration and a 1.96 GB peak RSS, measured on a
+# random graph of FB15K-237's size; see "Measured at this re-anchor" in
+# ROADMAP.md). Targets for a healthy run with the default full-scale
+# settings below:
 #
 #   filtered MRR     >= 0.20
 #   filtered Hits@10 >= 0.35

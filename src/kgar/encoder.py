@@ -4,18 +4,22 @@ Each layer scores every triple (h, r, t) once, LeakyReLU(<W h_t, W h_h>),
 in triple order, and then runs two directional passes over the graph. The
 score is symmetric in the triple's two ends, so both directions read the
 same column, each gathered into its plan's `order`; in the backward pass
-their score gradients add up in that column before one inner-product
-backward. Per direction, the score of each edge (j -> i) is softmax-
-normalized within the group of i's neighbors sharing one relation, and the
-node update is
+their score gradients add up in that column before one score backward.
+Per direction, the score of each edge (j -> i) is softmax-normalized
+within the group of i's neighbors sharing one relation, and the node
+update is
 
-    h_dir_i = ReLU(dropout( sum_r sum_j alpha_ij * W_r h_j + W_0 h_i ))
+    h_dir_i = ReLU(dropout( sum_r sum_j dropout(alpha)_ij * W_r h_j
+                            + W_0 h_i ))
 
-with W_r block-diagonal. The whole update after the attention dropout is
-one tape op, the aggregate: it sums the messages, adds W_0 h_i, applies
-the conv dropout and the ReLU in its own output buffer, and its backward
-reads only that output and the dropout mask. So a training step keeps no
-separate message sum, pre-activation or dropout output per direction.
+with W_r block-diagonal. Each fused op applies its own activation and
+dropout; no activation or dropout is a tape op of its own. The score op applies the
+LeakyReLU in its own output column. The aggregate is the whole update
+after the softmax: it drops out alpha, sums the messages, adds W_0 h_i,
+and applies the conv dropout and the ReLU in its own output buffer; its
+backward reads only that output, the dropped alpha and the two dropout
+masks. So a training step keeps no separate inner products, message sum,
+pre-activation or dropout output per direction.
 The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
@@ -90,17 +94,23 @@ def _incidence_sum(out, x, w, inc, other=None):
     return dots
 
 
-def edge_inner_product(hw, graph):
-    """Per-triple inner products <hw[tail], hw[head]> as an (E,1) column,
-    in triple order."""
+def edge_inner_product(hw, graph, slope):
+    """Per-triple attention scores LeakyReLU(<hw[tail], hw[head]>) as an
+    (E,1) column, in triple order, for a LeakyReLU slope in (0, 1). The
+    LeakyReLU runs in the op's own buffer, and the backward reads its mask
+    from the output: as the slope is > 0, out > 0 exactly where the inner
+    product is."""
     v = hw.values
     heads, tails = graph.heads, graph.tails
     e = np.empty(heads.size)
     for _, lo, hi in _tiles((0, heads.size)):
         e[lo:hi] = np.einsum("ij,ij->i", v[tails[lo:hi]], v[heads[lo:hi]])
-    out = Tensor(e[:, None])
+    e[e < 0.0] *= slope
+    res = e[:, None]
+    out = Tensor(res)
 
     def bw(g):
+        g[~(res > 0.0)] *= slope
         # each end's gradient is g times the other end: one incidence walk
         inc = graph.incidence()
         _incidence_sum(_grad(hw), v, g[inc.triple, 0], inc)
@@ -110,25 +120,29 @@ def edge_inner_product(hw, graph):
 
 
 def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
-                                   self_pre, mask=None, *, layer, direction):
+                                   self_pre, mask=None, *, alpha_mask=None,
+                                   layer, direction):
     """One whole directional update, computed in one buffer:
 
-        ReLU(dropout(sum_r sum_{edges k of r} alpha_k * (h[src_k] @ W_r)
-                     + self_pre))
+        ReLU(dropout(sum_r sum_{edges k of r} a_k * (h[src_k] @ W_r)
+                     + self_pre)),   a = dropout(alpha)
 
     with the messages scattered to dst and summed before self_pre is added.
 
     `blocks` holds every relation's weight, (R*D_in, D_out/B): rows
     r*D_in:(r+1)*D_in are relation r's B diagonal blocks, stacked
-    vertically. `mask` is a `tensor.dropout_mask` of the output's shape, or
-    None for no dropout. A non-finite entry after the dropout raises
-    NumericFailure naming `layer`, `direction` and its node; the ReLU would
-    silently zero a NaN. Gathered edge features are recomputed in the
-    backward pass, which reads only the output and the mask.
+    vertically. `mask` and `alpha_mask` are `tensor.dropout_mask`s of the
+    output's and of alpha's shape, or None for no dropout. A non-finite
+    entry after the dropout raises NumericFailure naming `layer`,
+    `direction` and its node; the ReLU would silently zero a NaN. Gathered
+    edge features are recomputed in the backward pass, which reads only
+    the output, the masks and the dropped alpha.
     """
     din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
     hv, av = h.values, alpha.values
+    if alpha_mask is not None:
+        av = T.apply_dropout(alpha_mask, av)
     res = np.zeros((h.shape[0], num_blocks * dout_b))
     for r, lo, hi in _tiles(plan.rel_starts):
         ys = _block_forward(hv[plan.src[lo:hi]], q[r])
@@ -167,6 +181,8 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             scatter_rows(gh, src, t)
             gd *= av[lo:hi]
             gq[r] += _block_backward_q(xs, gd, num_blocks)
+        if alpha_mask is not None:
+            T.apply_dropout(alpha_mask, galpha, out=galpha)
         _acc(alpha, galpha)
         _acc(blocks, gq.reshape(blocks.shape))
 
@@ -208,18 +224,22 @@ def conv_layer_forward(h, graph, weights, config, direction, training=False,
 
     scores (one LeakyReLU edge score per triple, in triple order) and
     self_pre (h @ self_W) are computed once per layer and shared by its two
-    directions; each direction gathers the scores into its plan's order.
+    directions; each direction gathers the scores into its plan's order and
+    softmaxes them. The pass then draws the attention dropout's mask and
+    the conv dropout's mask, in that order, and the aggregate applies both.
     A direction without edges gives ReLU(self_pre): its fused ops walk no
     tile.
     """
     plan = graph.plan(direction)
     alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
                               plan.seg_starts)
-    alpha = T.dropout(alpha, config.dropout_attention, training, rng)
+    alpha_mask = T.dropout_mask(alpha.shape, config.dropout_attention,
+                                training, rng)
     mask = T.dropout_mask(self_pre.shape, config.dropout_conv, training, rng)
     return attention_relational_aggregate(
         h, alpha, plan, weights.blocks[direction], config.num_blocks,
-        self_pre, mask, layer=layer, direction=direction)
+        self_pre, mask, alpha_mask=alpha_mask, layer=layer,
+        direction=direction)
 
 
 def conv_stack(graph, params, config, training=False, rng=None):
@@ -233,8 +253,7 @@ def conv_stack(graph, params, config, training=False, rng=None):
         # passes read the scores and self_pre, so without a tape each is
         # freed as soon as its readers are done
         hw = T.matmul(h, lw.att_W)
-        scores = T.leaky_relu(edge_inner_product(hw, graph),
-                              config.leaky_slope)
+        scores = edge_inner_product(hw, graph, config.leaky_slope)
         del hw
         self_pre = T.matmul(h, lw.self_W)
         h_fwd = conv_layer_forward(h, graph, lw, config, "forward", training,

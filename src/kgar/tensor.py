@@ -240,20 +240,11 @@ def _block_backward_q(xv, g, b):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def leaky_relu(a, slope):
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    mask = a.values > 0.0
-    out = Tensor(np.where(mask, a.values, slope * a.values))
-
-    def bw(g):
-        _acc(a, g * np.where(mask, 1.0, slope))
-
-    _record(out, bw)
-    return out
+# attention softmax and dropout masks
+#
+# the encoder's fused ops apply their own LeakyReLU, ReLU and dropout in
+# their own buffers; `dropout_mask` draws the masks that they apply, forward
+# and backward, with `apply_dropout`
 
 
 def segment_softmax(scores, seg_starts):
@@ -306,20 +297,6 @@ def apply_dropout(mask, x, out=None):
     dropped, scale = mask
     out = np.multiply(x, scale, out=out)
     np.copyto(out, 0.0, where=dropped)
-    return out
-
-
-def dropout(a, rate, training, rng):
-    """Inverted dropout: identity when not training or rate == 0."""
-    mask = dropout_mask(a.shape, rate, training, rng)
-    if mask is None:
-        return a
-    out = Tensor(apply_dropout(mask, a.values))
-
-    def bw(g):
-        _acc(a, apply_dropout(mask, g, out=g))
-
-    _record(out, bw)
     return out
 
 

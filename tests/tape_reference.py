@@ -3,9 +3,10 @@
 The encoder multiplies relation blocks and scatters edge messages inside
 its fused ops, and the decoder scores triples in one fused op; these
 composable versions (block-diagonal matmul, row scatter-add, dense block
-assembly, sigmoid, ReLU, row softmax, elementwise sub/mul, scaling, row and
-total sums, sum of squares) let the tests check those fused ops and the
-tape against independent routes.
+assembly, sigmoid, ReLU, LeakyReLU, dropout, row softmax, elementwise
+sub/mul, scaling, row and total sums, sum of squares) let the tests check
+those fused ops, which apply their own activation and dropout, and the tape
+against independent routes.
 `grad_check` compares every gradient the tape computes with central
 differences.
 """
@@ -13,7 +14,8 @@ differences.
 import numpy as np
 
 from kgar.tensor import (ShapeError, Tape, Tensor, _acc, _block_backward_q,
-                         _block_backward_x, _block_forward, _record)
+                         _block_backward_x, _block_forward, _record,
+                         dropout_mask)
 
 
 def scatter_add_rows(a, idx, num_rows):
@@ -103,6 +105,35 @@ def relu(a):
 
     def bw(g):
         _acc(a, g * (res > 0.0))
+
+    _record(out, bw)
+    return out
+
+
+def leaky_relu(a, slope):
+    """a where a > 0, else slope * a."""
+    mask = a.values > 0.0
+    out = Tensor(np.where(mask, a.values, slope * a.values))
+
+    def bw(g):
+        _acc(a, g * np.where(mask, 1.0, slope))
+
+    _record(out, bw)
+    return out
+
+
+def dropout(a, rate, training, rng):
+    """Inverted dropout with the mask `tensor.dropout_mask` draws: kept
+    entries scaled by 1 / (1 - rate), dropped ones 0.0; the identity when
+    not training or rate == 0."""
+    mask = dropout_mask(a.shape, rate, training, rng)
+    if mask is None:
+        return a
+    dropped, scale = mask
+    out = Tensor(np.where(dropped, 0.0, a.values * scale))
+
+    def bw(g):
+        _acc(a, np.where(dropped, 0.0, g * scale))
 
     _record(out, bw)
     return out

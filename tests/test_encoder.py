@@ -27,8 +27,8 @@ def attention(H, W, node, neighbors, slope=0.2):
     of one relation whose triples are (j, 0, node)."""
     g = KnowledgeGraph([(j, 0, node) for j in neighbors], len(H), 1)
     hw = T.matmul(Tensor(H), Tensor(W))
-    scores = E.edge_inner_product(hw, g)
-    return T.segment_softmax(T.leaky_relu(scores, slope), [0]).values[:, 0]
+    scores = E.edge_inner_product(hw, g, slope)
+    return T.segment_softmax(scores, [0]).values[:, 0]
 
 
 def test_attention_identical_states_split_evenly():
@@ -66,7 +66,7 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
     H = Tensor(rng.standard_normal((toy_graph.num_entities, 6)))
     W = Tensor(rng.standard_normal((6, 6)))
     hw = T.matmul(H, W)
-    scores = T.leaky_relu(E.edge_inner_product(hw, toy_graph), 0.2)
+    scores = E.edge_inner_product(hw, toy_graph, 0.2)
     for direction in ("forward", "backward"):
         plan = toy_graph.plan(direction)
         alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
@@ -129,14 +129,18 @@ def grads_of(loss_fn, params):
 def test_edge_inner_product_parity(toy_graph):
     rng = np.random.default_rng(5)
     hw = Parameter("hw", rng.standard_normal((6, 4)))
+    inner = np.einsum("ij,ij->i", hw.values[toy_graph.tails],
+                      hw.values[toy_graph.heads])
+    # both LeakyReLU branches run, forward and backward
+    assert (inner > 0).any() and (inner < 0).any()
 
     def fused():
-        return R.sum_squares(E.edge_inner_product(hw, toy_graph))
+        return R.sum_squares(E.edge_inner_product(hw, toy_graph, 0.2))
 
     def composed():
         d = T.gather_rows(hw, toy_graph.tails)
         s = T.gather_rows(hw, toy_graph.heads)
-        return R.sum_squares(R.row_sum(R.mul(d, s)))
+        return R.sum_squares(R.leaky_relu(R.row_sum(R.mul(d, s)), 0.2))
 
     v1, (g1,) = grads_of(fused, [hw])
     v2, (g2,) = grads_of(composed, [hw])
@@ -218,43 +222,57 @@ def fused_update_inputs(graph, seed):
             Parameter("self_pre", rng.standard_normal((n, 4))))
 
 
+def draw_masks(rate, alpha, self_pre, rng):
+    """The alpha mask, then the conv mask, at one rate: the order in which
+    conv_layer_forward draws them."""
+    return (T.dropout_mask(alpha.shape, rate, True, rng),
+            T.dropout_mask(self_pre.shape, rate, True, rng))
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.5])
 def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
-    # the messages are summed in plan order first and self_pre is added
-    # after, then the conv dropout and the ReLU follow, as separate add,
-    # dropout and ReLU ops would do it; the mask is the draw T.dropout
-    # makes from the same rng state
+    # the alpha dropout comes first; the messages are summed in plan order
+    # and self_pre is added after, then the conv dropout and the ReLU
+    # follow, as separate dropout, add and ReLU ops would do it; the masks
+    # are the draws the composed dropouts make from the same rng state
     h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 30)
-    mask = T.dropout_mask(self_pre.shape, rate, True,
-                          np.random.default_rng(31))
-    assert (mask is None) == (rate == 0.0)
+    alpha_mask, mask = draw_masks(rate, alpha, self_pre,
+                                  np.random.default_rng(31))
+    assert (mask is None) == (alpha_mask is None) == (rate == 0.0)
     got = E.attention_relational_aggregate(h, alpha, plan, q, 2, self_pre,
-                                           mask, layer=0,
+                                           mask, alpha_mask=alpha_mask,
+                                           layer=0,
                                            direction="forward").values
+    rng = np.random.default_rng(31)
+    dropped_alpha = R.dropout(alpha, rate, True, rng).values
     msgs = np.zeros((plan.src.size, 4))
     for r in range(toy_graph.num_relations):
         lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
         xs = T.gather_rows(h, plan.src[lo:hi])
         ys = R.block_matmul(xs, Tensor(q.values[r * 4:(r + 1) * 4]), 2)
-        msgs[lo:hi] = R.mul(ys, Tensor(alpha.values[lo:hi])).values
+        msgs[lo:hi] = R.mul(ys, Tensor(dropped_alpha[lo:hi])).values
     agg = R.scatter_add_rows(Tensor(msgs), plan.dst, toy_graph.num_entities)
-    expected = R.relu(T.dropout(T.add(agg, self_pre), rate, True,
-                                np.random.default_rng(31))).values
+    expected = R.relu(R.dropout(T.add(agg, self_pre), rate, True,
+                                rng)).values
     assert (got > 0).any() and (got == 0).any()
     np.testing.assert_array_equal(got, expected)
 
 
 def test_fused_update_grad_check_under_a_mask(toy_graph):
+    # the conv mask alone, then with an alpha mask too
     h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 32)
-    mask = T.dropout_mask(self_pre.shape, 0.5, True, np.random.default_rng(33))
-    assert mask[0].any() and not mask[0].all()
+    alpha_mask, mask = draw_masks(0.5, alpha, self_pre,
+                                  np.random.default_rng(33))
+    for dropped, _ in (mask, alpha_mask):
+        assert dropped.any() and not dropped.all()
 
-    def loss():
-        return R.sum_squares(E.attention_relational_aggregate(
-            h, alpha, plan, q, 2, self_pre, mask, layer=0,
-            direction="forward"))
+    for alpha_drop in (None, alpha_mask):
+        def loss():
+            return R.sum_squares(E.attention_relational_aggregate(
+                h, alpha, plan, q, 2, self_pre, mask, alpha_mask=alpha_drop,
+                layer=0, direction="forward"))
 
-    assert R.grad_check(loss, [h, alpha, q, self_pre]) < 1e-6
+        assert R.grad_check(loss, [h, alpha, q, self_pre]) < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -269,16 +287,17 @@ def test_fused_update_names_the_first_non_finite_node(toy_graph):
                                "backward, node 3)")
 
 
-def test_directional_update_is_one_tape_op(toy_graph):
-    # with the attention dropout off, a training pass records the score
-    # gather, the softmax and the fused update: the message sum, the self
-    # term, the conv dropout and the ReLU keep no closure of their own
-    cfg = toy_config(dropout_attention=0.0, dropout_conv=0.5)
+@pytest.mark.parametrize("dropout_attention", [0.0, 0.5])
+def test_directional_update_is_one_tape_op(toy_graph, dropout_attention):
+    # a training pass records the score gather, the softmax and the fused
+    # update: the attention dropout, the message sum, the self term, the
+    # conv dropout and the ReLU keep no closure of their own
+    cfg = toy_config(dropout_attention=dropout_attention, dropout_conv=0.5)
     params = toy_params(cfg, seed=35)
     lw = params.layers[0]
     h = params.embedding
-    scores = T.leaky_relu(E.edge_inner_product(T.matmul(h, lw.att_W),
-                                               toy_graph), cfg.leaky_slope)
+    scores = E.edge_inner_product(T.matmul(h, lw.att_W), toy_graph,
+                                  cfg.leaky_slope)
     self_pre = T.matmul(h, lw.self_W)
     with T.Tape() as tape:
         out = E.conv_layer_forward(h, toy_graph, lw, cfg, "forward", True,
@@ -403,12 +422,18 @@ def test_edge_score_walk_matches_per_triple_reference(walk_graph,
     G = rng.standard_normal((len(triples), 1))
     hw = Parameter("hw", V)
     e_ref, dv_ref = np.zeros((len(triples), 1)), np.zeros_like(V)
+    signs = set()
     for k, (hd, _, tl) in enumerate(triples):
-        e_ref[k] = V[tl] @ V[hd]
-        dv_ref[tl] += G[k] * V[hd]
-        dv_ref[hd] += G[k] * V[tl]
+        inner = V[tl] @ V[hd]
+        signs.add(inner > 0)
+        slope = 1.0 if inner > 0 else 0.3
+        e_ref[k] = slope * inner
+        dv_ref[tl] += slope * G[k] * V[hd]
+        dv_ref[hd] += slope * G[k] * V[tl]
+    # both LeakyReLU branches run, unless there is no triple
+    assert len(signs) == 2 or not triples
     with T.Tape() as tape:
-        e = E.edge_inner_product(hw, walk_graph)
+        e = E.edge_inner_product(hw, walk_graph, 0.3)
         loss = weighted_sum(e, G)
     tape.backward(loss)
     np.testing.assert_allclose(e.values, e_ref, atol=1e-12)
@@ -427,8 +452,10 @@ def test_incidence_walk_grad_checks(monkeypatch, tile):
         return R.sum_squares(E.gated_neighbor_sum(h, gates, g))
 
     def edge_scores():
-        return R.sum_squares(E.edge_inner_product(h, g))
+        return R.sum_squares(E.edge_inner_product(h, g, 0.2))
 
+    inner = np.einsum("ij,ij->i", h.values[g.tails], h.values[g.heads])
+    assert (inner > 0).any() and (inner < 0).any()
     assert R.grad_check(fusion, [h, gates]) < 1e-6
     assert R.grad_check(edge_scores, [h]) < 1e-6
 
@@ -452,7 +479,7 @@ def conv(h, g, lw, cfg, direction):
     """One directional pass of layer 0 with its shared inputs, the triple
     scores and the self projection, computed here."""
     hw = T.matmul(h, lw.att_W)
-    scores = T.leaky_relu(E.edge_inner_product(hw, g), cfg.leaky_slope)
+    scores = E.edge_inner_product(hw, g, cfg.leaky_slope)
     return E.conv_layer_forward(h, g, lw, cfg, direction, scores=scores,
                                 self_pre=T.matmul(h, lw.self_W), layer=0)
 
@@ -642,16 +669,12 @@ def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
     # one edge_inner_product per layer, over the triples in file order;
     # each direction's softmax reads that LeakyReLU column gathered into
     # its plan's order
-    inner, leaky, softmax = (E.edge_inner_product, T.leaky_relu,
-                             T.segment_softmax)
+    inner, softmax = E.edge_inner_product, T.segment_softmax
     scored, scores, softmax_inputs = [], [], []
 
-    def spy_inner(hw, graph):
-        scored.append(graph)
-        return inner(hw, graph)
-
-    def spy_leaky(a, slope):
-        scores.append(leaky(a, slope))
+    def spy_inner(hw, graph, slope):
+        scored.append((graph, slope))
+        scores.append(inner(hw, graph, slope))
         return scores[-1]
 
     def spy_softmax(a, seg_starts):
@@ -659,12 +682,12 @@ def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
         return softmax(a, seg_starts)
 
     monkeypatch.setattr(E, "edge_inner_product", spy_inner)
-    monkeypatch.setattr(T, "leaky_relu", spy_leaky)
     monkeypatch.setattr(T, "segment_softmax", spy_softmax)
     cfg = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
     E.encode(toy_graph, toy_params(cfg, seed=24), cfg)
-    assert len(scored) == len(scores) == 2 and len(softmax_inputs) == 4
-    assert all(graph is toy_graph for graph in scored)
+    assert len(scored) == 2 and len(softmax_inputs) == 4
+    assert all(graph is toy_graph and slope == cfg.leaky_slope
+               for graph, slope in scored)
     for layer, column in enumerate(scores):
         for k, direction in enumerate(("forward", "backward")):
             order = toy_graph.plan(direction).order
