@@ -135,27 +135,40 @@ def cmd_list(_args):
 
 
 def _read_label_tsv(path, entity_column, label_column):
+    """The (entity, label) rows of a label TSV, by header column. A row
+    with fewer fields than the header stops the conversion, naming its
+    file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         missing = {entity_column, label_column} - set(reader.fieldnames or ())
         if missing:
             raise SystemExit(f"{path}: column(s) {sorted(missing)} not in "
                              f"header {reader.fieldnames}")
-        return [(_sanitize(row[entity_column]), _sanitize(row[label_column]))
-                for row in reader]
+        rows = []
+        for row in reader:
+            # DictReader fills the fields a short row lacks with None
+            if None in row.values():
+                raise SystemExit(f"{path}:{reader.line_num}: fewer "
+                                 f"tab-separated fields than the header's "
+                                 f"{len(reader.fieldnames)}")
+            rows.append((_sanitize(row[entity_column]),
+                         _sanitize(row[label_column])))
+        return rows
 
 
 def cmd_convert_rdf(args):
-    os.makedirs(args.out, exist_ok=True)
+    # the graph and both label files are read and checked before anything
+    # is written
     triples = [tuple(_sanitize(t) for t in triple)
                for triple in _iter_graph_triples(args.graph)]
+    labels = {name: _read_label_tsv(path, args.entity_column,
+                                    args.label_column)
+              for name, path in (("labels_train.tsv", args.labels_train),
+                                 ("labels_test.tsv", args.labels_test))}
+    os.makedirs(args.out, exist_ok=True)
     _write_tsv(os.path.join(args.out, "train.tsv"), triples)
-    _write_tsv(os.path.join(args.out, "labels_train.tsv"),
-               _read_label_tsv(args.labels_train, args.entity_column,
-                               args.label_column))
-    _write_tsv(os.path.join(args.out, "labels_test.tsv"),
-               _read_label_tsv(args.labels_test, args.entity_column,
-                               args.label_column))
+    for name, rows in labels.items():
+        _write_tsv(os.path.join(args.out, name), rows)
     print(f"done; next: kgar preprocess --dataset {args.out}")
     return 0
 

@@ -4,10 +4,10 @@
 # This is an extended experiment, not part of the desk-checked test suite:
 # it needs the dataset on disk (see scripts/fetch_datasets.py --list) and,
 # at the D=500 settings below, about 29 hours on a 2-vCPU machine (17.3-
-# 17.7 s of CPU time per iteration and a 1.96 GB peak RSS, measured on a
-# random graph of FB15K-237's size; see "Measured at this re-anchor" in
-# ROADMAP.md). Targets for a healthy run with the default full-scale
-# settings below:
+# 17.7 s of CPU time per iteration, see "Measured at this re-anchor" in
+# ROADMAP.md, and a 1.47 GB peak RSS over four Adam iterations; both
+# measured on a random graph of FB15K-237's size). Targets for a healthy
+# run with the default full-scale settings below:
 #
 #   filtered MRR     >= 0.20
 #   filtered Hits@10 >= 0.35

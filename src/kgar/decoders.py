@@ -66,20 +66,29 @@ def _parts(z):
     return [z.real, z.imag] if np.iscomplexobj(z) else [z]
 
 
-def _scatter(t, ids, z):
-    """Add the entries z to the rows `ids` of t's gradient, in t's real
-    layout: a complex z as its rows [Re z | Im z]."""
-    T.scatter_rows(_grad(t), ids, np.hstack(_parts(z)))
+def _scatter(slot, ids, z):
+    """Add the entries z to the rows `ids` of a tensor's gradient (its
+    `GradSlot`), in the tensor's real layout: a complex z as its rows
+    [Re z | Im z]."""
+    T.scatter_rows(_grad(slot), ids, np.hstack(_parts(z)))
+
+
+def _conj_product(s, o):
+    """x̄ = conj(S)∘O, the conjugate of X = S∘conj(O), in a new array."""
+    x_bar = np.conjugate(s)
+    x_bar *= o
+    return x_bar
 
 
 def score_triples(params, feats, triples, decoder):
     """Scores (n, 1) of an (n, 3) id array of (head, relation, tail) rows.
 
     One tape op: it gathers the head, tail and relation rows S, O, W as
-    the decoder's entries and scores Re Σ W∘X with X = S∘conj(O), kept as
-    its conjugate. The backward scatters g·conj(W)∘O, g·W∘S and g·conj(X)
-    into the gradients of `feats` and of the relation parameters. An id
-    outside its range raises ShapeError.
+    the decoder's entries and scores Re Σ W∘X with X = S∘conj(O), taken as
+    its conjugate. The backward keeps S, O and W, recomputes conj(X) the
+    same way, and scatters g·conj(W)∘O, g·W∘S and g·conj(X) into the
+    gradients of `feats` and of the relation parameters. An id outside its
+    range raises ShapeError.
     """
     triples = np.asarray(triples)
     relations = _relations(params, decoder)
@@ -89,23 +98,25 @@ def score_triples(params, feats, triples, decoder):
     parts = np.hsplit(feats.values, len(relations))
     s, o = _entries(parts, heads), _entries(parts, tails)
     w = _entries([p.values for p in relations], rels)
-    x_bar = np.conjugate(s)
-    x_bar *= o
     # Re(w x) = Re w Re x_bar + Im w Im x_bar: one product of the float
-    # views, summed per row
-    out = Tensor((x_bar.view(np.float64) * w.view(np.float64))
-                 .sum(axis=1, keepdims=True))
+    # views, in place, summed per row
+    prod = _conj_product(s, o).view(np.float64)
+    prod *= w.view(np.float64)
+    out = Tensor(prod.sum(axis=1, keepdims=True))
+    sfeats, srels = feats.slot, [p.slot for p in relations]
 
     def bw(g):
-        # each gathered entry is read once here, so the products overwrite
-        # them instead of taking new memory at the step's peak
+        # conj(X) first: each gathered entry is read once more here, so the
+        # products below overwrite them instead of taking new memory at the
+        # step's peak
+        x_bar = _conj_product(s, o)
+        x_bar *= g
         gw = np.multiply(w, g, out=w)
-        _scatter(feats, tails, np.multiply(s, gw, out=s))
+        _scatter(sfeats, tails, np.multiply(s, gw, out=s))
         np.conjugate(gw, out=gw)
-        _scatter(feats, heads, np.multiply(o, gw, out=o))
-        np.multiply(x_bar, g, out=x_bar)
-        for p, part in zip(relations, _parts(x_bar)):
-            _scatter(p, rels, part)
+        _scatter(sfeats, heads, np.multiply(o, gw, out=o))
+        for slot, part in zip(srels, _parts(x_bar)):
+            _scatter(slot, rels, part)
 
     _record(out, bw)
     return out

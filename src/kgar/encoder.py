@@ -17,9 +17,11 @@ dropout; no activation or dropout is a tape op of its own. The score op applies 
 LeakyReLU in its own output column. The aggregate is the whole update
 after the softmax: it drops out alpha, sums the messages, adds W_0 h_i,
 and applies the conv dropout and the ReLU in its own output buffer; its
-backward reads only that output, the dropped alpha and the two dropout
-masks. So a training step keeps no separate inner products, message sum,
-pre-activation or dropout output per direction.
+backward reads only the layer input, the ReLU mask out > 0, the dropped
+alpha and the two dropout masks. Tape closures hold gradient slots, not
+tensors (see `tensor`), so a training step keeps no inner products,
+message sum, W_0 h, pre-activation, dropout output or directional output
+until its backward, and no fusion output either.
 The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
@@ -108,12 +110,13 @@ def edge_inner_product(hw, graph, slope):
     e[e < 0.0] *= slope
     res = e[:, None]
     out = Tensor(res)
+    shw = hw.slot
 
     def bw(g):
         g[~(res > 0.0)] *= slope
         # each end's gradient is g times the other end: one incidence walk
         inc = graph.incidence()
-        _incidence_sum(_grad(hw), v, g[inc.triple, 0], inc)
+        _incidence_sum(_grad(shw), v, g[inc.triple, 0], inc)
 
     _record(out, bw)
     return out
@@ -136,7 +139,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
     entry after the dropout raises NumericFailure naming `layer`,
     `direction` and its node; the ReLU would silently zero a NaN. Gathered
     edge features are recomputed in the backward pass, which reads only
-    the output, the masks and the dropped alpha.
+    h, the ReLU mask out > 0, the dropout masks and the dropped alpha.
     """
     din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
@@ -157,15 +160,17 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             f"non-finite hidden state (layer {layer}, direction {direction}, "
             f"node {node})")
     np.maximum(res, 0.0, out=res)
+    # for a finite input, out > 0 exactly where the ReLU passed it
+    passed = res > 0.0
     out = Tensor(res)
+    sh, salpha, sblocks, sself = h.slot, alpha.slot, blocks.slot, self_pre.slot
 
     def bw(g):
-        # for a finite input, out > 0 exactly where the ReLU passed it
-        g *= res > 0.0
+        g *= passed
         if mask is not None:
             T.apply_dropout(mask, g, out=g)
-        _acc(self_pre, g)
-        gh = _grad(h)
+        _acc(sself, g)
+        gh = _grad(sh)
         galpha = np.empty_like(av)
         # relations without edges keep zero rows
         gq = np.zeros(q.shape)
@@ -183,8 +188,8 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             gq[r] += _block_backward_q(xs, gd, num_blocks)
         if alpha_mask is not None:
             T.apply_dropout(alpha_mask, galpha, out=galpha)
-        _acc(alpha, galpha)
-        _acc(blocks, gq.reshape(blocks.shape))
+        _acc(salpha, galpha)
+        _acc(sblocks, gq.reshape(sblocks.shape))
 
     _record(out, bw)
     return out
@@ -198,17 +203,18 @@ def gated_neighbor_sum(h, gates, graph):
     the same walk over the output gradient. The gate gradient sums that
     walk's dots <g[neighbor], h[node]>, two per triple, by relation.
     """
-    hv, gv = h.values, gates.values
+    hv, sh, sgates = h.values, h.slot, gates.slot
     inc = graph.incidence()
     rel_of = graph.rels[inc.triple]
-    gate_of = gv[rel_of, 0]
+    gate_of = gates.values[rel_of, 0]
     res = np.zeros(h.shape)
     _incidence_sum(res, hv, gate_of, inc)
     out = Tensor(res)
 
     def bw(g):
-        dots = _incidence_sum(_grad(h), g, gate_of, inc, other=hv)
-        _acc(gates, np.bincount(rel_of, dots, minlength=gv.shape[0])[:, None])
+        dots = _incidence_sum(_grad(sh), g, gate_of, inc, other=hv)
+        _acc(sgates, np.bincount(rel_of, dots,
+                                 minlength=sgates.shape[0])[:, None])
 
     _record(out, bw)
     return out
@@ -250,8 +256,9 @@ def conv_stack(graph, params, config, training=False, rng=None):
     h = params.embedding
     for layer_index, lw in enumerate(params.layers):
         # only the scores read hw = h @ att_W, and only the directional
-        # passes read the scores and self_pre, so without a tape each is
-        # freed as soon as its readers are done
+        # passes read the scores and self_pre, so each is freed as soon as
+        # its readers are done, with a tape or without; a tape keeps the two
+        # that the score backward reads, hw and the score column
         hw = T.matmul(h, lw.att_W)
         scores = edge_inner_product(hw, graph, config.leaky_slope)
         del hw

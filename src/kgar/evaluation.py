@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import run_starts, stable_order
+from .data import run_starts
 from .tensor import NumericFailure
 
 SETTINGS = ("raw", "filtered")
@@ -48,8 +48,8 @@ class FilterIndex:
         heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
         self.keys = []
         for fixed, cand in ((tails, heads), (heads, tails)):
-            key = self._key(fixed, rels, cand)
-            key = key[stable_order(key)]
+            # keys are values: no tie order to keep, so a plain sort
+            key = np.sort(self._key(fixed, rels, cand))
             self.keys.append(key[run_starts(key)])
 
     def _key(self, fixed, rel, cand):

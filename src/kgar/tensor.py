@@ -6,6 +6,13 @@ reverse, accumulating gradients into ``Tensor.grad``. Gradients of
 intermediate tensors are freed as soon as their producing closure has run;
 leaf tensors (Parameters) keep theirs until an optimizer step clears them.
 
+A closure holds only the `GradSlot` (shape and gradient buffer) of each
+tensor it routes a gradient to, and the arrays its backward reads; never
+a Tensor. So a tensor's values are freed as soon as the forward drops its
+last reference, with a tape active or not, unless some backward reads
+them; those are freed as soon as the last closure that reads them has
+run.
+
 No tape active means pure evaluation: no closures, no gradient memory.
 """
 
@@ -28,17 +35,36 @@ class NumericFailure(RuntimeError):
     """A non-finite value appeared where the contract forbids it."""
 
 
-class Tensor:
-    """Dense row-major float64 matrix with an optional gradient buffer."""
+class GradSlot:
+    """Where a tensor's gradient collects: its shape and its buffer, None
+    until the first gradient arrives."""
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.grad = None
+
+
+class Tensor:
+    """Dense row-major float64 matrix with a gradient slot."""
+
+    __slots__ = ("values", "slot")
 
     def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.values = arr
-        self.grad = None
+        self.slot = GradSlot(arr.shape)
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
 
     @property
     def shape(self):
@@ -99,37 +125,41 @@ class Tape:
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.shape}")
         loss.grad = np.ones((1, 1))
-        for fn in reversed(self._steps):
-            fn()
-        self._steps = []
+        # a closure that has run is dropped at once, and with it every
+        # array that only its backward read
+        while self._steps:
+            self._steps.pop()()
 
 
 def _tape():
     return _ACTIVE_TAPE
 
 
-def _grad(t):
-    """t's gradient buffer, allocated as zeros on first use."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    return t.grad
+def _grad(slot):
+    """The gradient buffer of a GradSlot (or Tensor), allocated as zeros of
+    its shape on first use."""
+    if slot.grad is None:
+        slot.grad = np.zeros(slot.shape)
+    return slot.grad
 
 
-def _acc(t, g):
-    grad = _grad(t)
+def _acc(slot, g):
+    grad = _grad(slot)
     grad += g
 
 
 def _record(out, fn):
-    """Register a backward closure that frees out.grad once consumed."""
+    """Register fn(out.grad) as a backward closure; it holds out's slot,
+    not out, and frees the gradient once consumed."""
     tp = _tape()
     if tp is None:
         return
+    slot = out.slot
 
     def step():
-        if out.grad is not None:
-            fn(out.grad)
-            out.grad = None
+        if slot.grad is not None:
+            fn(slot.grad)
+            slot.grad = None
 
     tp.record(step)
 
@@ -141,11 +171,12 @@ def _record(out, fn):
 def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    out = Tensor(a.values @ b.values)
+    av, bv, sa, sb = a.values, b.values, a.slot, b.slot
+    out = Tensor(av @ bv)
 
     def bw(g):
-        _acc(a, g @ b.values.T)
-        _acc(b, a.values.T @ g)
+        _acc(sa, g @ bv.T)
+        _acc(sb, av.T @ g)
 
     _record(out, bw)
     return out
@@ -154,11 +185,12 @@ def matmul(a, b):
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
+    sa, sb = a.slot, b.slot
     out = Tensor(a.values + b.values)
 
     def bw(g):
-        _acc(a, g)
-        _acc(b, g)
+        _acc(sa, g)
+        _acc(sb, g)
 
     _record(out, bw)
     return out
@@ -201,10 +233,11 @@ def _row_index(a, idx, op):
 
 def gather_rows(a, idx):
     idx = _row_index(a, idx, "gather_rows")
+    sa = a.slot
     out = Tensor(a.values[idx])
 
     def bw(g):
-        scatter_rows(_grad(a), idx, g)
+        scatter_rows(_grad(sa), idx, g)
 
     _record(out, bw)
     return out
@@ -268,11 +301,12 @@ def segment_softmax(scores, seg_starts):
     z = np.add.reduceat(e, starts)
     res = e / np.repeat(z, lengths)
     out = Tensor(res[:, None])
+    ss = scores.slot
 
     def bw(g):
         gv = g[:, 0]
         inner = np.add.reduceat(res * gv, starts)
-        _acc(scores, (res * (gv - np.repeat(inner, lengths)))[:, None])
+        _acc(ss, (res * (gv - np.repeat(inner, lengths)))[:, None])
 
     _record(out, bw)
     return out
@@ -316,11 +350,12 @@ def softmax_cross_entropy(logits, class_ids):
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     out = Tensor([[(np.log(total[:, 0]) - shifted[rows, ids]).sum()]])
+    sl = logits.slot
 
     def bw(g):
         d = e / total
         d[rows, ids] -= 1.0
-        _acc(logits, g[0, 0] * d)
+        _acc(sl, g[0, 0] * d)
 
     _record(out, bw)
     return out
@@ -338,6 +373,7 @@ def binary_cross_entropy_bits(scores, labels):
     s = scores.values[:, 0]
     per = y * np.logaddexp(0.0, -s) + (1.0 - y) * np.logaddexp(0.0, s)
     out = Tensor([[per.sum() / (y.size * math.log(2.0))]])
+    ss = scores.slot
 
     def bw(g):
         p = np.empty_like(s)
@@ -345,7 +381,7 @@ def binary_cross_entropy_bits(scores, labels):
         p[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
         es = np.exp(s[~pos])
         p[~pos] = es / (1.0 + es)
-        _acc(scores, (g[0, 0] * (p - y) / (y.size * math.log(2.0)))[:, None])
+        _acc(ss, (g[0, 0] * (p - y) / (y.size * math.log(2.0)))[:, None])
 
     _record(out, bw)
     return out
@@ -361,11 +397,12 @@ def l2_penalty(tensors, coefficient):
         raise ValueError(f"l2 coefficient must be >= 0, got {coefficient}")
     total = sum(float(np.square(t.values).sum()) for t in tensors)
     out = Tensor([[coefficient * total]])
+    read = [(t.slot, t.values) for t in tensors]
 
     def bw(g):
         c = 2.0 * coefficient * g[0, 0]
-        for t in tensors:
-            _acc(t, c * t.values)
+        for slot, values in read:
+            _acc(slot, c * values)
 
     _record(out, bw)
     return out

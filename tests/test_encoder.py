@@ -3,6 +3,7 @@ the fused tape ops with composable ops, scalar-oracle agreement, and
 structural invariants."""
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from conftest import (TOY_TRIPLES, relation_rows, to_oracle_params, toy_config,
                       toy_params)
 from kgar import encoder as E
 from kgar import tensor as T
+from kgar import training
+from kgar.config import resolve_config
 from kgar.data import KnowledgeGraph
 from kgar.tensor import NumericFailure, Parameter, Tensor
 
@@ -761,3 +764,64 @@ def test_encode_deterministic_in_training_mode(toy_graph):
     f2 = E.encode(toy_graph, params, cfg, training=True,
                   rng=np.random.default_rng(7)).values
     np.testing.assert_array_equal(f1, f2)
+
+
+# ---------------------------------------------------------------------------
+# what a taped training step keeps
+
+
+def _memory(arr):
+    """The array that owns arr's memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_a_taped_step_frees_what_no_backward_reads(toy_graph, monkeypatch):
+    # the tape keeps the arrays that some backward reads (hw, the attention
+    # alpha, each layer's input) and nothing else: each layer's self_pre,
+    # both directional outputs and the fusion output are freed before
+    # Tape.backward runs
+    freed, kept = {}, {}
+    inner, aggregate = E.edge_inner_product, E.attention_relational_aggregate
+    fusion, backward = E.gated_neighbor_sum, T.Tape.backward
+
+    def spy_inner(hw, graph, slope):
+        layer = sum(name.startswith("hw") for name in kept)
+        kept[f"hw {layer}"] = weakref.ref(_memory(hw.values))
+        return inner(hw, graph, slope)
+
+    def spy_aggregate(h, alpha, plan, blocks, num_blocks, self_pre, mask,
+                      *, layer, direction, **kw):
+        out = aggregate(h, alpha, plan, blocks, num_blocks, self_pre, mask,
+                        layer=layer, direction=direction, **kw)
+        kept[f"input {layer}"] = weakref.ref(_memory(h.values))
+        kept[f"alpha {layer} {direction}"] = weakref.ref(
+            _memory(alpha.values))
+        freed[f"self_pre {layer}"] = weakref.ref(_memory(self_pre.values))
+        freed[f"{direction} output {layer}"] = weakref.ref(
+            _memory(out.values))
+        return out
+
+    def spy_fusion(h, gates, graph):
+        out = fusion(h, gates, graph)
+        freed["feats"] = weakref.ref(_memory(out.values))
+        return out
+
+    seen = []
+
+    def spy_backward(tape, loss):
+        seen.append(([k for k, ref in freed.items() if ref() is not None],
+                     [k for k, ref in kept.items() if ref() is None]))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(E, "edge_inner_product", spy_inner)
+    monkeypatch.setattr(E, "attention_relational_aggregate", spy_aggregate)
+    monkeypatch.setattr(E, "gated_neighbor_sum", spy_fusion)
+    monkeypatch.setattr(T.Tape, "backward", spy_backward)
+    cfg = resolve_config("linkpred", cli_values=dict(
+        embed_dim=8, num_blocks=2, num_layers=2, batch_size=6, iterations=1,
+        dropout_attention=0.3, dropout_conv=0.5, l2=0.01, seed=37))
+    training.train(toy_graph, {}, cfg, "linkpred", seed=37)
+    assert len(freed) == 7 and len(kept) == 8
+    assert seen == [([], [])]

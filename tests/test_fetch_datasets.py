@@ -1,6 +1,6 @@
-"""scripts/fetch_datasets.py convert-fb15k237: well-formed splits convert
-to the link-prediction layout, and a malformed row stops the conversion
-before anything is written."""
+"""scripts/fetch_datasets.py: well-formed FB15K-237 splits and RDF label
+files convert to the expected layouts, and a malformed row stops the
+conversion before anything is written."""
 
 import importlib.util
 from pathlib import Path
@@ -48,4 +48,41 @@ def test_convert_names_a_malformed_row(fetch, tmp_path, bad, fields):
         fetch.main(["convert-fb15k237", "--src", str(src), "--out", str(out)])
     assert str(info.value) == (f"{src / 'train.txt'}:3: expected 3 "
                                f"tab-separated fields, got {fields}")
+    assert not out.exists()
+
+
+def write_rdf_inputs(src, labels_test):
+    src.mkdir()
+    (src / "graph.nt").write_text(
+        '<http://x/a> <http://x/p> "one\tlabel" .\n', encoding="utf-8")
+    (src / "train.tsv").write_text("id\tperson\tlabel\n1\t/a\tx\n",
+                                   encoding="utf-8")
+    (src / "test.tsv").write_text(labels_test, encoding="utf-8")
+    return ["convert-rdf", "--graph", str(src / "graph.nt"),
+            "--labels-train", str(src / "train.tsv"),
+            "--labels-test", str(src / "test.tsv"),
+            "--entity-column", "person", "--label-column", "label"]
+
+
+def test_convert_rdf_writes_the_classification_layout(fetch, tmp_path):
+    argv = write_rdf_inputs(tmp_path / "src",
+                            "id\tperson\tlabel\n\n2\t/b\ty\n")
+    out = tmp_path / "out"
+    assert fetch.main(argv + ["--out", str(out)]) == 0
+    assert (out / "train.tsv").read_text(encoding="utf-8") == \
+        "http://x/a\thttp://x/p\tone label\n"
+    assert (out / "labels_train.tsv").read_text(encoding="utf-8") == \
+        "/a\tx\n"
+    assert (out / "labels_test.tsv").read_text(encoding="utf-8") == \
+        "/b\ty\n"
+
+
+def test_convert_rdf_names_a_short_label_row(fetch, tmp_path):
+    src = tmp_path / "src"
+    argv = write_rdf_inputs(src, "id\tperson\tlabel\n2\t/b\ty\n3\t/c\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        fetch.main(argv + ["--out", str(out)])
+    assert str(info.value) == (f"{src / 'test.tsv'}:3: fewer tab-separated "
+                               f"fields than the header's 3")
     assert not out.exists()

@@ -3,15 +3,18 @@ against central finite differences, plus the error contracts."""
 
 import ast
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tape_reference as R
+from conftest import toy_config, toy_params
 from kgar import datasets, decoders, synthetic, training
 from kgar import tensor as T
 from kgar.config import resolve_config
+from kgar.encoder import encode
 
 
 def fd_grad(loss_fn, param, eps=1e-6):
@@ -457,6 +460,62 @@ def test_tape_frees_intermediate_grads():
     tape.backward(loss)
     assert mid.grad is None  # freed after its producer closure ran
     assert a.grad is not None
+
+
+def _closure_contents(fn):
+    """Every object that fn's closure cells reach, through nested closures,
+    lists and tuples."""
+    found, stack = [], [fn]
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def test_tape_closures_hold_no_tensor(toy_graph):
+    # a closure holds the gradient slots and the arrays its backward reads,
+    # so no tensor's values outlive the forward for the tape's sake; every
+    # op a training step records is here: the encoder's, both heads and
+    # both losses, the L2 term and its gathered rows
+    cfg = toy_config(dropout_attention=0.3, dropout_conv=0.5)
+    params = toy_params(cfg, task="linkpred", seed=38)
+    head = T.Parameter("head", np.ones((cfg.embed_dim, 4)))
+    samples = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5], [1, 0, 0]])
+    with T.Tape() as tape:
+        feats = encode(toy_graph, params, cfg, training=True,
+                       rng=np.random.default_rng(39))
+        link = T.binary_cross_entropy_bits(
+            decoders.score_triples(params, feats, samples, "complex"),
+            [1.0, 0.0, 1.0, 0.0])
+        penalty = T.l2_penalty(
+            [params.rel_re, T.gather_rows(feats, samples[:, 0])], 0.01)
+        classes = T.softmax_cross_entropy(
+            decoders.classify_forward(feats, head, [0, 3]), [1, 2])
+        T.add(T.add(link, penalty), classes)
+        held = [obj for step in tape._steps
+                for obj in _closure_contents(step)
+                if isinstance(obj, T.Tensor)]
+    assert len(tape._steps) > 20 and held == []
+
+
+def test_backward_drops_each_closure_once_it_has_run():
+    # the matmul's closure is the only holder of w's values; the probe,
+    # recorded first, runs after it and finds them freed
+    x = T.Parameter("x", [[1.0, 2.0]])
+    refs, seen = [], []
+    with T.Tape() as tape:
+        tape.record(lambda: seen.append(refs[0]() is None))
+        w = T.Tensor([[3.0], [4.0]])
+        loss = T.matmul(x, w)
+        refs.append(weakref.ref(w.values))
+        del w
+    assert refs[0]() is not None
+    tape.backward(loss)
+    assert seen == [True] and x.grad.tolist() == [[3.0, 4.0]]
 
 
 def test_nested_tape_rejected():
