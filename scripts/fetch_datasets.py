@@ -63,6 +63,16 @@ _TERM = re.compile(
     r'<([^>]*)>|(_:\S+)|"((?:[^"\\]|\\.)*)"(?:\^\^<[^>]*>|@[\w-]+)?')
 
 
+def _utf8_lines(path, **open_args):
+    """The lines of a text file, read as it is consumed. A file that is
+    not UTF-8 stops the conversion, naming the file."""
+    try:
+        with open(path, encoding="utf-8", **open_args) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"{path}: not UTF-8 text ({exc})")
+
+
 def _parse_nt_line(line, path, lineno):
     terms = []
     pos = 0
@@ -83,12 +93,11 @@ def _parse_nt_line(line, path, lineno):
 
 def _iter_graph_triples(path):
     if path.endswith(".nt"):
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                yield _parse_nt_line(line, path, lineno)
+        for lineno, line in enumerate(_utf8_lines(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield _parse_nt_line(line, path, lineno)
         return
     try:
         import rdflib
@@ -138,22 +147,21 @@ def _read_label_tsv(path, entity_column, label_column):
     """The (entity, label) rows of a label TSV, by header column. A row
     with fewer fields than the header stops the conversion, naming its
     file and line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        missing = {entity_column, label_column} - set(reader.fieldnames or ())
-        if missing:
-            raise SystemExit(f"{path}: column(s) {sorted(missing)} not in "
-                             f"header {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            # DictReader fills the fields a short row lacks with None
-            if None in row.values():
-                raise SystemExit(f"{path}:{reader.line_num}: fewer "
-                                 f"tab-separated fields than the header's "
-                                 f"{len(reader.fieldnames)}")
-            rows.append((_sanitize(row[entity_column]),
-                         _sanitize(row[label_column])))
-        return rows
+    reader = csv.DictReader(_utf8_lines(path, newline=""), delimiter="\t")
+    missing = {entity_column, label_column} - set(reader.fieldnames or ())
+    if missing:
+        raise SystemExit(f"{path}: column(s) {sorted(missing)} not in "
+                         f"header {reader.fieldnames}")
+    rows = []
+    for row in reader:
+        # DictReader fills the fields a short row lacks with None
+        if None in row.values():
+            raise SystemExit(f"{path}:{reader.line_num}: fewer "
+                             f"tab-separated fields than the header's "
+                             f"{len(reader.fieldnames)}")
+        rows.append((_sanitize(row[entity_column]),
+                     _sanitize(row[label_column])))
+    return rows
 
 
 def cmd_convert_rdf(args):
@@ -180,16 +188,15 @@ def _read_fb15k237_split(path):
     if not os.path.exists(path):
         raise SystemExit(f"{path}: file not found")
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SystemExit(f"{path}:{lineno}: expected 3 tab-separated "
-                                 f"fields, got {len(parts)}")
-            rows.append(tuple(parts))
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise SystemExit(f"{path}:{lineno}: expected 3 tab-separated "
+                             f"fields, got {len(parts)}")
+        rows.append(tuple(parts))
     return rows
 
 

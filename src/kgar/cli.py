@@ -254,16 +254,17 @@ def cmd_evaluate(args):
 
 
 def _repro_prepare(name, data_dir):
-    """Resolve (and for the synthetic graph, create) one table dataset."""
+    """Resolve (and for the synthetic graph, create) one table dataset, and
+    rebuild its bundle from the raw files as `kgar preprocess --dataset
+    NAME` would, so that no bundle left on disk, one preprocessed with
+    other drop names say, feeds the table."""
     path = os.path.join(data_dir, name)
     if name == "synthetic":
         synthetic.ensure_dataset(path)
     if not os.path.isdir(path):
         raise DataError(f"dataset directory not found: {path}")
     bundle_dir = _bundle_dir(path)
-    if not all(os.path.exists(os.path.join(bundle_dir, name))
-               for name in (datasets.MANIFEST, datasets.TRAIN_IDS)):
-        datasets.write_bundle(bundle_dir, datasets.preprocess(path))
+    datasets.write_bundle(bundle_dir, datasets.preprocess(path))
     return path, datasets.load_bundle(bundle_dir)
 
 

@@ -25,7 +25,6 @@ from .model import TASKS
 DATA_DIR_ENV = "KGAR_DATA_DIR"
 BUNDLE_DIR = "bundle"
 MANIFEST = "manifest.json"
-TRAIN_IDS = "triples_train.npy"  # in every bundle of the current format
 # the splits a manifest must count for each task; a classification bundle
 # may also count labels_valid, a validation split
 NEEDED_SPLITS = {"linkpred": ("train", "valid", "test"),
@@ -270,10 +269,15 @@ def write_bundle(bundle_dir, processed):
         np.save(os.path.join(bundle_dir, f"labels_{part}.npy"), rows,
                 allow_pickle=False)
     tmp = f"{manifest_path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(processed["manifest"], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, manifest_path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(processed["manifest"], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, manifest_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return bundle_dir
 
 

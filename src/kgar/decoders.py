@@ -4,7 +4,8 @@ the generic tape ops `tensor.softmax_cross_entropy` and
 `tensor.binary_cross_entropy_bits`; `training.train` adds the L2 term.
 
 Entity features are the encoder output F. Relation embeddings are
-decoder-owned parameters, independent of the encoder. Both decoders are
+decoder-owned parameters, independent of the encoder; a model holds one
+decoder's, and the scorers tell which from them. Both decoders are
 written in complex arithmetic (Trouillon et al., arXiv:1606.06357). For
 ComplEx a D-wide row [re | im] holds D/2 complex numbers, and the relation
 rows are rel_re + i rel_im. DistMult is the real special case: its rows
@@ -40,13 +41,12 @@ def classify_forward(feats, head, node_ids):
 # triple scoring: training (one tape op) and 1-N ranking (no tape)
 
 
-def _relations(params, decoder):
-    """The decoder's relation-embedding parameters, in column order."""
-    if decoder == "complex":
-        return [params.rel_re, params.rel_im]
-    if decoder == "distmult":
+def _relations(params):
+    """The model's relation-embedding parameters, in column order:
+    DistMult's [rel_diag] when it has one, else ComplEx's [rel_re, rel_im]."""
+    if params.rel_diag is not None:
         return [params.rel_diag]
-    raise ValueError(f"unknown decoder {decoder!r}")
+    return [params.rel_re, params.rel_im]
 
 
 def _entries(parts, ids):
@@ -80,18 +80,18 @@ def _conj_product(s, o):
     return x_bar
 
 
-def score_triples(params, feats, triples, decoder):
+def score_triples(params, feats, triples):
     """Scores (n, 1) of an (n, 3) id array of (head, relation, tail) rows.
 
     One tape op: it gathers the head, tail and relation rows S, O, W as
-    the decoder's entries and scores Re Σ W∘X with X = S∘conj(O), taken as
-    its conjugate. The backward keeps S, O and W, recomputes conj(X) the
+    the entries of the model's decoder (see `_relations`) and scores
+    Re Σ W∘X with X = S∘conj(O), taken as its conjugate. The backward keeps S, O and W, recomputes conj(X) the
     same way, and scatters g·conj(W)∘O, g·W∘S and g·conj(X) into the
     gradients of `feats` and of the relation parameters. An id outside its
     range raises ShapeError.
     """
     triples = np.asarray(triples)
-    relations = _relations(params, decoder)
+    relations = _relations(params)
     heads, rels, tails = (
         _row_index(t, triples[:, k], "score_triples")
         for t, k in ((feats, 0), (relations[0], 1), (feats, 2)))
@@ -122,7 +122,7 @@ def score_triples(params, feats, triples, decoder):
     return out
 
 
-def query_scorer(feats, params, decoder):
+def query_scorer(feats, params):
     """Bind a scorer of (q, 3) query rows to (q, |V|) candidate scores.
 
     A row (fixed, relation, side) asks for the head (side 0) of
@@ -133,7 +133,7 @@ def query_scorer(feats, params, decoder):
     is scored against every entity by a single (q x D)(D x |V|) product.
     """
     feats_t = feats.T
-    relations = [p.values for p in _relations(params, decoder)]
+    relations = [p.values for p in _relations(params)]
     parts = np.hsplit(feats, len(relations))
 
     def scorer(queries):

@@ -26,7 +26,8 @@ The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
 The width, depth, block count, dropout rates and LeakyReLU slope are read
-from the run's `config.RunConfig`, which has checked them.
+from the run's `config.RunConfig`, which has checked them. The dropouts
+run only in a training pass, the one that is given an rng.
 
 The hot loops are fused tape operations that recompute gathers in the
 backward pass instead of retaining edge-expanded intermediates; peak
@@ -224,35 +225,32 @@ def gated_neighbor_sum(h, gates, graph):
 # layer and full encoder
 
 
-def conv_layer_forward(h, graph, weights, config, direction, training=False,
-                       rng=None, *, scores, self_pre, layer):
+def conv_layer_forward(h, graph, weights, config, direction, rng=None, *,
+                       scores, self_pre, layer):
     """One directional pass; returns the (|V|, D) directional hidden state.
 
     scores (one LeakyReLU edge score per triple, in triple order) and
     self_pre (h @ self_W) are computed once per layer and shared by its two
     directions; each direction gathers the scores into its plan's order and
-    softmaxes them. The pass then draws the attention dropout's mask and
-    the conv dropout's mask, in that order, and the aggregate applies both.
+    softmaxes them. Given an rng, the pass trains: it draws the attention
+    dropout's mask and the conv dropout's mask from it, in that order, and
+    the aggregate applies both. Without one, it runs no dropout.
     A direction without edges gives ReLU(self_pre): its fused ops walk no
     tile.
     """
     plan = graph.plan(direction)
     alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
                               plan.seg_starts)
-    alpha_mask = T.dropout_mask(alpha.shape, config.dropout_attention,
-                                training, rng)
-    mask = T.dropout_mask(self_pre.shape, config.dropout_conv, training, rng)
+    alpha_mask = T.dropout_mask(alpha.shape, config.dropout_attention, rng)
+    mask = T.dropout_mask(self_pre.shape, config.dropout_conv, rng)
     return attention_relational_aggregate(
         h, alpha, plan, weights.blocks[direction], config.num_blocks,
         self_pre, mask, alpha_mask=alpha_mask, layer=layer,
         direction=direction)
 
 
-def conv_stack(graph, params, config, training=False, rng=None):
+def conv_stack(graph, params, config, rng=None):
     """The stacked conv layers only: embeddings -> final hidden states."""
-    if training and rng is None and (config.dropout_attention > 0
-                                     or config.dropout_conv > 0):
-        raise ValueError("training mode with dropout needs an rng")
     h = params.embedding
     for layer_index, lw in enumerate(params.layers):
         # only the scores read hw = h @ att_W, and only the directional
@@ -263,18 +261,20 @@ def conv_stack(graph, params, config, training=False, rng=None):
         scores = edge_inner_product(hw, graph, config.leaky_slope)
         del hw
         self_pre = T.matmul(h, lw.self_W)
-        h_fwd = conv_layer_forward(h, graph, lw, config, "forward", training,
-                                   rng, scores=scores, self_pre=self_pre,
+        h_fwd = conv_layer_forward(h, graph, lw, config, "forward", rng,
+                                   scores=scores, self_pre=self_pre,
                                    layer=layer_index)
-        h_bwd = conv_layer_forward(h, graph, lw, config, "backward", training,
-                                   rng, scores=scores, self_pre=self_pre,
+        h_bwd = conv_layer_forward(h, graph, lw, config, "backward", rng,
+                                   scores=scores, self_pre=self_pre,
                                    layer=layer_index)
         del self_pre, scores
         h = T.add(h_fwd, h_bwd)
     return h
 
 
-def encode(graph, params, config, training=False, rng=None):
-    """Full encoder: embeddings -> stacked conv layers -> fusion readout."""
-    h = conv_stack(graph, params, config, training, rng)
+def encode(graph, params, config, rng=None):
+    """Full encoder: embeddings -> stacked conv layers -> fusion readout.
+    A pass given an rng trains, drawing its dropout masks from it; without
+    one it is an evaluation pass, with no dropout."""
+    h = conv_stack(graph, params, config, rng)
     return gated_neighbor_sum(h, params.gates, graph)

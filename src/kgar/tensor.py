@@ -276,8 +276,8 @@ def _block_backward_q(xv, g, b):
 # attention softmax and dropout masks
 #
 # the encoder's fused ops apply their own LeakyReLU, ReLU and dropout in
-# their own buffers; `dropout_mask` draws the masks that they apply, forward
-# and backward, with `apply_dropout`
+# their own buffers; in a training pass, the one given an rng, `dropout_mask`
+# draws the masks that they apply, forward and backward, with `apply_dropout`
 
 
 def segment_softmax(scores, seg_starts):
@@ -312,14 +312,14 @@ def segment_softmax(scores, seg_starts):
     return out
 
 
-def dropout_mask(shape, rate, training, rng):
+def dropout_mask(shape, rate, rng):
     """Inverted dropout's mask for an array of `shape`, as (dropped, scale):
     one draw rng.random(shape) keeps the entries >= rate, the dropped ones
     are zeroed and the kept ones scaled by 1 / (1 - rate). None when
-    dropout is the identity: not training, or rate == 0."""
+    dropout is the identity: no rng (an evaluation pass), or rate == 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
     return rng.random(shape) < rate, 1.0 / (1.0 - rate)
 

@@ -6,8 +6,10 @@ re-encodes the full graph; filtered negative sampling and validation
 ranking read the known triples from one `evaluation.FilterIndex` each.
 Both tasks run plain gradient descent by default (`optimizer="adam"`
 switches). The encoder, the step and the evaluation helpers all read one
-`RunConfig`. Every randomized choice flows from one seeded generator, so a
-fixed seed gives bit-identical runs.
+`RunConfig`; the scorers tell the decoder from the model's parameters.
+Every randomized choice flows from one seeded generator, so a fixed seed
+gives bit-identical runs. A step hands it to `encode`, which makes that a
+training pass with dropout; the evaluation helpers hand it none.
 
 Each step returns its data loss (summed softmax cross entropy for
 classification, mean binary cross entropy in bits for link prediction) and
@@ -37,7 +39,7 @@ class TrainResult:
 
 
 def _classify_step(graph, params, config, ids, classes, rng):
-    feats = encode(graph, params, config, training=True, rng=rng)
+    feats = encode(graph, params, config, rng)
     logits = decoders.classify_forward(feats, params.head, ids)
     return T.softmax_cross_entropy(logits, classes), []
 
@@ -47,8 +49,8 @@ def _linkpred_step(graph, params, config, triples, known, rng):
     positives = triples[rng.integers(0, len(triples), batch)]
     samples, labels = decoders.sample_negatives(
         positives, graph.num_entities, rng, known=known)
-    feats = encode(graph, params, config, training=True, rng=rng)
-    scores = decoders.score_triples(params, feats, samples, config.decoder)
+    feats = encode(graph, params, config, rng)
+    scores = decoders.score_triples(params, feats, samples)
     rows = ([T.gather_rows(feats, samples[:, [0, 2]].ravel())]
             if config.l2 else [])
     return T.binary_cross_entropy_bits(scores, labels), rows
@@ -72,14 +74,14 @@ def train(graph, splits, config, task, seed, progress=None):
                          f"with its config (task={config.task!r}, "
                          f"seed={config.seed!r})")
     rng = np.random.default_rng(seed)
+    labels = splits["labels_train"] if task == "classify" else None
+    params = init_params(
+        graph.num_entities, graph.num_relations, config, task, rng,
+        num_classes=None if labels is None else labels.num_classes,
+        decoder=config.decoder, init=config.init)
 
     valid_fn = None
     if task == "classify":
-        labels = splits["labels_train"]
-        params = init_params(graph.num_entities, graph.num_relations, config,
-                             task, rng, num_classes=labels.num_classes,
-                             decoder=config.decoder, init=config.init)
-
         def step():
             return _classify_step(graph, params, config, labels.entities,
                                   labels.classes, rng)
@@ -89,14 +91,11 @@ def train(graph, splits, config, task, seed, progress=None):
             def valid_fn():
                 return evaluate_classification(graph, params, config,
                                                valid_labels)
-    elif task == "linkpred":
+    else:
         triples = graph.triple_array()
         dims = graph.num_entities, graph.num_relations
         known = (evaluation.FilterIndex(triples, *dims).contains
                  if config.filtered_negatives else None)
-        params = init_params(graph.num_entities, graph.num_relations, config,
-                             task, rng, decoder=config.decoder,
-                             init=config.init)
 
         def step():
             return _linkpred_step(graph, params, config, triples, known,
@@ -111,8 +110,6 @@ def train(graph, splits, config, task, seed, progress=None):
                 results = evaluate_links(graph, params, config,
                                          valid_triples, filter_index)
                 return evaluation.mrr(results, "filtered")
-    else:
-        raise ValueError(f"unknown task {task!r}")
 
     penalized = [p for p in params.all_params() if p.regularized]
     adam_state = T.AdamState()
@@ -158,7 +155,7 @@ def evaluate_classification(graph, params, config, labels):
 
 def evaluate_links(graph, params, config, test_triples, known):
     """(raw, filtered) rank arrays of both sides of the test triples,
-    scored with `config.decoder`."""
+    scored with the decoder whose relation embeddings `params` holds."""
     feats = encode(graph, params, config)
-    scorer = decoders.query_scorer(feats.values, params, config.decoder)
+    scorer = decoders.query_scorer(feats.values, params)
     return evaluation.evaluate_ranking(test_triples, scorer, known)

@@ -97,18 +97,24 @@ def antisymmetric_relations(patterns):
             if info["type"] == "antisymmetric_chain"}
 
 
+def relation_params(**relations):
+    """A stand-in for ModelParams that holds only the given relation
+    embeddings, as ComplEx's rel_re and rel_im or DistMult's rel_diag."""
+    return SimpleNamespace(**{"rel_re": None, "rel_im": None,
+                              "rel_diag": None, **relations})
+
+
 def complex_score(s, r, o, feats, rel_re, rel_im):
     """ComplEx score of one triple through `decoders.score_triples`."""
-    return _score("complex", (s, r, o), feats, rel_re=rel_re, rel_im=rel_im)
+    return _score((s, r, o), feats, rel_re=rel_re, rel_im=rel_im)
 
 
 def distmult_score(s, r, o, feats, rel_diag):
     """DistMult score of one triple through `decoders.score_triples`."""
-    return _score("distmult", (s, r, o), feats, rel_diag=rel_diag)
+    return _score((s, r, o), feats, rel_diag=rel_diag)
 
 
-def _score(decoder, triple, feats, **relations):
-    params = SimpleNamespace(**{name: Tensor(w)
+def _score(triple, feats, **relations):
+    params = relation_params(**{name: Tensor(w)
                                 for name, w in relations.items()})
-    return score_triples(params, Tensor(feats), np.array([triple]),
-                         decoder).item()
+    return score_triples(params, Tensor(feats), np.array([triple])).item()

@@ -122,11 +122,11 @@ def leaky_relu(a, slope):
     return out
 
 
-def dropout(a, rate, training, rng):
+def dropout(a, rate, rng):
     """Inverted dropout with the mask `tensor.dropout_mask` draws: kept
-    entries scaled by 1 / (1 - rate), dropped ones 0.0; the identity when
-    not training or rate == 0."""
-    mask = dropout_mask(a.shape, rate, training, rng)
+    entries scaled by 1 / (1 - rate), dropped ones 0.0; the identity
+    without an rng or at rate == 0."""
+    mask = dropout_mask(a.shape, rate, rng)
     if mask is None:
         return a
     dropped, scale = mask

@@ -65,8 +65,7 @@ def test_criterion_1_gradient_correctness():
 
     def link_loss():
         feats = encode(graph, link_params, config)
-        scores = decoders.score_triples(link_params, feats, samples,
-                                        "complex")
+        scores = decoders.score_triples(link_params, feats, samples)
         return with_l2(binary_cross_entropy_bits(scores, labels),
                        link_params.all_params(), 0.01, feats, samples)
 

@@ -603,11 +603,26 @@ def test_non_utf8_config_file_is_usage_error_naming_it(lp_dir, tmp_path,
 def test_repro_table_rebuilds_a_tsv_id_bundle(tmp_path):
     bundle_dir = tmp_path / "synthetic" / "bundle"
     _, bundle = cli._repro_prepare("synthetic", str(tmp_path))
-    tsv_id_bundle(str(bundle_dir / datasets.TRAIN_IDS))
+    tsv_id_bundle(str(bundle_dir / "triples_train.npy"))
     _, rebuilt = cli._repro_prepare("synthetic", str(tmp_path))
     np.testing.assert_array_equal(rebuilt.graph.triple_array(),
                                   bundle.graph.triple_array())
-    assert (bundle_dir / datasets.TRAIN_IDS).exists()
+    assert (bundle_dir / "triples_train.npy").exists()
+
+
+def test_repro_table_drops_the_relations_a_kept_bundle_holds(tmp_path):
+    # a bundle preprocessed with --keep-all still holds the label-leaking
+    # relation that the table's preprocessing drops
+    d = small_classify(tmp_path / "aifb")
+    with open(os.path.join(d, "train.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("n2\thttp://x.org/onto#employs\tn0\n")
+    assert cli.main(["preprocess", "--dataset", d, "--keep-all"]) == 0
+    kept = datasets.load_bundle(os.path.join(d, "bundle"))
+    assert "http://x.org/onto#employs" in kept.relation_names
+    _, bundle = cli._repro_prepare("aifb", str(tmp_path))
+    assert "http://x.org/onto#employs" not in bundle.relation_names
+    assert bundle.manifest["dropped_relations"] == [
+        "http://x.org/onto#employs"]
 
 
 def test_failed_bundle_write_leaves_no_bundle(tmp_path, monkeypatch,

@@ -204,6 +204,20 @@ def test_load_bundle_returns_the_preprocessed_arrays(tmp_path):
         np.testing.assert_array_equal(bundle.labels[part].classes, rows[:, 1])
 
 
+def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    d = make_linkpred_dir(tmp_path / "lp")
+    out = tmp_path / "bundle"
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        datasets.write_bundle(str(out), datasets.preprocess(d))
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+    assert not (out / "manifest.json").exists()
+
+
 def test_load_bundle_missing(tmp_path):
     with pytest.raises(DataError, match="preprocess"):
         datasets.load_bundle(str(tmp_path / "nothing"))

@@ -4,7 +4,6 @@ cross entropy, and each task's loss with the L2 term of the training
 step."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ import pytest
 import scalar_oracle as oracle
 import tape_reference as R
 from conftest import TOY_LABELS, TOY_TRIPLES, complex_score, \
-    distmult_score, to_oracle_params, toy_config, toy_params, with_l2
+    distmult_score, relation_params, to_oracle_params, toy_config, \
+    toy_params, with_l2
 from kgar import decoders as dec
 from kgar import encoder as E
 from kgar import tensor as T
@@ -198,10 +198,10 @@ def test_score_triples_grad_check():
         feats = T.Parameter("feats", rng.standard_normal((4, 6)))
         relations = [T.Parameter(name, rng.standard_normal((2, width)))
                      for name, width in widths.items()]
-        params = SimpleNamespace(**{p.name: p for p in relations})
+        params = relation_params(**{p.name: p for p in relations})
 
         def loss():
-            scores = dec.score_triples(params, feats, triples, decoder)
+            scores = dec.score_triples(params, feats, triples)
             return R.sum_squares(scores)
 
         assert R.grad_check(loss, [feats, *relations]) < 1e-4, decoder
@@ -218,10 +218,26 @@ def test_score_triples_rejects_ids_out_of_range(decoder, bad):
     feats = Tensor(rng.standard_normal((4, 6)))
     widths = {"complex": {"rel_re": 3, "rel_im": 3},
               "distmult": {"rel_diag": 6}}[decoder]
-    params = SimpleNamespace(**{name: Tensor(rng.standard_normal((2, w)))
+    params = relation_params(**{name: Tensor(rng.standard_normal((2, w)))
                                 for name, w in widths.items()})
     with pytest.raises(T.ShapeError, match="out of range"):
-        dec.score_triples(params, feats, np.array([(0, 1, 2), bad]), decoder)
+        dec.score_triples(params, feats, np.array([(0, 1, 2), bad]))
+
+
+@pytest.mark.parametrize("decoder", ["complex", "distmult"])
+def test_score_triples_reads_the_decoder_from_the_model(toy_graph, decoder):
+    cfg = toy_config(embed_dim=8, num_layers=1, num_blocks=2)
+    params = toy_params(cfg, task="linkpred", decoder=decoder, seed=26)
+    feats = E.encode(toy_graph, params, cfg)
+    scores = dec.score_triples(params, feats, np.array(TOY_TRIPLES))
+    op, f = to_oracle_params(params, 2), feats.values.tolist()
+    for k, (s, r, o) in enumerate(TOY_TRIPLES):
+        if decoder == "complex":
+            expected = oracle.complex_score(op["rel_re"][r], op["rel_im"][r],
+                                            f[s], f[o])
+        else:
+            expected = oracle.distmult_score(op["rel_diag"][r], f[s], f[o])
+        assert scores.values[k, 0] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,7 @@ def test_batch_scores_match_single(toy_graph):
         params = toy_params(cfg, task="linkpred", decoder=decoder, seed=23)
         feats = E.encode(toy_graph, params, cfg)
         triples = np.array(TOY_TRIPLES)
-        scores = dec.score_triples(params, feats, triples, decoder)
+        scores = dec.score_triples(params, feats, triples)
         for k, (s, r, o) in enumerate(TOY_TRIPLES):
             if decoder == "complex":
                 single = complex_score(s, r, o, feats.values,
@@ -251,7 +267,7 @@ def test_all_candidate_scores_match_single(toy_graph):
     for decoder in ("complex", "distmult"):
         params = toy_params(cfg, task="linkpred", decoder=decoder, seed=24)
         feats = E.encode(toy_graph, params, cfg).values
-        scorer = dec.query_scorer(feats, params, decoder)
+        scorer = dec.query_scorer(feats, params)
         triple = (2, 1, 3)
         block = scorer(np.array([[3, 1, 0], [2, 1, 1]]))
         for side, all_scores in zip(("head", "tail"), block):
@@ -418,7 +434,7 @@ def test_link_loss_grad_check(toy_graph):
 
         def loss():
             feats = E.encode(toy_graph, params, cfg)
-            scores = dec.score_triples(params, feats, samples, decoder)
+            scores = dec.score_triples(params, feats, samples)
             return with_l2(T.binary_cross_entropy_bits(scores, labels),
                            params.all_params(), 0.01, feats, samples)
 

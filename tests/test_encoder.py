@@ -228,8 +228,8 @@ def fused_update_inputs(graph, seed):
 def draw_masks(rate, alpha, self_pre, rng):
     """The alpha mask, then the conv mask, at one rate: the order in which
     conv_layer_forward draws them."""
-    return (T.dropout_mask(alpha.shape, rate, True, rng),
-            T.dropout_mask(self_pre.shape, rate, True, rng))
+    return (T.dropout_mask(alpha.shape, rate, rng),
+            T.dropout_mask(self_pre.shape, rate, rng))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5])
@@ -247,7 +247,7 @@ def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
                                            layer=0,
                                            direction="forward").values
     rng = np.random.default_rng(31)
-    dropped_alpha = R.dropout(alpha, rate, True, rng).values
+    dropped_alpha = R.dropout(alpha, rate, rng).values
     msgs = np.zeros((plan.src.size, 4))
     for r in range(toy_graph.num_relations):
         lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
@@ -255,8 +255,7 @@ def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
         ys = R.block_matmul(xs, Tensor(q.values[r * 4:(r + 1) * 4]), 2)
         msgs[lo:hi] = R.mul(ys, Tensor(dropped_alpha[lo:hi])).values
     agg = R.scatter_add_rows(Tensor(msgs), plan.dst, toy_graph.num_entities)
-    expected = R.relu(R.dropout(T.add(agg, self_pre), rate, True,
-                                rng)).values
+    expected = R.relu(R.dropout(T.add(agg, self_pre), rate, rng)).values
     assert (got > 0).any() and (got == 0).any()
     np.testing.assert_array_equal(got, expected)
 
@@ -303,7 +302,7 @@ def test_directional_update_is_one_tape_op(toy_graph, dropout_attention):
                                   cfg.leaky_slope)
     self_pre = T.matmul(h, lw.self_W)
     with T.Tape() as tape:
-        out = E.conv_layer_forward(h, toy_graph, lw, cfg, "forward", True,
+        out = E.conv_layer_forward(h, toy_graph, lw, cfg, "forward",
                                    np.random.default_rng(36), scores=scores,
                                    self_pre=self_pre, layer=0)
         assert len(tape._steps) == 3
@@ -548,13 +547,6 @@ def test_encoder_settings_validation():
         toy_config(leaky_slope=0.0)
 
 
-def test_training_dropout_needs_rng(toy_graph):
-    cfg = toy_config(dropout_conv=0.5)
-    params = toy_params(cfg)
-    with pytest.raises(ValueError, match="rng"):
-        E.encode(toy_graph, params, cfg, training=True)
-
-
 # ---------------------------------------------------------------------------
 # full encoder vs the straight-line scalar oracle
 
@@ -759,11 +751,54 @@ def test_tiled_aggregate_parity(split_graph, monkeypatch, tile, direction):
 def test_encode_deterministic_in_training_mode(toy_graph):
     cfg = toy_config(dropout_attention=0.3, dropout_conv=0.2)
     params = toy_params(cfg, seed=20)
-    f1 = E.encode(toy_graph, params, cfg, training=True,
-                  rng=np.random.default_rng(7)).values
-    f2 = E.encode(toy_graph, params, cfg, training=True,
-                  rng=np.random.default_rng(7)).values
+    f1 = E.encode(toy_graph, params, cfg, np.random.default_rng(7)).values
+    f2 = E.encode(toy_graph, params, cfg, np.random.default_rng(7)).values
     np.testing.assert_array_equal(f1, f2)
+
+
+def composed_training_encode(graph, params, cfg, rng):
+    """The encoder's training pass from its ops, with the masks drawn as
+    the pass draws them: per layer and direction, alpha's, then the conv
+    dropout's."""
+    h = params.embedding
+    for layer, lw in enumerate(params.layers):
+        scores = E.edge_inner_product(T.matmul(h, lw.att_W), graph,
+                                      cfg.leaky_slope)
+        self_pre = T.matmul(h, lw.self_W)
+        outs = []
+        for direction in ("forward", "backward"):
+            plan = graph.plan(direction)
+            alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
+                                      plan.seg_starts)
+            alpha_mask = T.dropout_mask(alpha.shape, cfg.dropout_attention,
+                                        rng)
+            mask = T.dropout_mask(self_pre.shape, cfg.dropout_conv, rng)
+            outs.append(E.attention_relational_aggregate(
+                h, alpha, plan, lw.blocks[direction], cfg.num_blocks,
+                self_pre, mask, alpha_mask=alpha_mask, layer=layer,
+                direction=direction))
+        h = T.add(*outs)
+    return E.gated_neighbor_sum(h, params.gates, graph)
+
+
+def test_a_pass_given_an_rng_trains(toy_graph):
+    # the rng, passed by position, makes the pass a training pass
+    cfg = toy_config(dropout_attention=0.3, dropout_conv=0.2)
+    params = toy_params(cfg, seed=40)
+    got = E.encode(toy_graph, params, cfg, np.random.default_rng(41)).values
+    expected = composed_training_encode(toy_graph, params, cfg,
+                                        np.random.default_rng(41)).values
+    np.testing.assert_array_equal(got, expected)
+    assert not np.array_equal(got, E.encode(toy_graph, params, cfg).values)
+
+
+def test_a_pass_given_an_rng_at_rate_0_draws_nothing(toy_graph):
+    cfg = toy_config()
+    params = toy_params(cfg, seed=42)
+    rng = np.random.default_rng(43)
+    got = E.encode(toy_graph, params, cfg, rng).values
+    np.testing.assert_array_equal(got, E.encode(toy_graph, params, cfg).values)
+    assert rng.random() == np.random.default_rng(43).random()
 
 
 # ---------------------------------------------------------------------------

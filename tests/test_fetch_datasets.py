@@ -51,6 +51,17 @@ def test_convert_names_a_malformed_row(fetch, tmp_path, bad, fields):
     assert not out.exists()
 
 
+def test_convert_names_a_split_that_is_not_utf8(fetch, tmp_path):
+    src = tmp_path / "src"
+    write_splits(src, "/m/a\t/r/x\t/m/b\n")
+    (src / "valid.txt").write_bytes(b"/m/a\t/r/\xff\t/m/b\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        fetch.main(["convert-fb15k237", "--src", str(src), "--out", str(out)])
+    assert str(info.value).startswith(f"{src / 'valid.txt'}: not UTF-8 text")
+    assert not out.exists()
+
+
 def write_rdf_inputs(src, labels_test):
     src.mkdir()
     (src / "graph.nt").write_text(
@@ -85,4 +96,17 @@ def test_convert_rdf_names_a_short_label_row(fetch, tmp_path):
         fetch.main(argv + ["--out", str(out)])
     assert str(info.value) == (f"{src / 'test.tsv'}:3: fewer tab-separated "
                                f"fields than the header's 3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["graph.nt", "train.tsv", "test.tsv"])
+def test_convert_rdf_names_an_input_that_is_not_utf8(fetch, tmp_path, name):
+    src = tmp_path / "src"
+    argv = write_rdf_inputs(src, "id\tperson\tlabel\n2\t/b\ty\n")
+    path = src / name
+    path.write_bytes(path.read_bytes().replace(b"/", b"\xff", 1))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        fetch.main(argv + ["--out", str(out)])
+    assert str(info.value).startswith(f"{path}: not UTF-8 text")
     assert not out.exists()

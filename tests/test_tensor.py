@@ -257,9 +257,9 @@ def test_assemble_block_weight_off_block_exact_zero():
 def test_dropout_eval_identity_and_train_scaling():
     rng = np.random.default_rng(1)
     x = np.ones((100, 100))
-    assert T.dropout_mask(x.shape, 0.5, training=False, rng=rng) is None
-    assert T.dropout_mask(x.shape, 0.0, training=True, rng=rng) is None
-    mask = T.dropout_mask(x.shape, 0.5, training=True, rng=rng)
+    assert T.dropout_mask(x.shape, 0.5, None) is None
+    assert T.dropout_mask(x.shape, 0.0, rng) is None
+    mask = T.dropout_mask(x.shape, 0.5, rng)
     out = T.apply_dropout(mask, x)
     kept = out != 0.0
     assert np.array_equal(kept, ~mask[0]) and np.all(x == 1.0)
@@ -273,9 +273,9 @@ def test_dropout_eval_identity_and_train_scaling():
 def test_dropout_rate_validation():
     rng = np.random.default_rng(0)
     for rate in (1.0, -0.1):
-        for training in (True, False):
+        for generator in (rng, None):
             with pytest.raises(ValueError, match="dropout rate"):
-                T.dropout_mask((1, 1), rate, training=training, rng=rng)
+                T.dropout_mask((1, 1), rate, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def test_dropout_grad_matches_mask():
 
     def loss():
         rng = np.random.default_rng(99)
-        return R.sum_squares(R.dropout(a, 0.5, training=True, rng=rng))
+        return R.sum_squares(R.dropout(a, 0.5, rng))
 
     assert_grad_matches(loss, [a])
 
@@ -486,10 +486,9 @@ def test_tape_closures_hold_no_tensor(toy_graph):
     head = T.Parameter("head", np.ones((cfg.embed_dim, 4)))
     samples = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5], [1, 0, 0]])
     with T.Tape() as tape:
-        feats = encode(toy_graph, params, cfg, training=True,
-                       rng=np.random.default_rng(39))
+        feats = encode(toy_graph, params, cfg, np.random.default_rng(39))
         link = T.binary_cross_entropy_bits(
-            decoders.score_triples(params, feats, samples, "complex"),
+            decoders.score_triples(params, feats, samples),
             [1.0, 0.0, 1.0, 0.0])
         penalty = T.l2_penalty(
             [params.rel_re, T.gather_rows(feats, samples[:, 0])], 0.01)

@@ -143,15 +143,15 @@ def test_train_l2_term_equals_scalar_oracle(monkeypatch, task, decoder):
     encode_fn, score_fn = training.encode, decoders.score_triples
     seen = []
 
-    def spy_encode(graph, params, config, **kw):
+    def spy_encode(graph, params, config, rng):
         seen.append({p.name: p.values.tolist() for p in params.all_params()})
-        return encode_fn(graph, params, config, **kw)
+        return encode_fn(graph, params, config, rng)
 
-    def spy_score(params, feats, triples, decoder):
+    def spy_score(params, feats, triples):
         seen[-1]["batch"] = triples.tolist()
         seen[-1]["rows"] = [feats.values[i].tolist()
                             for triple in triples for i in triple[[0, 2]]]
-        return score_fn(params, feats, triples, decoder)
+        return score_fn(params, feats, triples)
 
     monkeypatch.setattr(training, "encode", spy_encode)
     monkeypatch.setattr(decoders, "score_triples", spy_score)
