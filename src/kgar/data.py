@@ -68,6 +68,13 @@ def find_empty_field(path):
                             f"{fields.index('') + 1} is empty")
 
 
+def row_line(path, index):
+    """The line number of row `index` (from 0) of a file `load_triples`
+    read: the slow lookup behind an error message."""
+    return [n for n, line in enumerate(_read_rows(path)[0], start=1)
+            if (text := line.lstrip()) and text[0] != "#"][index]
+
+
 def stable_order(*keys):
     """The permutation `np.lexsort(keys)` returns for equal-length
     non-negative integer keys: the last key is primary, and ties keep their

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .data import (DataError, KnowledgeGraph, LabelSet, check_ids,
-                   find_empty_field, load_triples)
+                   find_empty_field, load_triples, row_line)
 from .model import TASKS
 
 DATA_DIR_ENV = "KGAR_DATA_DIR"
@@ -193,6 +193,7 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
 
     labels = {}
     class_vocab = {}
+    labelled = {}  # entity id -> (path, row) of its one label
     if task == "classify":
         for part in ("train", "valid", "test"):
             path = os.path.join(dataset_dir, f"labels_{part}.tsv")
@@ -204,10 +205,15 @@ def preprocess(dataset_dir, drop_names=None, dedup=False):
             if "" in entities or "" in classes:  # label files are short
                 find_empty_field(path)
             pairs = []
-            for ent, cls in zip(entities, classes):
+            for row, (ent, cls) in enumerate(zip(entities, classes)):
                 if ent not in entity_vocab:
                     raise DataError(f"{path}: entity {ent!r} absent from the "
                                     "graph")
+                first = labelled.setdefault(entity_vocab[ent], (path, row))
+                if first != (path, row):
+                    raise DataError(f"{path}:{row_line(path, row)}: entity "
+                                    f"{ent!r} is labelled again, first at "
+                                    f"{first[0]}:{row_line(*first)}")
                 class_vocab.setdefault(cls, len(class_vocab))
                 pairs.append((entity_vocab[ent], class_vocab[cls]))
             labels[part] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -396,15 +402,18 @@ def load_bundle(bundle_dir):
         bundle.class_names = _read_names(
             os.path.join(bundle_dir, "classes.tsv"), manifest["num_classes"])
         num_classes = len(bundle.class_names)
+        labelled = np.zeros(bundle.num_entities, dtype=bool)
         for part in ("train", "valid", "test"):
             if f"labels_{part}" in counts:
                 path = os.path.join(bundle_dir, f"labels_{part}.npy")
                 rows = _read_ids(path, 2, counts[f"labels_{part}"])
                 check_ids(rows, (bundle.num_entities, num_classes), path)
-                # a relabeled entity keeps its first position, last class
-                pairs = dict(rows.tolist())
+                for k, entity in enumerate(rows[:, 0].tolist()):
+                    if labelled[entity]:
+                        raise DataError(f"{path}: row {k + 1} labels entity "
+                                        f"{entity} again")
+                    labelled[entity] = True
                 bundle.labels[part] = LabelSet(
-                    entities=np.array(list(pairs), dtype=np.int64),
-                    classes=np.array(list(pairs.values()), dtype=np.int64),
+                    entities=rows[:, 0].copy(), classes=rows[:, 1].copy(),
                     num_classes=num_classes)
     return bundle

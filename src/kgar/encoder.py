@@ -3,25 +3,24 @@
 Each layer scores every triple (h, r, t) once, LeakyReLU(<W h_t, W h_h>),
 in triple order, and then runs two directional passes over the graph. The
 score is symmetric in the triple's two ends, so both directions read the
-same column, each gathered into its plan's `order`; in the backward pass
-their score gradients add up in that column before one score backward.
-Per direction, the score of each edge (j -> i) is softmax-normalized
-within the group of i's neighbors sharing one relation, and the node
-update is
+same column, each in its plan's `order`; in the backward pass their score
+gradients add up in that column before one score backward. Per
+direction, the score of each edge (j -> i) is softmax-normalized within
+the group of i's neighbors sharing one relation, and the node update is
 
     h_dir_i = ReLU(dropout( sum_r sum_j dropout(alpha)_ij * W_r h_j
                             + W_0 h_i ))
 
-with W_r block-diagonal. Each fused op applies its own activation and
-dropout; no activation or dropout is a tape op of its own. The score op applies the
-LeakyReLU in its own output column. The aggregate is the whole update
-after the softmax: it drops out alpha, sums the messages, adds W_0 h_i,
-and applies the conv dropout and the ReLU in its own output buffer; its
-backward reads only the layer input, the ReLU mask out > 0, the dropped
-alpha and the two dropout masks. Tape closures hold gradient slots, not
-tensors (see `tensor`), so a training step keeps no inner products,
-message sum, W_0 h, pre-activation, dropout output or directional output
-until its backward, and no fusion output either.
+with W_r block-diagonal. Each fused op applies its own activation,
+softmax and dropout. The score op applies the LeakyReLU in its own output
+column. The aggregate is the whole update from the score column on: it
+softmaxes the column in plan order into alpha, drops alpha out, sums the
+messages, adds W_0 h_i, and applies the conv dropout and the ReLU in its
+own buffer; its backward reads only the layer input, the ReLU mask
+out > 0, alpha, the dropped alpha and the two dropout masks. Tape
+closures hold gradient slots, not tensors (see `tensor`), so a training
+step keeps no inner products, message sum, W_0 h, pre-activation, dropout
+output or directional output until its backward, nor a fusion output.
 The layer output is h_forward + h_backward. After
 the last layer a fusion readout sums gated neighbor states per node:
 f_i = sum over incident triples of g_rel * H[neighbor], both directions.
@@ -123,7 +122,7 @@ def edge_inner_product(hw, graph, slope):
     return out
 
 
-def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
+def attention_relational_aggregate(h, scores, plan, blocks, num_blocks,
                                    self_pre, mask=None, *, alpha_mask=None,
                                    layer, direction):
     """One whole directional update, computed in one buffer:
@@ -131,20 +130,27 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
         ReLU(dropout(sum_r sum_{edges k of r} a_k * (h[src_k] @ W_r)
                      + self_pre)),   a = dropout(alpha)
 
-    with the messages scattered to dst and summed before self_pre is added.
+    with the messages scattered to dst and summed before self_pre is added,
+    and alpha the softmax of scores[plan.order] within each attention group.
 
     `blocks` holds every relation's weight, (R*D_in, D_out/B): rows
     r*D_in:(r+1)*D_in are relation r's B diagonal blocks, stacked
     vertically. `mask` and `alpha_mask` are `tensor.dropout_mask`s of the
-    output's and of alpha's shape, or None for no dropout. A non-finite
+    output's and of the scores' shape, or None for no dropout. A non-finite
     entry after the dropout raises NumericFailure naming `layer`,
     `direction` and its node; the ReLU would silently zero a NaN. Gathered
     edge features are recomputed in the backward pass, which reads only
-    h, the ReLU mask out > 0, the dropout masks and the dropped alpha.
+    h, the ReLU mask out > 0, the dropout masks, alpha and the dropped alpha.
     """
     din_b, dout_b = h.shape[1] // num_blocks, blocks.shape[1]
     q = blocks.values.reshape(-1, num_blocks, din_b, dout_b)
-    hv, av = h.values, alpha.values
+    starts = plan.seg_starts
+    alpha = scores.values[plan.order, 0]
+    lengths = np.diff(np.append(starts, alpha.size))
+    alpha -= np.repeat(np.maximum.reduceat(alpha, starts), lengths)
+    np.exp(alpha, out=alpha)
+    alpha /= np.repeat(np.add.reduceat(alpha, starts), lengths)
+    hv, av = h.values, alpha[:, None]
     if alpha_mask is not None:
         av = T.apply_dropout(alpha_mask, av)
     res = np.zeros((h.shape[0], num_blocks * dout_b))
@@ -164,7 +170,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
     # for a finite input, out > 0 exactly where the ReLU passed it
     passed = res > 0.0
     out = Tensor(res)
-    sh, salpha, sblocks, sself = h.slot, alpha.slot, blocks.slot, self_pre.slot
+    sh, ss, sblocks, sself = h.slot, scores.slot, blocks.slot, self_pre.slot
 
     def bw(g):
         g *= passed
@@ -172,7 +178,7 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             T.apply_dropout(mask, g, out=g)
         _acc(sself, g)
         gh = _grad(sh)
-        galpha = np.empty_like(av)
+        galpha = np.empty(alpha.size)
         # relations without edges keep zero rows
         gq = np.zeros(q.shape)
         for r, lo, hi in _tiles(plan.rel_starts):
@@ -182,14 +188,16 @@ def attention_relational_aggregate(h, alpha, plan, blocks, num_blocks,
             # the message is linear in alpha: with t = g[dst] W_r^T,
             # dalpha = <h[src], t> and dh[src] = alpha * t
             t = _block_backward_x(gd, q[r])
-            galpha[lo:hi] = np.einsum("ij,ij->i", xs, t)[:, None]
+            galpha[lo:hi] = np.einsum("ij,ij->i", xs, t)
             t *= av[lo:hi]
             scatter_rows(gh, src, t)
             gd *= av[lo:hi]
             gq[r] += _block_backward_q(xs, gd, num_blocks)
         if alpha_mask is not None:
-            T.apply_dropout(alpha_mask, galpha, out=galpha)
-        _acc(salpha, galpha)
+            T.apply_dropout(alpha_mask, galpha[:, None], out=galpha[:, None])
+        # the softmax backward; order is a permutation: one add per triple
+        inner = np.repeat(np.add.reduceat(alpha * galpha, starts), lengths)
+        _grad(ss)[plan.order, 0] += alpha * (galpha - inner)
         _acc(sblocks, gq.reshape(sblocks.shape))
 
     _record(out, bw)
@@ -231,22 +239,19 @@ def conv_layer_forward(h, graph, weights, config, direction, rng=None, *,
 
     scores (one LeakyReLU edge score per triple, in triple order) and
     self_pre (h @ self_W) are computed once per layer and shared by its two
-    directions; each direction gathers the scores into its plan's order and
-    softmaxes them. Given an rng, the pass trains: it draws the attention
-    dropout's mask and the conv dropout's mask from it, in that order, and
-    the aggregate applies both. Without one, it runs no dropout.
+    directions; each direction's aggregate reads the scores in its plan's
+    order and softmaxes them. Given an rng, the pass trains: it draws the
+    attention dropout's mask and the conv dropout's mask from it, in that
+    order, and the aggregate applies both. Without one, it runs no dropout.
     A direction without edges gives ReLU(self_pre): its fused ops walk no
     tile.
     """
-    plan = graph.plan(direction)
-    alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
-                              plan.seg_starts)
-    alpha_mask = T.dropout_mask(alpha.shape, config.dropout_attention, rng)
+    alpha_mask = T.dropout_mask(scores.shape, config.dropout_attention, rng)
     mask = T.dropout_mask(self_pre.shape, config.dropout_conv, rng)
     return attention_relational_aggregate(
-        h, alpha, plan, weights.blocks[direction], config.num_blocks,
-        self_pre, mask, alpha_mask=alpha_mask, layer=layer,
-        direction=direction)
+        h, scores, graph.plan(direction), weights.blocks[direction],
+        config.num_blocks, self_pre, mask, alpha_mask=alpha_mask,
+        layer=layer, direction=direction)
 
 
 def conv_stack(graph, params, config, rng=None):

@@ -136,9 +136,9 @@ def rebuild_params(arrays, config, num_entities, num_relations, num_classes):
     in the layout of `config.task` and `config.decoder`.
 
     Raises SnapshotError for a parameter that is missing, whose shape
-    differs from its `schema` shape (dataset counts included) or that
-    holds a NaN or an infinity. The `regularized` flags come from the
-    schema.
+    differs from its `schema` shape (dataset counts included), that holds
+    a NaN or an infinity, or that the schema does not list. The
+    `regularized` flags come from the schema.
     """
     params = {}
     for name, shape, _, regularized in schema(
@@ -146,4 +146,8 @@ def rebuild_params(arrays, config, num_entities, num_relations, num_classes):
             num_classes):
         params[name] = Parameter(name, _checked(arrays, name, shape),
                                  regularized)
+    unused = sorted(set(arrays) - set(params))
+    if unused:
+        raise SnapshotError(f"snapshot holds parameters {unused} that the "
+                            "model does not use")
     return ModelParams(params, config.num_layers)

@@ -52,11 +52,13 @@ def save_snapshot(path, params, meta):
 
 
 def _check_header(path, header):
-    """Reject a header without the fields `load_snapshot` reads."""
+    """Reject a header without the fields `load_snapshot` reads, or that
+    names a parameter twice."""
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
             and isinstance(header.get("params"), list)):
         raise SnapshotError(
             f"{path}: header needs a 'meta' object and a 'params' list")
+    names = set()
     for entry in header["params"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -69,6 +71,9 @@ def _check_header(path, header):
             raise SnapshotError(
                 f"{path}: parameter {entry['name']!r} has dtype "
                 f"{entry['dtype']!r}; snapshots hold '<f8' data only")
+        if entry["name"] in names:
+            raise SnapshotError(f"{path}: repeated parameter {entry['name']!r}")
+        names.add(entry["name"])
 
 
 def load_snapshot(path):

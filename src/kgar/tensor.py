@@ -273,43 +273,11 @@ def _block_backward_q(xv, g, b):
 
 
 # ---------------------------------------------------------------------------
-# attention softmax and dropout masks
+# dropout masks
 #
-# the encoder's fused ops apply their own LeakyReLU, ReLU and dropout in
-# their own buffers; in a training pass, the one given an rng, `dropout_mask`
-# draws the masks that they apply, forward and backward, with `apply_dropout`
-
-
-def segment_softmax(scores, seg_starts):
-    """Softmax over contiguous row segments of a column vector.
-
-    ``seg_starts`` are the first row of each segment (seg_starts[0] == 0);
-    every segment is nonempty, so an empty column has no segments.
-    """
-    if scores.shape[1] != 1:
-        raise ShapeError(f"segment_softmax expects a column, got {scores.shape}")
-    starts = np.asarray(seg_starts, dtype=np.int64)
-    v = scores.values[:, 0]
-    bounds = np.append(starts, v.size)
-    lengths = np.diff(bounds)
-    if bounds[0] != 0 or np.any(lengths <= 0):
-        raise ShapeError("segment starts must begin at 0, increase strictly "
-                         "and stay in range, and be empty for an empty "
-                         "column only")
-    seg_max = np.maximum.reduceat(v, starts)
-    e = np.exp(v - np.repeat(seg_max, lengths))
-    z = np.add.reduceat(e, starts)
-    res = e / np.repeat(z, lengths)
-    out = Tensor(res[:, None])
-    ss = scores.slot
-
-    def bw(g):
-        gv = g[:, 0]
-        inner = np.add.reduceat(res * gv, starts)
-        _acc(ss, (res * (gv - np.repeat(inner, lengths)))[:, None])
-
-    _record(out, bw)
-    return out
+# the encoder's fused ops apply their own LeakyReLU, softmax, ReLU and
+# dropout; in a training pass, the one given an rng, `dropout_mask` draws
+# the masks that they apply, forward and backward, with `apply_dropout`
 
 
 def dropout_mask(shape, rate, rng):

@@ -1,5 +1,6 @@
 """Shared toy fixtures: a 6-node, 3-relation graph, parameter builders,
-single-triple scoring and the training step's L2 term."""
+single-triple scoring, the training step's L2 term and the attention
+weights a directional pass gives a score column."""
 
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kgar import tensor as T
+from kgar.encoder import attention_relational_aggregate
 from kgar.config import RunConfig
 from kgar.data import KnowledgeGraph
 from kgar.decoders import score_triples
@@ -52,6 +54,23 @@ def with_l2(data_loss, params, coefficient, feats=None, samples=None):
         T.gather_rows(feats, np.asarray(samples)[:, [0, 2]].ravel())]
     penalized = [p for p in params if p.regularized]
     return T.add(data_loss, T.l2_penalty(penalized + rows, coefficient))
+
+
+def attention_weights(graph, scores, direction):
+    """The attention weight of each edge of the direction's plan, in plan
+    order, as the directional pass computes it from the (E,1) score
+    column `scores`. It is read from the pass's output: with one-hot
+    states, relation r's block sending state j to column r*V + j and no
+    self term, out[dst, r*V + src] is the weight of edge src -r-> dst (the
+    sum of them, for a triple that repeats). Every product is by 1.0 or
+    0.0 and every sum adds zeros, so the weights are exact."""
+    n, nr = graph.num_entities, graph.num_relations
+    plan = graph.plan(direction)
+    out = attention_relational_aggregate(
+        Tensor(np.eye(n)), scores, plan, Tensor(np.eye(nr * n)),
+        1, Tensor(np.zeros((n, nr * n))), layer=0, direction=direction).values
+    rels = np.repeat(np.arange(nr), np.diff(plan.rel_starts))
+    return out[plan.dst, rels * n + plan.src]
 
 
 def relation_rows(params, layer, direction):

@@ -1,12 +1,13 @@
 """Tape ops kept only as references for tests, and the gradient check.
 
-The encoder multiplies relation blocks and scatters edge messages inside
-its fused ops, and the decoder scores triples in one fused op; these
-composable versions (block-diagonal matmul, row scatter-add, dense block
-assembly, sigmoid, ReLU, LeakyReLU, dropout, row softmax, elementwise
-sub/mul, scaling, row and total sums, sum of squares) let the tests check
-those fused ops, which apply their own activation and dropout, and the tape
-against independent routes.
+The encoder multiplies relation blocks, softmaxes attention groups and
+scatters edge messages inside its fused ops, and the decoder scores
+triples in one fused op; these composable versions (block-diagonal
+matmul, row scatter-add, dense block assembly, sigmoid, ReLU, LeakyReLU,
+dropout, row and segment softmax, elementwise sub/mul, scaling, row and
+total sums, sum of squares) let the tests check those fused ops, which
+apply their own activation, softmax and dropout, and the tape against
+independent routes.
 `grad_check` compares every gradient the tape computes with central
 differences.
 """
@@ -149,6 +150,37 @@ def softmax_rows(a):
     def bw(g):
         inner = (res * g).sum(axis=1, keepdims=True)
         _acc(a, res * (g - inner))
+
+    _record(out, bw)
+    return out
+
+
+def segment_softmax(scores, seg_starts):
+    """Softmax over contiguous row segments of a column vector.
+
+    ``seg_starts`` are the first row of each segment (seg_starts[0] == 0);
+    every segment is nonempty, so an empty column has no segments.
+    """
+    if scores.shape[1] != 1:
+        raise ShapeError(f"segment_softmax expects a column, got {scores.shape}")
+    starts = np.asarray(seg_starts, dtype=np.int64)
+    v = scores.values[:, 0]
+    bounds = np.append(starts, v.size)
+    lengths = np.diff(bounds)
+    if bounds[0] != 0 or np.any(lengths <= 0):
+        raise ShapeError("segment starts must begin at 0, increase strictly "
+                         "and stay in range, and be empty for an empty "
+                         "column only")
+    seg_max = np.maximum.reduceat(v, starts)
+    e = np.exp(v - np.repeat(seg_max, lengths))
+    z = np.add.reduceat(e, starts)
+    res = e / np.repeat(z, lengths)
+    out = Tensor(res[:, None])
+
+    def bw(g):
+        gv = g[:, 0]
+        inner = np.add.reduceat(res * gv, starts)
+        _acc(scores, (res * (gv - np.repeat(inner, lengths)))[:, None])
 
     _record(out, bw)
     return out

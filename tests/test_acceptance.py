@@ -18,16 +18,16 @@ import pytest
 import scalar_oracle as oracle
 import tape_reference as R
 from conftest import (TOY_LABELS, TOY_RELATIONS, TOY_TRIPLES,
-                      antisymmetric_relations, complex_score,
-                      distmult_score, relation_rows, to_oracle_params,
-                      toy_config, toy_params, with_l2)
+                      antisymmetric_relations, attention_weights,
+                      complex_score, distmult_score, relation_rows,
+                      to_oracle_params, toy_config, toy_params, with_l2)
 from kgar import datasets, decoders, evaluation, synthetic, training
 from kgar.config import resolve_config
 from kgar.data import DataError, KnowledgeGraph
 from kgar.encoder import conv_stack, encode
 from kgar.model import init_params
 from kgar.snapshot import save_snapshot
-from kgar.tensor import (Tensor, binary_cross_entropy_bits, segment_softmax,
+from kgar.tensor import (Tensor, binary_cross_entropy_bits,
                          softmax_cross_entropy)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -315,11 +315,12 @@ def test_criterion_7_structural_invariants():
     config = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
     rng = np.random.default_rng(11)
 
-    # attention rows: softmax over every (destination, relation) segment
+    # attention rows: softmax over every (destination, relation) segment,
+    # as a directional pass computes it from a score column
     for direction in ("forward", "backward"):
         plan = graph.plan(direction)
         raw = Tensor(rng.normal(size=(plan.src.size, 1)))
-        alpha = segment_softmax(raw, plan.seg_starts).values[:, 0]
+        alpha = attention_weights(graph, raw, direction)
         sums = np.add.reduceat(alpha, plan.seg_starts)
         assert np.abs(sums - 1.0).max() < 1e-9
 

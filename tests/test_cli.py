@@ -232,6 +232,9 @@ def test_snapshot_header_states_each_fact_once(lp_dir, tmp_path, capsys):
 
 def test_loss_log_records_each_interval(tmp_path, capsys):
     d = small_classify(tmp_path / "cl")
+    # n3 moves from the test labels to the validation labels
+    (tmp_path / "cl" / "labels_test.tsv").write_text("n2\tred\n",
+                                                     encoding="utf-8")
     (tmp_path / "cl" / "labels_valid.tsv").write_text("n3\tblue\n",
                                                       encoding="utf-8")
     assert cli.main(["preprocess", "--dataset", d]) == 0
@@ -300,10 +303,11 @@ def test_evaluate_shape_mismatch_names_parameter(lp_dir, tmp_path, capsys):
     assert "'embedding' has shape (40, 8), expected (41, 8)" in err
 
 
-def append_to(name, text):
-    """An edit that appends `text` to a raw dataset file."""
+def append_to(name, text, mode="a"):
+    """An edit that appends `text` to a raw dataset file, or writes it over
+    the file in mode "w"."""
     def edit(root):
-        with open(os.path.join(root, name), "a", encoding="utf-8") as fh:
+        with open(os.path.join(root, name), mode, encoding="utf-8") as fh:
             fh.write(text)
     return edit
 
@@ -311,7 +315,9 @@ def append_to(name, text):
 @pytest.mark.parametrize("make, edit, named", [
     (small_linkpred, append_to("train.tsv", "e000\tnew_rel\te001\n"),
      "'layer0.forward.blocks' has shape (32, 4), expected (40, 4)"),
-    (small_classify, append_to("labels_train.tsv", "n2\tgreen\n"),
+    # a third class, on an entity that holds no other label
+    (small_classify, append_to("labels_test.tsv", "n2\tgreen\nn3\tblue\n",
+                               mode="w"),
      "'classify.head' has shape (8, 2), expected (8, 3)"),
 ], ids=["relations", "classes"])
 def test_evaluate_count_mismatch_names_parameter_and_shapes(
@@ -484,20 +490,28 @@ def tsv_id_bundle(path):
     ("manifest.json", edit_lines(
         lambda lines: [line.replace('"counts"', '"tallies"')
                        for line in lines]), "counts"),
+    # small_classify labels n0 (id 0) red (class 0) for training
+    ("labels_train.npy", edit_ids(lambda rows: rows[[0, 0]]),
+     "row 2 labels entity 0 again"),
+    ("labels_test.npy", first_row([0, 1]), "row 1 labels entity 0 again"),
 ], ids=["negative-id", "entity-out-of-range", "relation-out-of-range",
         "short-file", "truncated-npy", "overstated-header",
         "rows-beyond-header", "text-under-npy-name", "empty-npy",
         "float64-ids", "two-column-triples", "tsv-id-bundle",
         "entity-names-bad-id", "truncated-entity-names",
         "truncated-relation-names", "truncated-manifest",
-        "manifest-without-counts"])
-def test_evaluate_corrupt_bundle_is_data_error(lp_dir, capsys, name, corrupt,
-                                               detail):
-    corrupt(os.path.join(lp_dir, "bundle", name))
+        "manifest-without-counts", "relabelled-entity",
+        "train-entity-in-test-labels"])
+def test_evaluate_corrupt_bundle_is_data_error(tmp_path, capsys, name,
+                                               corrupt, detail):
+    make = small_classify if name.startswith("labels_") else small_linkpred
+    root = make(tmp_path / "d")
+    assert cli.main(["preprocess", "--dataset", root]) == 0
+    corrupt(os.path.join(root, "bundle", name))
     capsys.readouterr()
     # the bundle loads before the snapshot is read
     assert cli.main(["evaluate", "--snapshot", "absent.kgar",
-                     "--dataset", lp_dir]) == 2
+                     "--dataset", root]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and name in err and detail in err
 
@@ -652,11 +666,14 @@ def test_failed_bundle_write_leaves_no_bundle(tmp_path, monkeypatch,
 
 
 def rewrite_params(src, dst, edit):
-    """Copy a snapshot with `edit(arrays)` applied to its name->array map."""
+    """Copy a snapshot with `edit(arrays)` applied to its name->array map;
+    the entries that an edit returns, as (name, values) pairs, follow the
+    map's, names it holds among them."""
     meta, arrays = load_snapshot(src)
-    edit(arrays)
-    save_snapshot(dst, [Parameter(name, values)
-                        for name, values in arrays.items()], meta)
+    extra = edit(arrays) or []
+    entries = [*arrays.items(), *extra]
+    save_snapshot(dst, [Parameter(name, values) for name, values in entries],
+                  meta)
 
 
 def split_relations(arrays):
@@ -674,9 +691,14 @@ def fill(name, value):
     return lambda arrays: arrays[name].fill(value)
 
 
+def drop(name):
+    """An edit that removes one parameter."""
+    return lambda arrays: arrays.__delitem__(name)
+
+
 @pytest.mark.parametrize("edit, named", [
-    (lambda a: a.pop("layer0.att_w"), "'layer0.att_w'"),
-    (lambda a: a.pop("decoder.rel_re"), "'decoder.rel_re'"),
+    (drop("layer0.att_w"), "'layer0.att_w'"),
+    (drop("decoder.rel_re"), "'decoder.rel_re'"),
     (lambda a: a.update({"layer0.att_w": np.zeros((3, 3))}),
      "'layer0.att_w' has shape (3, 3), expected (8, 8)"),
     (lambda a: a.update({"decoder.rel_re": np.zeros((2, 1))}),
@@ -686,8 +708,13 @@ def fill(name, value):
     (fill("decoder.rel_re", np.nan),
      "'decoder.rel_re' has non-finite values"),
     (fill("embedding", np.inf), "'embedding' has non-finite values"),
+    (lambda a: a.update({"layer7.att_w": a["layer0.att_w"]}),
+     "['layer7.att_w'] that the model does not use"),
+    (lambda a: [("decoder.rel_re", np.zeros((4, 4)))],
+     "repeated parameter 'decoder.rel_re'"),
 ], ids=["missing-att-w", "missing-rel-re", "misshapen-att-w",
-        "misshapen-rel-re", "misshapen-gates", "nan-rel-re", "inf-embedding"])
+        "misshapen-rel-re", "misshapen-gates", "nan-rel-re", "inf-embedding",
+        "unused-layer7-att-w", "repeated-rel-re"])
 def test_evaluate_bad_snapshot_parameter_is_snapshot_error(
         lp_dir, tmp_path, capsys, edit, named):
     out = str(tmp_path / "run")
@@ -840,6 +867,26 @@ def test_preprocess_refuses_an_empty_field(tmp_path, capsys, make, name,
     assert cli.main(["preprocess", "--dataset", d]) == 2
     assert f"{where} is empty" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(d, "bundle"))
+
+
+@pytest.mark.parametrize("train, test, where, first", [
+    ("a\tX\na\tY\nb\tX\n", "a\tX\nc\tY\n", "labels_train.tsv:2",
+     "labels_train.tsv:1"),
+    ("# labels\na\tX\n\nb\tX\n", "c\tY\nb\tY\n", "labels_test.tsv:2",
+     "labels_train.tsv:4"),
+], ids=["in-one-file", "across-files"])
+def test_preprocess_refuses_a_repeated_label(tmp_path, capsys, train, test,
+                                             where, first):
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+    (root / "labels_train.tsv").write_text(train, encoding="utf-8")
+    (root / "labels_test.tsv").write_text(test, encoding="utf-8")
+    assert cli.main(["preprocess", "--dataset", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: entity " in err and "labelled again" in err
+    assert err.rstrip().endswith(f"{first}")
+    assert not (root / "bundle").exists()
 
 
 def empty_file(name):

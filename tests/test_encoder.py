@@ -10,8 +10,8 @@ import pytest
 
 import scalar_oracle as oracle
 import tape_reference as R
-from conftest import (TOY_TRIPLES, relation_rows, to_oracle_params, toy_config,
-                      toy_params)
+from conftest import (TOY_TRIPLES, attention_weights, relation_rows,
+                      to_oracle_params, toy_config, toy_params)
 from kgar import encoder as E
 from kgar import tensor as T
 from kgar import training
@@ -26,12 +26,14 @@ from kgar.tensor import NumericFailure, Parameter, Tensor
 
 def attention(H, W, node, neighbors, slope=0.2):
     """LeakyReLU(<W^T h_node, W^T h_j>) softmaxed over the neighbors j, as
-    one attention group of edge_inner_product and segment_softmax: a graph
-    of one relation whose triples are (j, 0, node)."""
+    one attention group of edge_inner_product and the directional pass: a
+    graph of one relation whose triples are (j, 0, node)."""
     g = KnowledgeGraph([(j, 0, node) for j in neighbors], len(H), 1)
     hw = T.matmul(Tensor(H), Tensor(W))
     scores = E.edge_inner_product(hw, g, slope)
-    return T.segment_softmax(scores, [0]).values[:, 0]
+    alpha = np.empty(len(neighbors))
+    alpha[g.plan("forward").order] = attention_weights(g, scores, "forward")
+    return alpha
 
 
 def test_attention_identical_states_split_evenly():
@@ -56,14 +58,21 @@ def test_attention_matches_scalar_oracle():
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
-def test_attention_empty_set_rejected():
-    # a group start past the last score would be an empty neighbor set
+def test_attention_empty_set_rejected(toy_graph):
+    # a group start past the last score would be an empty neighbor set:
+    # the reference softmax refuses one, and no plan builds one
     with pytest.raises(T.ShapeError):
-        T.segment_softmax(Tensor([[1.0], [2.0]]), [0, 2])
+        R.segment_softmax(Tensor([[1.0], [2.0]]), [0, 2])
+    for graph in (toy_graph, KnowledgeGraph(SPLIT_TRIPLES, 6, 4),
+                  KnowledgeGraph([], 3, 2)):
+        for direction in ("forward", "backward"):
+            plan = graph.plan(direction)
+            bounds = np.append(plan.seg_starts, plan.src.size)
+            assert bounds[0] == 0 and (np.diff(bounds) > 0).all()
 
 
 def test_attention_group_sums_to_one_on_toy(toy_graph):
-    # the same segment softmax the conv layer uses, over every
+    # the softmax of the conv layer's directional pass, over every
     # (relation, node) group of both directions
     rng = np.random.default_rng(2)
     H = Tensor(rng.standard_normal((toy_graph.num_entities, 6)))
@@ -72,9 +81,8 @@ def test_attention_group_sums_to_one_on_toy(toy_graph):
     scores = E.edge_inner_product(hw, toy_graph, 0.2)
     for direction in ("forward", "backward"):
         plan = toy_graph.plan(direction)
-        alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
-                                  plan.seg_starts)
-        sums = np.add.reduceat(alpha.values[:, 0], plan.seg_starts)
+        alpha = attention_weights(toy_graph, scores, direction)
+        sums = np.add.reduceat(alpha, plan.seg_starts)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
@@ -153,7 +161,8 @@ def test_edge_inner_product_parity(toy_graph):
 
 def aggregate_parity(graph, direction, seed):
     """The fused directional update's value and gradients against the
-    composed route, ReLU(messages + self_pre)."""
+    composed route, ReLU(messages + self_pre) with the messages weighted by
+    the segment softmax of the score column gathered into plan order."""
     rng = np.random.default_rng(seed)
     n, d, b, nr = graph.num_entities, 4, 2, graph.num_relations
     h = Parameter("h", rng.standard_normal((n, d)))
@@ -161,16 +170,18 @@ def aggregate_parity(graph, direction, seed):
     q = Parameter("q", rng.standard_normal((nr * d, d // b)))
     # the composed route gives each relation its own rows of q
     qs = [Parameter(f"q{r}", q.values[r * d:(r + 1) * d]) for r in range(nr)]
-    alpha_vals = rng.random((plan.src.size, 1))
+    scores = Parameter("scores", rng.standard_normal((plan.src.size, 1)))
     self_pre = Parameter("self_pre", rng.standard_normal((n, d)))
 
     def fused():
-        alpha = Tensor(alpha_vals)
-        out = E.attention_relational_aggregate(h, alpha, plan, q, b, self_pre,
-                                               layer=0, direction=direction)
+        out = E.attention_relational_aggregate(h, scores, plan, q, b,
+                                               self_pre, layer=0,
+                                               direction=direction)
         return R.sum_squares(out)
 
     def composed():
+        alpha = R.segment_softmax(T.gather_rows(scores, plan.order),
+                                  plan.seg_starts)
         total = None
         for r in range(nr):
             lo, hi = plan.rel_starts[r], plan.rel_starts[r + 1]
@@ -178,16 +189,17 @@ def aggregate_parity(graph, direction, seed):
                 continue
             xs = T.gather_rows(h, plan.src[lo:hi])
             ys = R.block_matmul(xs, qs[r], b)
-            w = Tensor(alpha_vals[lo:hi])
+            w = T.gather_rows(alpha, np.arange(lo, hi))
             part = R.scatter_add_rows(R.mul(ys, w), plan.dst[lo:hi], n)
             total = part if total is None else T.add(total, part)
         return R.sum_squares(R.relu(T.add(total, self_pre)))
 
-    v1, (gh1, gq1, gs1) = grads_of(fused, [h, q, self_pre])
-    v2, (gh2, gs2, *gqs) = grads_of(composed, [h, self_pre] + qs)
+    v1, (gh1, gq1, gs1, ge1) = grads_of(fused, [h, q, self_pre, scores])
+    v2, (gh2, gs2, ge2, *gqs) = grads_of(composed, [h, self_pre, scores] + qs)
     assert v1 == pytest.approx(v2, abs=1e-10)
     np.testing.assert_allclose(gh1, gh2, atol=1e-12)
     np.testing.assert_allclose(gs1, gs2, atol=1e-12)
+    np.testing.assert_allclose(ge1, ge2, atol=1e-12)
     # the composed route leaves a relation without edges with no gradient
     gqs = [g if g.ndim else np.zeros((d, d // b)) for g in gqs]
     np.testing.assert_allclose(gq1, np.concatenate(gqs), atol=1e-12)
@@ -197,56 +209,80 @@ def test_attention_aggregate_parity(toy_graph):
     aggregate_parity(toy_graph, "forward", seed=6)
 
 
-def test_attention_aggregate_alpha_gradient(toy_graph):
+@pytest.mark.parametrize("rate", [0.0, 0.5],
+                         ids=["no-alpha-mask", "alpha-mask"])
+def test_attention_aggregate_score_gradient(toy_graph, rate):
+    # the pass softmaxes the score column within each attention group, so
+    # a shift of every score leaves its output, and each group's score
+    # gradient sums to 0; central differences agree with that gradient,
+    # also through a mask on alpha
     rng = np.random.default_rng(7)
     plan = toy_graph.plan("forward")
     h = Tensor(rng.standard_normal((6, 4)))
-    q = Parameter("q", rng.standard_normal((3 * 4, 2)))
-    alpha = Parameter("alpha", rng.random((plan.src.size, 1)))
+    q = Tensor(rng.standard_normal((3 * 4, 2)))
+    scores = Parameter("scores", rng.standard_normal((plan.src.size, 1)))
     self_pre = Tensor(rng.standard_normal((6, 4)))
+    alpha_mask = T.dropout_mask(scores.shape, rate, rng)
+    assert alpha_mask is None or (alpha_mask[0].any()
+                                  and not alpha_mask[0].all())
+
+    def update(column):
+        return E.attention_relational_aggregate(
+            h, column, plan, q, 2, self_pre, alpha_mask=alpha_mask, layer=0,
+            direction="forward")
 
     def loss():
-        return R.sum_squares(E.attention_relational_aggregate(
-            h, alpha, plan, q, 2, self_pre, layer=0, direction="forward"))
+        return R.sum_squares(update(scores))
 
-    assert R.grad_check(loss, [alpha]) < 1e-6
+    np.testing.assert_allclose(update(Tensor(scores.values + 3.0)).values,
+                               update(scores).values, atol=1e-12)
+    _, (g,) = grads_of(loss, [scores])
+    assert g.any()
+    np.testing.assert_allclose(
+        np.add.reduceat(g[plan.order, 0], plan.seg_starts), 0.0, atol=1e-12)
+    assert R.grad_check(loss, [scores]) < 1e-6
 
 
 def fused_update_inputs(graph, seed):
-    """h, alpha, the forward plan, relation blocks and self_pre for a
-    width-4, two-block directional update on `graph`, all Parameters."""
+    """h, the score column, the forward plan, relation blocks and self_pre
+    for a width-4, two-block directional update on `graph`, all
+    Parameters."""
     rng = np.random.default_rng(seed)
     n, nr = graph.num_entities, graph.num_relations
     plan = graph.plan("forward")
     return (Parameter("h", rng.standard_normal((n, 4))),
-            Parameter("alpha", rng.random((plan.src.size, 1))),
+            Parameter("scores", rng.standard_normal((plan.src.size, 1))),
             plan,
             Parameter("q", rng.standard_normal((nr * 4, 2))),
             Parameter("self_pre", rng.standard_normal((n, 4))))
 
 
-def draw_masks(rate, alpha, self_pre, rng):
-    """The alpha mask, then the conv mask, at one rate: the order in which
-    conv_layer_forward draws them."""
-    return (T.dropout_mask(alpha.shape, rate, rng),
+def draw_masks(rate, scores, self_pre, rng):
+    """The alpha mask (of the scores' shape), then the conv mask, at one
+    rate: the order in which conv_layer_forward draws them."""
+    return (T.dropout_mask(scores.shape, rate, rng),
             T.dropout_mask(self_pre.shape, rate, rng))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5])
 def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
-    # the alpha dropout comes first; the messages are summed in plan order
-    # and self_pre is added after, then the conv dropout and the ReLU
-    # follow, as separate dropout, add and ReLU ops would do it; the masks
-    # are the draws the composed dropouts make from the same rng state
-    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 30)
-    alpha_mask, mask = draw_masks(rate, alpha, self_pre,
+    # the segment softmax of the score column in plan order comes first,
+    # then the alpha dropout; the messages are summed in plan order and
+    # self_pre is added after, then the conv dropout and the ReLU follow,
+    # as separate gather, softmax, dropout, add and ReLU ops would do it;
+    # the masks are the draws the composed dropouts make from the same rng
+    # state
+    h, scores, plan, q, self_pre = fused_update_inputs(toy_graph, 30)
+    alpha_mask, mask = draw_masks(rate, scores, self_pre,
                                   np.random.default_rng(31))
     assert (mask is None) == (alpha_mask is None) == (rate == 0.0)
-    got = E.attention_relational_aggregate(h, alpha, plan, q, 2, self_pre,
+    got = E.attention_relational_aggregate(h, scores, plan, q, 2, self_pre,
                                            mask, alpha_mask=alpha_mask,
                                            layer=0,
                                            direction="forward").values
     rng = np.random.default_rng(31)
+    alpha = R.segment_softmax(T.gather_rows(scores, plan.order),
+                              plan.seg_starts)
     dropped_alpha = R.dropout(alpha, rate, rng).values
     msgs = np.zeros((plan.src.size, 4))
     for r in range(toy_graph.num_relations):
@@ -262,8 +298,8 @@ def test_fused_update_is_bit_equal_to_the_composed_ops(toy_graph, rate):
 
 def test_fused_update_grad_check_under_a_mask(toy_graph):
     # the conv mask alone, then with an alpha mask too
-    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 32)
-    alpha_mask, mask = draw_masks(0.5, alpha, self_pre,
+    h, scores, plan, q, self_pre = fused_update_inputs(toy_graph, 32)
+    alpha_mask, mask = draw_masks(0.5, scores, self_pre,
                                   np.random.default_rng(33))
     for dropped, _ in (mask, alpha_mask):
         assert dropped.any() and not dropped.all()
@@ -271,19 +307,19 @@ def test_fused_update_grad_check_under_a_mask(toy_graph):
     for alpha_drop in (None, alpha_mask):
         def loss():
             return R.sum_squares(E.attention_relational_aggregate(
-                h, alpha, plan, q, 2, self_pre, mask, alpha_mask=alpha_drop,
+                h, scores, plan, q, 2, self_pre, mask, alpha_mask=alpha_drop,
                 layer=0, direction="forward"))
 
-        assert R.grad_check(loss, [h, alpha, q, self_pre]) < 1e-6
+        assert R.grad_check(loss, [h, scores, q, self_pre]) < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fused_update_names_the_first_non_finite_node(toy_graph):
-    h, alpha, plan, q, self_pre = fused_update_inputs(toy_graph, 34)
+    h, scores, plan, q, self_pre = fused_update_inputs(toy_graph, 34)
     self_pre.values[3, 1] = np.nan
     self_pre.values[5, 0] = np.nan
     with pytest.raises(NumericFailure) as info:
-        E.attention_relational_aggregate(h, alpha, plan, q, 2, self_pre,
+        E.attention_relational_aggregate(h, scores, plan, q, 2, self_pre,
                                          layer=1, direction="backward")
     assert str(info.value) == ("non-finite hidden state (layer 1, direction "
                                "backward, node 3)")
@@ -291,9 +327,9 @@ def test_fused_update_names_the_first_non_finite_node(toy_graph):
 
 @pytest.mark.parametrize("dropout_attention", [0.0, 0.5])
 def test_directional_update_is_one_tape_op(toy_graph, dropout_attention):
-    # a training pass records the score gather, the softmax and the fused
-    # update: the attention dropout, the message sum, the self term, the
-    # conv dropout and the ReLU keep no closure of their own
+    # a training pass records the fused update alone: the score gather,
+    # the softmax, the attention dropout, the message sum, the self term,
+    # the conv dropout and the ReLU keep no closure of their own
     cfg = toy_config(dropout_attention=dropout_attention, dropout_conv=0.5)
     params = toy_params(cfg, seed=35)
     lw = params.layers[0]
@@ -305,9 +341,20 @@ def test_directional_update_is_one_tape_op(toy_graph, dropout_attention):
         out = E.conv_layer_forward(h, toy_graph, lw, cfg, "forward",
                                    np.random.default_rng(36), scores=scores,
                                    self_pre=self_pre, layer=0)
-        assert len(tape._steps) == 3
+        assert len(tape._steps) == 1
         tape.backward(R.sum_squares(out))
     assert self_pre.grad is not None and lw.blocks["forward"].grad.any()
+    assert scores.grad.any()
+
+
+def test_a_conv_layer_records_six_closures(toy_graph):
+    # the two projections, the score op, the two directional passes and
+    # their sum, in a training pass with both dropouts
+    cfg = toy_config(num_layers=1, dropout_attention=0.5, dropout_conv=0.5)
+    params = toy_params(cfg, seed=38)
+    with T.Tape() as tape:
+        E.conv_stack(toy_graph, params, cfg, np.random.default_rng(39))
+        assert len(tape._steps) == 6
 
 
 def test_gated_neighbor_sum_parity(toy_graph):
@@ -662,32 +709,30 @@ def test_forward_backward_symmetry():
 
 def test_each_layer_scores_its_triples_once(toy_graph, monkeypatch):
     # one edge_inner_product per layer, over the triples in file order;
-    # each direction's softmax reads that LeakyReLU column gathered into
-    # its plan's order
-    inner, softmax = E.edge_inner_product, T.segment_softmax
-    scored, scores, softmax_inputs = [], [], []
+    # each direction's pass reads that LeakyReLU column with its own plan
+    inner, aggregate = E.edge_inner_product, E.attention_relational_aggregate
+    scored, scores, read = [], [], []
 
     def spy_inner(hw, graph, slope):
         scored.append((graph, slope))
         scores.append(inner(hw, graph, slope))
         return scores[-1]
 
-    def spy_softmax(a, seg_starts):
-        softmax_inputs.append(a.values)
-        return softmax(a, seg_starts)
+    def spy_aggregate(h, column, plan, *args, **kw):
+        read.append((column, plan))
+        return aggregate(h, column, plan, *args, **kw)
 
     monkeypatch.setattr(E, "edge_inner_product", spy_inner)
-    monkeypatch.setattr(T, "segment_softmax", spy_softmax)
+    monkeypatch.setattr(E, "attention_relational_aggregate", spy_aggregate)
     cfg = toy_config(embed_dim=8, num_layers=2, num_blocks=2)
     E.encode(toy_graph, toy_params(cfg, seed=24), cfg)
-    assert len(scored) == 2 and len(softmax_inputs) == 4
+    assert len(scored) == 2 and len(read) == 4
     assert all(graph is toy_graph and slope == cfg.leaky_slope
                for graph, slope in scored)
     for layer, column in enumerate(scores):
         for k, direction in enumerate(("forward", "backward")):
-            order = toy_graph.plan(direction).order
-            np.testing.assert_array_equal(softmax_inputs[2 * layer + k],
-                                          column.values[order])
+            got, plan = read[2 * layer + k]
+            assert got is column and plan is toy_graph.plan(direction)
 
 
 def test_encoder_grad_check(toy_graph):
@@ -758,8 +803,8 @@ def test_encode_deterministic_in_training_mode(toy_graph):
 
 def composed_training_encode(graph, params, cfg, rng):
     """The encoder's training pass from its ops, with the masks drawn as
-    the pass draws them: per layer and direction, alpha's, then the conv
-    dropout's."""
+    the pass draws them: per layer and direction, alpha's (of the scores'
+    shape), then the conv dropout's."""
     h = params.embedding
     for layer, lw in enumerate(params.layers):
         scores = E.edge_inner_product(T.matmul(h, lw.att_W), graph,
@@ -767,16 +812,13 @@ def composed_training_encode(graph, params, cfg, rng):
         self_pre = T.matmul(h, lw.self_W)
         outs = []
         for direction in ("forward", "backward"):
-            plan = graph.plan(direction)
-            alpha = T.segment_softmax(T.gather_rows(scores, plan.order),
-                                      plan.seg_starts)
-            alpha_mask = T.dropout_mask(alpha.shape, cfg.dropout_attention,
+            alpha_mask = T.dropout_mask(scores.shape, cfg.dropout_attention,
                                         rng)
             mask = T.dropout_mask(self_pre.shape, cfg.dropout_conv, rng)
             outs.append(E.attention_relational_aggregate(
-                h, alpha, plan, lw.blocks[direction], cfg.num_blocks,
-                self_pre, mask, alpha_mask=alpha_mask, layer=layer,
-                direction=direction))
+                h, scores, graph.plan(direction), lw.blocks[direction],
+                cfg.num_blocks, self_pre, mask, alpha_mask=alpha_mask,
+                layer=layer, direction=direction))
         h = T.add(*outs)
     return E.gated_neighbor_sum(h, params.gates, graph)
 
@@ -813,8 +855,8 @@ def _memory(arr):
 
 
 def test_a_taped_step_frees_what_no_backward_reads(toy_graph, monkeypatch):
-    # the tape keeps the arrays that some backward reads (hw, the attention
-    # alpha, each layer's input) and nothing else: each layer's self_pre,
+    # the tape keeps the arrays that some backward reads (hw, the score
+    # column, each layer's input) and nothing else: each layer's self_pre,
     # both directional outputs and the fusion output are freed before
     # Tape.backward runs
     freed, kept = {}, {}
@@ -826,13 +868,13 @@ def test_a_taped_step_frees_what_no_backward_reads(toy_graph, monkeypatch):
         kept[f"hw {layer}"] = weakref.ref(_memory(hw.values))
         return inner(hw, graph, slope)
 
-    def spy_aggregate(h, alpha, plan, blocks, num_blocks, self_pre, mask,
+    def spy_aggregate(h, scores, plan, blocks, num_blocks, self_pre, mask,
                       *, layer, direction, **kw):
-        out = aggregate(h, alpha, plan, blocks, num_blocks, self_pre, mask,
+        out = aggregate(h, scores, plan, blocks, num_blocks, self_pre, mask,
                         layer=layer, direction=direction, **kw)
         kept[f"input {layer}"] = weakref.ref(_memory(h.values))
-        kept[f"alpha {layer} {direction}"] = weakref.ref(
-            _memory(alpha.values))
+        kept[f"scores {layer} {direction}"] = weakref.ref(
+            _memory(scores.values))
         freed[f"self_pre {layer}"] = weakref.ref(_memory(self_pre.values))
         freed[f"{direction} output {layer}"] = weakref.ref(
             _memory(out.values))

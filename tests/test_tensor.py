@@ -107,13 +107,18 @@ def test_classification_loss_exact_for_a_confidently_wrong_row():
     np.testing.assert_allclose(head.grad, [[1.0, -1.0]], rtol=0, atol=1e-12)
 
 
+# the encoder's aggregate softmaxes its attention groups in its own
+# buffers; tape_reference.segment_softmax is the route the encoder tests
+# check it against
+
+
 def test_segment_softmax_segments_sum_to_one():
     scores = T.Tensor(np.array([[1.0], [2.0], [3.0], [-1.0], [0.5]]))
-    out = T.segment_softmax(scores, [0, 3])
+    out = R.segment_softmax(scores, [0, 3])
     assert out.values[:3].sum() == pytest.approx(1.0, abs=1e-12)
     assert out.values[3:].sum() == pytest.approx(1.0, abs=1e-12)
     # singleton segment is exactly 1
-    single = T.segment_softmax(T.Tensor([[7.0]]), [0])
+    single = R.segment_softmax(T.Tensor([[7.0]]), [0])
     assert single.values[0, 0] == 1.0
 
 
@@ -122,13 +127,13 @@ def test_segment_softmax_empty_column():
     # other, so the scores still receive a (zero-row) gradient
     s = T.Parameter("s", np.zeros((0, 1)))
     with T.Tape() as tape:
-        out = T.segment_softmax(s, [])
+        out = R.segment_softmax(s, [])
         loss = R.sum_all(out)
     tape.backward(loss)
     assert out.shape == (0, 1) and s.grad.shape == (0, 1)
     for scores, starts in (([[1.0]], []), (np.zeros((0, 1)), [0])):
         with pytest.raises(T.ShapeError, match="empty column only"):
-            T.segment_softmax(T.Tensor(scores), starts)
+            R.segment_softmax(T.Tensor(scores), starts)
 
 
 def test_block_matmul_equals_dense_blockdiag():
@@ -338,7 +343,7 @@ def test_grad_segment_softmax():
     weight = rng.standard_normal((6, 1))
 
     def loss():
-        p = T.segment_softmax(s, [0, 2, 5])
+        p = R.segment_softmax(s, [0, 2, 5])
         return R.sum_all(R.mul(p, T.Tensor(weight)))
 
     assert_grad_matches(loss, [s])
@@ -361,9 +366,8 @@ def test_grad_gather_scatter():
 @pytest.mark.parametrize("held", [False, True],
                          ids=["fresh-grad", "existing-grad"])
 def test_gather_rows_through_a_permutation_adds_each_row_once(held):
-    # the encoder reads its score column (width 1) through a permutation:
-    # each gradient row takes exactly one add, also when the gradient
-    # already holds a value (the other direction's)
+    # a gather through a permutation: each gradient row takes exactly one
+    # add, also when the gradient already holds a value
     rng = np.random.default_rng(11)
     n = 3 * T._TILE + 7  # several scatter tiles
     order = rng.permutation(n)
