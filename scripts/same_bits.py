@@ -25,13 +25,11 @@ import tempfile
 
 import numpy as np
 
-from kgar import datasets, synthetic, training
+from kgar import cli, datasets, synthetic, training
 from kgar.config import resolve_config
 from kgar.data import LabelSet
 
 SEED = 3
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                         "MKL_NUM_THREADS")
 
 # name -> (task, settings over the synthetic dataset's defaults)
 RUNS = {
@@ -55,6 +53,13 @@ def load_graph(root):
     bundle_dir = os.path.join(dataset_dir, datasets.BUNDLE_DIR)
     datasets.write_bundle(bundle_dir, datasets.preprocess(dataset_dir))
     return datasets.load_bundle(bundle_dir).graph
+
+
+def print_environment():
+    """Print the numpy version and the BLAS thread variables."""
+    print(f"numpy {np.__version__}")
+    print("blas " + " ".join(f"{name}={value}"
+                             for name, value in cli.blas_env().items()))
 
 
 def run_hash(graph, task, settings, iterations=None):
@@ -90,9 +95,7 @@ def main(argv=None):
     parser.add_argument("--iterations", type=int, default=None,
                         help="cap every run at this many iterations")
     args = parser.parse_args(argv)
-    print(f"numpy {np.__version__}")
-    print("blas " + " ".join(f"{name}={os.environ.get(name, '')}"
-                             for name in BLAS_THREAD_VARIABLES))
+    print_environment()
     with tempfile.TemporaryDirectory() as root:
         graph = load_graph(root)
     for name, (task, settings) in RUNS.items():

@@ -33,6 +33,14 @@ TABLE4_REFERENCE = {"fb15k-237": {"mrr_raw": 0.169, "mrr_filtered": 0.260,
 TABLE2_DATASETS = {"desk": ("aifb", "mutag"), "full": ("aifb", "mutag", "bgs", "am")}
 TABLE4_DATASETS = {"desk": ("synthetic",), "full": ("synthetic", "fb15k-237")}
 LINK_METRICS = ("mrr_raw", "mrr_filtered", "hits1", "hits3", "hits10")
+# same-seed runs give the same bits only at the same BLAS thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+
+def blas_env():
+    """The BLAS thread variables as this process sees them, '' if unset."""
+    return {name: os.environ.get(name, "") for name in BLAS_THREAD_VARIABLES}
 
 
 class UsageError(Exception):
@@ -189,7 +197,8 @@ def cmd_train(args):
                                 progress=_progress(sys.stderr, log))
     save_snapshot(snapshot_path, result.params.all_params(),
                   {"dataset": bundle.manifest["dataset"],
-                   "config": asdict(config)})
+                   "config": asdict(config), "numpy": np.__version__,
+                   "blas_env": blas_env()})
     print(f"snapshot: {snapshot_path}")
     print(f"loss log: {log_path}")
     return EXIT_OK

@@ -11,7 +11,7 @@ training all read the one object.
 
 Precedence, lowest to highest: per-task global defaults, per-dataset
 defaults, config file, command-line flags. Config files are flat
-`key=value` lines with `#` comments.
+`key=value` lines with `#` comments, each key stated at most once.
 """
 
 from __future__ import annotations
@@ -146,8 +146,9 @@ def coerce(field, raw):
 
 
 def parse_config_file(path):
-    """Flat key=value file -> dict of typed values."""
-    out = {}
+    """Flat key=value file -> dict of typed values; a key stated twice is
+    a ValueError naming both lines."""
+    out, first = {}, {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
@@ -161,6 +162,10 @@ def parse_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is set again, "
+                             f"first at {path}:{first[key]}")
+        first[key] = lineno
         try:
             out[key] = coerce(key, value.strip())
         except ValueError as exc:

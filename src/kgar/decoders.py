@@ -18,6 +18,13 @@ tape op (`score_triples`) that gathers its rows, converts only those,
 and scatters the gradients back. Ranking uses no tape: `query_scorer`
 builds each query's vector from the same two products and scores a
 block of queries against all entities with one GEMM.
+
+What lives how long in training: the op's batch-sized arrays (S, O, W,
+conj(X) and the real rows its gathers and scatters pass through) live
+for the whole run, in the one `ScoreBuffers` that `training.train`
+makes and hands to every step. Each step makes new only its id
+arrays, its (n, 1) scores and the gradients it scatters into, which
+live as every gradient on the tape does.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _grad, _record, _row_index
+from .tensor import Tensor, _grad, _record, _row_index, _tape
 
 
 # ---------------------------------------------------------------------------
@@ -66,58 +73,129 @@ def _parts(z):
     return [z.real, z.imag] if np.iscomplexobj(z) else [z]
 
 
-def _scatter(slot, ids, z):
+def _staged(rows, n, width):
+    """The first n·width values of the flat float64 area `rows`, as a
+    C-contiguous (n, width) matrix."""
+    return rows[:n * width].reshape(n, width)
+
+
+def _gather(mats, ids, out, rows):
+    """Fill the entries `out` with rows `ids` (see `_entries`) of the
+    matrix whose columns, side by side, are `mats`: the features [re | im]
+    or DistMult's one matrix, or ComplEx's relation parts [re, im]. Each
+    matrix's rows pass through the front of `rows`.
+
+    np.take reads a `mat` that is not C-contiguous through a copy and, in
+    its default mode="raise", writes through a buffer; the ids are checked
+    before (`_row_index`), so mode="clip" clips nothing and takes no
+    memory."""
+    parts = _parts(out)
+    targets = iter(parts)
+    for mat in mats:
+        staged = np.take(mat, ids, axis=0, mode="clip",
+                         out=_staged(rows, len(ids), mat.shape[1]))
+        for block in np.hsplit(staged, len(parts) // len(mats)):
+            np.copyto(next(targets), block)
+
+
+def _scatter(slot, ids, z, rows):
     """Add the entries z to the rows `ids` of a tensor's gradient (its
-    `GradSlot`), in the tensor's real layout: a complex z as its rows
+    `GradSlot`), in the tensor's real layout, which is built at the front
+    of the flat float64 area `rows`: a complex z as its rows
     [Re z | Im z]."""
-    T.scatter_rows(_grad(slot), ids, np.hstack(_parts(z)))
+    parts = _parts(z)
+    vals = _staged(rows, len(z), z.shape[1] * len(parts))
+    for block, part in zip(np.hsplit(vals, len(parts)), parts):
+        np.copyto(block, part)
+    T.scatter_rows(_grad(slot), ids, vals)
 
 
-def _conj_product(s, o):
-    """x̄ = conj(S)∘O, the conjugate of X = S∘conj(O), in a new array."""
-    x_bar = np.conjugate(s)
-    x_bar *= o
-    return x_bar
+def _conj_product(s, o, out):
+    """x̄ = conj(S)∘O, the conjugate of X = S∘conj(O), into `out`."""
+    np.conjugate(s, out=out)
+    out *= o
+    return out
 
 
-def score_triples(params, feats, triples):
-    """Scores (n, 1) of an (n, 3) id array of (head, relation, tail) rows.
+class ScoreBuffers:
+    """The batch-sized arrays of `score_triples`, kept from one call to
+    the next: the entries S, O and W it gathers, the product conj(X), and
+    `rows`, a flat float64 area of n·D values through which the gathers
+    and the gradient scatters pass in the tensors' real layout. They are
+    made on the first call, and again when the batch's size, the width or
+    the decoder changes.
+
+    A taped call's backward reads S, O and W, so its arrays are in use
+    from its forward until its backward has run; another call with them
+    before then, on the same tape or a later one, raises RuntimeError.
+    An untaped call uses them only while it runs.
+    """
+
+    def __init__(self):
+        self.s = self.o = self.w = self.x_bar = self.rows = None
+        self.in_use = False
+
+    def claim(self, shape, dtype):
+        """(S, O, W, conj(X), rows) for entries of `shape` and `dtype`."""
+        if self.in_use:
+            raise RuntimeError("score_triples: its ScoreBuffers still hold "
+                               "a score op whose backward has not run")
+        if (self.s is None or self.s.shape != shape
+                or self.s.dtype != dtype):
+            self.s, self.o, self.w, self.x_bar = (
+                np.empty(shape, dtype) for _ in range(4))
+            self.rows = np.empty(self.s.view(np.float64).size)
+        return self.s, self.o, self.w, self.x_bar, self.rows
+
+
+def score_triples(params, feats, triples, buffers=None):
+    """Scores (n, 1) of an (n, 3) id array of (head, relation, tail) rows,
+    in a new array.
 
     One tape op: it gathers the head, tail and relation rows S, O, W as
     the entries of the model's decoder (see `_relations`) and scores
-    Re Σ W∘X with X = S∘conj(O), taken as its conjugate. The backward keeps S, O and W, recomputes conj(X) the
-    same way, and scatters g·conj(W)∘O, g·W∘S and g·conj(X) into the
-    gradients of `feats` and of the relation parameters. An id outside its
-    range raises ShapeError.
+    Re Σ W∘X with X = S∘conj(O), taken as its conjugate. The backward
+    reads S, O and W, recomputes conj(X) the same way, and scatters
+    g·conj(W)∘O, g·W∘S and g·conj(X) into the gradients of `feats` and of
+    the relation parameters. An id outside its range raises ShapeError.
+
+    Every batch-sized array lives in `buffers`, a `ScoreBuffers` that a
+    training run makes once and hands to each step's call (a call
+    without one makes its own), so a run reuses the same memory; the
+    scores and the gradients are new each step.
     """
     triples = np.asarray(triples)
     relations = _relations(params)
     heads, rels, tails = (
         _row_index(t, triples[:, k], "score_triples")
         for t, k in ((feats, 0), (relations[0], 1), (feats, 2)))
-    parts = np.hsplit(feats.values, len(relations))
-    s, o = _entries(parts, heads), _entries(parts, tails)
-    w = _entries([p.values for p in relations], rels)
+    buffers = ScoreBuffers() if buffers is None else buffers
+    s, o, w, x_bar, rows = buffers.claim(
+        (len(triples), relations[0].shape[1]),
+        np.complex128 if len(relations) == 2 else np.float64)
+    _gather([feats.values], heads, s, rows)
+    _gather([feats.values], tails, o, rows)
+    _gather([p.values for p in relations], rels, w, rows)
     # Re(w x) = Re w Re x_bar + Im w Im x_bar: one product of the float
     # views, in place, summed per row
-    prod = _conj_product(s, o).view(np.float64)
+    prod = _conj_product(s, o, x_bar).view(np.float64)
     prod *= w.view(np.float64)
     out = Tensor(prod.sum(axis=1, keepdims=True))
     sfeats, srels = feats.slot, [p.slot for p in relations]
 
     def bw(g):
         # conj(X) first: each gathered entry is read once more here, so the
-        # products below overwrite them instead of taking new memory at the
-        # step's peak
-        x_bar = _conj_product(s, o)
-        x_bar *= g
+        # products below overwrite them
+        np.multiply(_conj_product(s, o, x_bar), g, out=x_bar)
         gw = np.multiply(w, g, out=w)
-        _scatter(sfeats, tails, np.multiply(s, gw, out=s))
+        _scatter(sfeats, tails, np.multiply(s, gw, out=s), rows)
         np.conjugate(gw, out=gw)
-        _scatter(sfeats, heads, np.multiply(o, gw, out=o))
+        _scatter(sfeats, heads, np.multiply(o, gw, out=o), rows)
         for slot, part in zip(srels, _parts(x_bar)):
-            _scatter(slot, rels, part)
+            _scatter(slot, rels, part, rows)
+        buffers.in_use = False
 
+    buffers.in_use = _tape() is not None
     _record(out, bw)
     return out
 

@@ -3,7 +3,8 @@
 Classification trains full-batch over the labeled nodes; link prediction
 samples a batch of positive triples per iteration, corrupts them 1:1, and
 re-encodes the full graph; filtered negative sampling and validation
-ranking read the known triples from one `evaluation.FilterIndex` each.
+ranking read the known triples from one `evaluation.FilterIndex` each,
+and every step scores its batch in the run's one `decoders.ScoreBuffers`.
 Both tasks run plain gradient descent by default (`optimizer="adam"`
 switches). The encoder, the step and the evaluation helpers all read one
 `RunConfig`; the scorers tell the decoder from the model's parameters.
@@ -44,13 +45,13 @@ def _classify_step(graph, params, config, ids, classes, rng):
     return T.softmax_cross_entropy(logits, classes), []
 
 
-def _linkpred_step(graph, params, config, triples, known, rng):
+def _linkpred_step(graph, params, config, triples, known, rng, buffers):
     batch = min(config.batch_size, len(triples))
     positives = triples[rng.integers(0, len(triples), batch)]
     samples, labels = decoders.sample_negatives(
         positives, graph.num_entities, rng, known=known)
     feats = encode(graph, params, config, rng)
-    scores = decoders.score_triples(params, feats, samples)
+    scores = decoders.score_triples(params, feats, samples, buffers)
     rows = ([T.gather_rows(feats, samples[:, [0, 2]].ravel())]
             if config.l2 else [])
     return T.binary_cross_entropy_bits(scores, labels), rows
@@ -96,10 +97,11 @@ def train(graph, splits, config, task, seed, progress=None):
         dims = graph.num_entities, graph.num_relations
         known = (evaluation.FilterIndex(triples, *dims).contains
                  if config.filtered_negatives else None)
+        buffers = decoders.ScoreBuffers()
 
         def step():
             return _linkpred_step(graph, params, config, triples, known,
-                                  rng)
+                                  rng, buffers)
 
         valid_triples = splits.get("valid")
         if valid_triples is not None and len(valid_triples):

@@ -204,7 +204,7 @@ def test_snapshot_header_states_each_fact_once(lp_dir, tmp_path, capsys):
         fh.readline()
         (length,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(length))
-    assert set(header["meta"]) == {"dataset", "config"}
+    assert set(header["meta"]) == {"dataset", "config", "numpy", "blas_env"}
     assert header["meta"]["config"]["task"] == "linkpred"
     assert all(set(entry) == {"name", "shape", "dtype"}
                for entry in header["params"])
@@ -221,6 +221,39 @@ def test_snapshot_header_states_each_fact_once(lp_dir, tmp_path, capsys):
 
     old = str(tmp_path / "old.kgar")
     rewrite_header(snap, old, earlier_layout)
+    capsys.readouterr()
+    reports = []
+    for path in (snap, old):
+        assert cli.main(["evaluate", "--snapshot", path,
+                         "--dataset", lp_dir]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_snapshot_records_the_numeric_environment(lp_dir, tmp_path,
+                                                  capsys, monkeypatch):
+    # same-seed bits depend on the numpy version and the BLAS thread
+    # count, so a snapshot records both beside its config, and evaluate
+    # reads a snapshot with or without them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", lp_dir, "--out", str(out),
+                     "--seed", "3"] + FAST) == 0
+    snap = str(out / "snapshot-linkpred-seed3-complex.kgar")
+    meta, _ = load_snapshot(snap)
+    assert meta["numpy"] == np.__version__
+    assert meta["blas_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                "OMP_NUM_THREADS": "",
+                                "MKL_NUM_THREADS": "2"}
+    assert not {"numpy", "blas_env"} & set(meta["config"])
+
+    def without_environment(h):
+        del h["meta"]["numpy"], h["meta"]["blas_env"]
+
+    old = str(tmp_path / "old.kgar")
+    rewrite_header(snap, old, without_environment)
     capsys.readouterr()
     reports = []
     for path in (snap, old):
@@ -793,6 +826,16 @@ def test_config_file_precedence(lp_dir, tmp_path, capsys):
     log = os.path.join(out, "loss-linkpred-seed0-complex.csv")
     rows = open(log).read().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
+
+
+def test_config_file_stating_a_key_twice_is_usage_error(lp_dir, tmp_path,
+                                                        capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations=2\nseed=1\niterations=3\n", encoding="utf-8")
+    assert cli.main(["train", "--dataset", lp_dir, "--out",
+                     str(tmp_path / "run"), "--config", str(cfg)] + FAST) == 1
+    assert (f"error: {cfg}:3: key 'iterations' is set again, first at "
+            f"{cfg}:1") in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -133,3 +133,15 @@ def test_parse_config_file_errors(tmp_path):
     notbool.write_text("filtered_negatives=maybe\n")
     with pytest.raises(ValueError, match="boolean"):
         C.parse_config_file(str(notbool))
+
+
+def test_parse_config_file_refuses_a_key_stated_twice(tmp_path):
+    # each setting is stated once; the last of two values must not win
+    # silently
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("learning_rate=0.5\nseed=1\n\n# again\n"
+                     "learning_rate=0.01\n")
+    with pytest.raises(ValueError) as exc:
+        C.parse_config_file(str(twice))
+    assert str(exc.value) == (f"{twice}:5: key 'learning_rate' is set "
+                              f"again, first at {twice}:1")

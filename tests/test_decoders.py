@@ -207,6 +207,86 @@ def test_score_triples_grad_check():
         assert R.grad_check(loss, [feats, *relations]) < 1e-4, decoder
 
 
+def _scoring_inputs(decoder, seed):
+    """Features, relation parameters and a stand-in model for 4 entities
+    of width 6 and 2 relations."""
+    rng = np.random.default_rng(seed)
+    widths = {"complex": {"rel_re": 3, "rel_im": 3},
+              "distmult": {"rel_diag": 6}}[decoder]
+    feats = T.Parameter("feats", rng.standard_normal((4, 6)))
+    relations = [T.Parameter(name, rng.standard_normal((2, width)))
+                 for name, width in widths.items()]
+    return feats, relations, relation_params(**{p.name: p for p in relations})
+
+
+SCORED = np.array([(0, 1, 2), (2, 1, 0), (3, 0, 3), (0, 0, 1), (3, 1, 2)])
+
+
+@pytest.mark.parametrize("decoder", ["complex", "distmult"])
+def test_score_triples_grad_check_with_buffers(decoder):
+    # one ScoreBuffers across every call of the check, taped and untaped,
+    # gives the gradients of a call without one, bit for bit
+    feats, relations, params = _scoring_inputs(decoder, 14)
+    buffers = dec.ScoreBuffers()
+    grads = []
+    for shared in (None, buffers):
+        def loss():
+            scores = dec.score_triples(params, feats, SCORED, shared)
+            return R.sum_squares(scores)
+
+        assert R.grad_check(loss, [feats, *relations]) < 1e-4
+        with T.Tape() as tape:
+            total = loss()
+        tape.backward(total)
+        grads.append([p.grad for p in (feats, *relations)])
+        for p in (feats, *relations):
+            p.grad = None
+    for fresh, reused in zip(*grads):
+        assert np.array_equal(fresh, reused)
+
+
+@pytest.mark.parametrize("decoder", ["complex", "distmult"])
+def test_score_buffers_are_reused_until_the_batch_changes(decoder):
+    # S, O and W stay in the same memory from call to call, taped or not;
+    # the scores are new each call; a batch of another size gets new arrays
+    feats, _, params = _scoring_inputs(decoder, 15)
+    buffers = dec.ScoreBuffers()
+    first = dec.score_triples(params, feats, SCORED, buffers)
+    held = [buffers.s, buffers.o, buffers.w]
+    expected = first.values.copy()
+    with T.Tape() as tape:
+        second = dec.score_triples(params, feats, SCORED[::-1], buffers)
+        total = R.sum_squares(second)
+    tape.backward(total)
+    assert all(np.shares_memory(a, b) for a, b in
+               zip(held, [buffers.s, buffers.o, buffers.w]))
+    assert not np.shares_memory(first.values, second.values)
+    assert np.array_equal(first.values, expected)
+    assert np.array_equal(second.values, expected[::-1])
+    dec.score_triples(params, feats, SCORED[:3], buffers)
+    assert buffers.s.shape[0] == 3
+    assert not np.shares_memory(held[0], buffers.s)
+
+
+@pytest.mark.parametrize("decoder", ["complex", "distmult"])
+def test_score_buffers_refuse_a_second_op_before_the_backward(decoder):
+    # a taped call's backward reads its S, O and W, so no other call may
+    # overwrite them first: not on the same tape, nor on a later one
+    feats, _, params = _scoring_inputs(decoder, 16)
+    buffers = dec.ScoreBuffers()
+    with T.Tape() as tape:
+        total = R.sum_squares(dec.score_triples(params, feats, SCORED,
+                                                buffers))
+        with pytest.raises(RuntimeError, match="backward has not run"):
+            dec.score_triples(params, feats, SCORED, buffers)
+        dec.score_triples(params, feats, SCORED, dec.ScoreBuffers())
+    with pytest.raises(RuntimeError, match="backward has not run"):
+        dec.score_triples(params, feats, SCORED, buffers)
+    tape.backward(total)
+    with T.Tape():
+        dec.score_triples(params, feats, SCORED, buffers)
+
+
 @pytest.mark.parametrize("decoder", ["complex", "distmult"])
 @pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 0, -1), (4, 0, 1),
                                  (0, 0, 4), (0, 2, 1), (0, -1, 1)],

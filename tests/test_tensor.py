@@ -215,7 +215,7 @@ def test_scatter_rows_adds_in_index_order(num_idx, num_rows, held):
         if scatter is None:
             t = T.Parameter("t", np.zeros((num_rows, width)))
             t.grad = base.copy() if held else None
-            decoders._scatter(t, idx, z)
+            decoders._scatter(t, idx, z, np.empty(2 * z.size))
             out = t.grad
         else:
             out = base.copy()

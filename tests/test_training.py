@@ -133,6 +133,28 @@ PENALIZED = {
 }
 
 
+def test_linkpred_steps_reuse_the_score_buffers(graph, monkeypatch):
+    # every step of a run gathers S, O and W into the same memory, and a
+    # step's scores stay as they were after the next step
+    score_fn, calls = decoders.score_triples, []
+
+    def spy_score(params, feats, triples, buffers=None):
+        scores = score_fn(params, feats, triples, buffers)
+        calls.append(([buffers.s, buffers.o, buffers.w], scores,
+                      scores.values.copy()))
+        return scores
+
+    monkeypatch.setattr(decoders, "score_triples", spy_score)
+    cfg = toy_run_config("linkpred", iterations=3, batch_size=4,
+                         dropout_attention=0.3, seed=5)
+    training.train(graph, {}, cfg, "linkpred", seed=cfg.seed)
+    assert len(calls) == 3
+    (first, *_), (second, *_), _ = calls
+    assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+    assert all(np.array_equal(scores.values, values)
+               for _, scores, values in calls)
+
+
 @pytest.mark.parametrize("task, decoder", sorted(PENALIZED))
 def test_train_l2_term_equals_scalar_oracle(monkeypatch, task, decoder):
     # one iteration at l2 = c and one at l2 = 0 from the same seed make the
@@ -147,11 +169,11 @@ def test_train_l2_term_equals_scalar_oracle(monkeypatch, task, decoder):
         seen.append({p.name: p.values.tolist() for p in params.all_params()})
         return encode_fn(graph, params, config, rng)
 
-    def spy_score(params, feats, triples):
+    def spy_score(params, feats, triples, buffers=None):
         seen[-1]["batch"] = triples.tolist()
         seen[-1]["rows"] = [feats.values[i].tolist()
                             for triple in triples for i in triple[[0, 2]]]
-        return score_fn(params, feats, triples)
+        return score_fn(params, feats, triples, buffers)
 
     monkeypatch.setattr(training, "encode", spy_encode)
     monkeypatch.setattr(decoders, "score_triples", spy_score)
